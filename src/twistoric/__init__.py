@@ -43,11 +43,9 @@ from .surface import (
     intersect,
 )
 from .fibers import (
-    QuotientForm,
     bimeromorphic_pairs,
     invariant_fibers,
     model_degree,
-    quotient_form,
 )
 from .divisors import (
     HalfCycle,

@@ -33,11 +33,19 @@ from .errors import (
 from .lattice import validate
 from .report import DEFAULT_CAP, run_analyze, run_enumerate, run_model
 
-USAGE_ERRORS = (BadIndices, CapExceeded, DegenerateConstants, RootCollision, RootOrderViolation)
-
 
 class InputDataError(ValueError):
     """The content of an input file is unusable (distinct from bad flags)."""
+
+
+# Error class to exit code, checked in order: the first entry the error is an
+# instance of wins, so InputDataError comes before its base ValueError.
+EXIT_CODES: tuple[tuple[tuple[type[Exception], ...], int], ...] = (
+    ((BadIndices, CapExceeded, DegenerateConstants, RootCollision, RootOrderViolation), 2),
+    ((InputDataError, OSError, SequenceValidationError), 1),
+    ((ValueError,), 2),
+    ((TwistoricError,), 1),
+)
 
 
 def _parse_fractions(text: str | None) -> tuple[Fraction, ...] | None:
@@ -162,18 +170,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, code = _dispatch(args)
-    except USAGE_ERRORS as exc:
+    except tuple(kind for kinds, _ in EXIT_CODES for kind in kinds) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InputDataError, OSError, SequenceValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TwistoricError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds))
     _emit(payload, args.output)
     return code
 

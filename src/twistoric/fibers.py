@@ -8,44 +8,23 @@ value as multiplicity; the fiber over the other end is its conjugate.
 
 The pairing used throughout is phi_a(u) = det(u, v_a).  Both signs occur
 over a complete fan, so both fibers are nonzero effective divisors.
+
+The degree of the map for a pair (i, j) is f_i . f_j = |det(v_i, v_j)|,
+computed in that closed form; the intersection-form sum (surface.intersect)
+is its test oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import BadIndices
-from .lattice import Vector, det2
-from .surface import Divisor, ToricSurface, intersect
+from .lattice import det2
+from .surface import Divisor, ToricSurface
 
 __all__ = [
-    "QuotientForm",
     "bimeromorphic_pairs",
     "invariant_fibers",
     "model_degree",
-    "quotient_form",
 ]
-
-
-@dataclass(frozen=True)
-class QuotientForm:
-    """Integer linear functional v -> det(v, v_alpha) for a sequence vector."""
-
-    alpha: int
-    vector: Vector
-
-    def evaluate(self, v: Vector) -> int:
-        return det2(v, self.vector)
-
-
-def _check_alpha(surface: ToricSurface, alpha: int) -> None:
-    if not 1 <= alpha <= surface.k:
-        raise BadIndices(f"index {alpha} out of range 1..{surface.k}")
-
-
-def quotient_form(surface: ToricSurface, alpha: int) -> QuotientForm:
-    _check_alpha(surface, alpha)
-    return QuotientForm(alpha=alpha, vector=surface.rays[alpha - 1])
 
 
 def invariant_fibers(surface: ToricSurface, alpha: int) -> tuple[Divisor, Divisor]:
@@ -54,24 +33,24 @@ def invariant_fibers(surface: ToricSurface, alpha: int) -> tuple[Divisor, Diviso
     Returns (f, fbar); f holds the components with positive pairing, fbar
     those with negative pairing, and fbar is the conjugate of f.
     """
-    form = quotient_form(surface, alpha)
-    values = [form.evaluate(u) for u in surface.rays]
+    if not 1 <= alpha <= surface.k:
+        raise BadIndices(f"index {alpha} out of range 1..{surface.k}")
+    v = surface.rays[alpha - 1]
+    values = [det2(u, v) for u in surface.rays]
     f = tuple(max(x, 0) for x in values)
     fbar = tuple(max(-x, 0) for x in values)
     return f, fbar
 
 
 def model_degree(surface: ToricSurface, i: int, j: int) -> int:
-    """Intersection number of the i-th and j-th invariant fibers.
+    """Intersection number f_i . f_j of the i-th and j-th invariant fibers.
 
     This is the degree of the rational map attached to the pair (i, j);
     the map is bimeromorphic exactly when the degree is 1.
     """
     if not 1 <= i < j <= surface.k:
         raise BadIndices(f"need 1 <= i < j <= {surface.k}, got ({i}, {j})")
-    fi, _ = invariant_fibers(surface, i)
-    fj, _ = invariant_fibers(surface, j)
-    return intersect(fi, fj, surface)
+    return abs(det2(surface.rays[i - 1], surface.rays[j - 1]))
 
 
 def bimeromorphic_pairs(surface: ToricSurface) -> list[tuple[int, int]]:

@@ -42,7 +42,6 @@ __all__ = [
     "check",
     "det2",
     "enumerate_sequences",
-    "fib",
     "is_primitive",
     "normalize",
     "reversal_dual",
@@ -57,14 +56,6 @@ def det2(u: Vector, v: Vector) -> int:
 
 def is_primitive(v: Vector) -> bool:
     return v != (0, 0) and gcd(abs(v[0]), abs(v[1])) == 1
-
-
-def fib(m: int) -> int:
-    """Fibonacci number F(m) with F(0) = 0, F(1) = 1."""
-    a, b = 0, 1
-    for _ in range(m):
-        a, b = b, a + b
-    return a
 
 
 def apply_matrix(mat: Matrix, v: Vector) -> Vector:

@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .divisors import TwistorDivisorData
 from .errors import DegenerateConstants, RootCollision, RootOrderViolation
-from .ratpoly import Poly, degree, evaluate, from_factors, root_multiplicity
+from .ratpoly import Poly, degree, evaluate, from_factors, render, root_multiplicity
 
 GENERIC_FOUR_NODAL = "GenericFourNodal"
 TWO_QUADRIC_CONES = "TwoQuadricCones"
@@ -148,31 +148,48 @@ def _pencil_poly(data: TwistorDivisorData, roots: ConformalRoots, scale: Fractio
     return from_factors(scale, ((finite[b - 2], ltot[b - 1]) for b in range(2, data.k + 1)))
 
 
+def _build_model(
+    data_i: TwistorDivisorData,
+    data_j: TwistorDivisorData,
+    roots: ConformalRoots,
+    constants: Sequence[Fraction | int] | None,
+    full: bool,
+) -> ModelEquations:
+    """The chain's first two members, or all mu + 2 when full; None constants are ones."""
+    di, dj = _ordered(data_i, data_j)
+    if roots.k != di.k:
+        raise ValueError(f"roots are for k = {roots.k}, divisor data for k = {di.k}")
+    mu = di.m - dj.m
+    count = mu + 2 if full else 2
+    cs = _check_constants((1,) * count if constants is None else constants, count)
+    p1 = _pencil_poly(di, roots, cs[0])
+    base_j = _pencil_poly(dj, roots, Fraction(1))
+    polys = [p1]
+    for a in range(2, count + 1):
+        shifted = (Fraction(0),) * (2 * (a - 2)) + tuple(cs[a - 1] * c for c in base_j)
+        polys.append(shifted)
+    return ModelEquations(
+        i=di.alpha,
+        j=dj.alpha,
+        mu=mu,
+        bundle=(di.m, di.m, dj.m, dj.m),
+        constants=cs,
+        polys=tuple(polys),
+    )
+
+
 def emit_reduced_model(
     data_i: TwistorDivisorData,
     data_j: TwistorDivisorData,
     roots: ConformalRoots,
-    constants: Sequence[Fraction | int] = (1, 1),
+    constants: Sequence[Fraction | int] | None = (1, 1),
 ) -> ModelEquations:
-    """The two-equation model for a pair of pencils.
+    """The two-equation model: the first two members of the full chain.
 
     Swaps the roles of i and j internally when m_i < m_j so the recorded
-    bundle degrees never decrease.
+    bundle degrees never decrease.  constants None means (1, 1).
     """
-    di, dj = _ordered(data_i, data_j)
-    if roots.k != di.k:
-        raise ValueError(f"roots are for k = {roots.k}, divisor data for k = {di.k}")
-    cs = _check_constants(constants, 2)
-    p1 = _pencil_poly(di, roots, cs[0])
-    p2 = _pencil_poly(dj, roots, cs[1])
-    return ModelEquations(
-        i=di.alpha,
-        j=dj.alpha,
-        mu=di.m - dj.m,
-        bundle=(di.m, di.m, dj.m, dj.m),
-        constants=cs,
-        polys=(p1, p2),
-    )
+    return _build_model(data_i, data_j, roots, constants, full=False)
 
 
 def emit_full_model(
@@ -188,27 +205,7 @@ def emit_full_model(
     chain starts at the reduced second equation and gains lambda^2 each step.
     Takes mu + 2 scale constants, all ones when omitted.
     """
-    di, dj = _ordered(data_i, data_j)
-    if roots.k != di.k:
-        raise ValueError(f"roots are for k = {roots.k}, divisor data for k = {di.k}")
-    mu = di.m - dj.m
-    if constants is None:
-        constants = (1,) * (mu + 2)
-    cs = _check_constants(constants, mu + 2)
-    p1 = _pencil_poly(di, roots, cs[0])
-    base_j = _pencil_poly(dj, roots, Fraction(1))
-    polys = [p1]
-    for a in range(2, mu + 3):
-        shifted = (Fraction(0),) * (2 * (a - 2)) + tuple(cs[a - 1] * c for c in base_j)
-        polys.append(shifted)
-    return ModelEquations(
-        i=di.alpha,
-        j=dj.alpha,
-        mu=mu,
-        bundle=(di.m, di.m, dj.m, dj.m),
-        constants=cs,
-        polys=tuple(polys),
-    )
+    return _build_model(data_i, data_j, roots, constants, full=True)
 
 
 @dataclass(frozen=True)
@@ -278,7 +275,11 @@ class LinearSystemMeta:
     dim_w_i: int
     dim_w_j: int
     dim_combined: int
-    num_coords: int
+
+    @property
+    def num_coords(self) -> int:
+        """N, the number of homogeneous coordinates; always dim_combined."""
+        return self.dim_combined
 
     def to_json(self) -> dict:
         return {
@@ -300,7 +301,6 @@ def system_meta(data_i: TwistorDivisorData, data_j: TwistorDivisorData) -> Linea
         dim_w_i=mi + 3,
         dim_w_j=mj + 3,
         dim_combined=3 * mi - 2 * mj + 5,
-        num_coords=5 + 3 * mi - 2 * mj,
     )
 
 
@@ -311,8 +311,6 @@ def emit_open_model_description(eqs: ModelEquations, map_degree: int = 1) -> dic
     open piece of the twistor space the model covers; when the attached map
     has degree above one a warning marks the model as non-bimeromorphic.
     """
-    from .ratpoly import render
-
     equations = []
     for a, p in enumerate(eqs.polys, start=1):
         equations.append(f"xi{2 * a - 1}*xi{2 * a} = {render(p)}")

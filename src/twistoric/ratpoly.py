@@ -17,8 +17,6 @@ __all__ = [
     "degree",
     "evaluate",
     "from_factors",
-    "frac_from_str",
-    "frac_to_str",
     "normalized",
     "poly_from_strings",
     "poly_mul",
@@ -83,16 +81,8 @@ def root_multiplicity(p: Poly, r: Fraction) -> int:
     return mult
 
 
-def frac_to_str(x: Fraction) -> str:
-    return str(Fraction(x))
-
-
-def frac_from_str(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def poly_to_strings(p: Poly) -> list[str]:
-    return [frac_to_str(c) for c in p]
+    return [str(c) for c in p]
 
 
 def poly_from_strings(items: Sequence[str]) -> Poly:
@@ -111,10 +101,10 @@ def render(p: Poly, var: str = "lambda") -> str:
         sign = "-" if c < 0 else "+"
         mag = abs(c)
         if d == 0:
-            body = frac_to_str(mag)
+            body = str(mag)
         else:
             pw = var if d == 1 else f"{var}^{d}"
-            body = pw if mag == 1 else f"{frac_to_str(mag)}*{pw}"
+            body = pw if mag == 1 else f"{mag}*{pw}"
         if not parts:
             parts.append(body if sign == "+" else f"-{body}")
         else:

@@ -26,7 +26,7 @@ from .models import (
     emit_reduced_model,
 )
 from .ratpoly import poly_from_strings, poly_to_strings
-from .surface import Divisor, ToricSurface, build_surface
+from .surface import ToricSurface, build_surface
 
 DEFAULT_CAP = 8
 
@@ -83,23 +83,25 @@ class AnalysisReport:
     sequence: ActionSequence
     surface: ToricSurface
     roots: ConformalRoots
-    fibers: tuple[tuple[Divisor, Divisor], ...]
-    degree_matrix: tuple[tuple[int, ...], ...]
     bimeromorphic: tuple[tuple[int, int], ...]
     divisors: tuple[TwistorDivisorData, ...]
     models: tuple[tuple[ModelEquations, tuple[FiberClass, ...]], ...]
     warnings: tuple[dict, ...]
 
     def to_json(self) -> dict:
+        s = self.surface
+        ks = range(1, s.k + 1)
         return {
             "input": self.sequence.to_json(),
-            "surface": self.surface.to_json(),
+            "surface": s.to_json(),
             "roots": self.roots.to_json(),
             "fibers": [
                 {"alpha": a + 1, "f": list(f), "fbar": list(fbar)}
-                for a, (f, fbar) in enumerate(self.fibers)
+                for a, (f, fbar) in enumerate(invariant_fibers(s, b) for b in ks)
             ],
-            "degreeMatrix": [list(row) for row in self.degree_matrix],
+            "degreeMatrix": [
+                [model_degree(s, min(i, j), max(i, j)) if i != j else 0 for j in ks] for i in ks
+            ],
             "bimeromorphicPairs": [list(p) for p in self.bimeromorphic],
             "divisors": [d.to_json() for d in self.divisors],
             "models": [model_record(eqs, classes) for eqs, classes in self.models],
@@ -115,8 +117,6 @@ class AnalysisReport:
             sequence=sequence,
             surface=surface,
             roots=roots,
-            fibers=tuple((tuple(b["f"]), tuple(b["fbar"])) for b in data["fibers"]),
-            degree_matrix=tuple(tuple(row) for row in data["degreeMatrix"]),
             bimeromorphic=tuple((p[0], p[1]) for p in data["bimeromorphicPairs"]),
             divisors=tuple(TwistorDivisorData.from_json(d) for d in data["divisors"]),
             models=tuple(parse_model_record(m) for m in data["models"]),
@@ -127,18 +127,13 @@ class AnalysisReport:
 def analyze_sequence(
     seq: ActionSequence,
     roots: ConformalRoots | None = None,
-    constants: Sequence[Fraction | int] = (1, 1),
+    constants: Sequence[Fraction | int] | None = (1, 1),
 ) -> AnalysisReport:
     """Full analysis of one sequence; models for every adjacent index pair."""
     surface = build_surface(seq)
     k = surface.k
     if roots is None:
         roots = default_roots(k)
-    fibers = tuple(invariant_fibers(surface, a) for a in range(1, k + 1))
-    degrees = tuple(
-        tuple(model_degree(surface, min(i, j), max(i, j)) if i != j else 0 for j in range(1, k + 1))
-        for i in range(1, k + 1)
-    )
     divisors = tuple(solve_divisor_data(surface, a) for a in range(1, k + 1))
     models = []
     for i in range(1, k):
@@ -147,7 +142,7 @@ def analyze_sequence(
     warnings: list[dict] = []
     for i in range(1, k + 1):
         for j in range(i + 1, k + 1):
-            d = degrees[i - 1][j - 1]
+            d = model_degree(surface, i, j)
             if d > 1:
                 warnings.append({"type": "degree", "i": i, "j": j, "d": d})
     for data in divisors:
@@ -158,8 +153,6 @@ def analyze_sequence(
         sequence=seq,
         surface=surface,
         roots=roots,
-        fibers=fibers,
-        degree_matrix=degrees,
         bimeromorphic=tuple(bimeromorphic_pairs(surface)),
         divisors=divisors,
         models=tuple(models),
@@ -175,7 +168,7 @@ def run_analyze(
     """Validate raw vectors and produce the full report as JSON data."""
     seq = validate(pairs)
     roots = None if roots_tail is None else ConformalRoots(k=seq.k, tail=tuple(roots_tail))
-    report = analyze_sequence(seq, roots=roots, constants=constants or (1, 1))
+    report = analyze_sequence(seq, roots=roots, constants=constants)
     return report.to_json()
 
 
@@ -222,10 +215,7 @@ def run_model(
     )
     data_i = solve_divisor_data(surface, i)
     data_j = solve_divisor_data(surface, j)
-    if full:
-        mu = abs(data_i.m - data_j.m)
-        eqs = emit_full_model(data_i, data_j, roots, constants or (1,) * (mu + 2))
-    else:
-        eqs = emit_reduced_model(data_i, data_j, roots, constants or (1, 1))
+    emit = emit_full_model if full else emit_reduced_model
+    eqs = emit(data_i, data_j, roots, constants)
     classes = classify_fibers(eqs, roots)
     return model_record(eqs, classes)

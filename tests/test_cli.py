@@ -120,6 +120,19 @@ def test_zero_constant_rejected(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["analyze"], ["model", "--i", "1", "--j", "2"], ["model", "--i", "1", "--j", "2", "--full"]],
+    ids=["analyze", "model", "model-full"],
+)
+def test_empty_constants_is_a_usage_error(tmp_path, capsys, command):
+    # only an absent --constants means the default; an empty list is too short
+    path = write_input(tmp_path, HEXAGON)
+    code, out, err = run(capsys, command + ["--input", path, "--constants", ""])
+    assert code == 2 and out == ""
+    assert "expected 2 scale constants, got 0" in err
+
+
 def test_unparsable_roots_rejected(tmp_path, capsys):
     path = write_input(tmp_path, HEXAGON)
     code, _, _ = run(capsys, ["model", "--input", path, "--i", "1", "--j", "2", "--roots", "x"])

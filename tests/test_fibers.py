@@ -13,7 +13,6 @@ from twistoric import (
     intersect,
     invariant_fibers,
     model_degree,
-    quotient_form,
     validate,
 )
 from twistoric.lattice import det2
@@ -51,9 +50,8 @@ def test_fibers_are_conjugate_and_match_pairing():
             for a in range(1, s.k + 1):
                 f, fbar = invariant_fibers(s, a)
                 assert fbar == conjugate_divisor(f, s)
-                form = quotient_form(s, a)
                 for r, u in enumerate(s.rays):
-                    assert f[r] - fbar[r] == form.evaluate(u)
+                    assert f[r] - fbar[r] == det2(u, s.rays[a - 1])
                     assert f[r] * fbar[r] == 0
                 # the fibration collapses its own curve and its conjugate
                 assert f[a - 1] == 0 and fbar[a - 1] == 0
@@ -103,6 +101,18 @@ def test_degree_matches_determinant_cross_oracle():
                     assert d >= 1
 
 
+def test_degree_matches_intersection_form_oracle():
+    # model_degree is the closed form |det(v_i, v_j)|; the intersection
+    # form of the two fibers is the independent route to the same number
+    for n in range(7):
+        for seq in enumerate_sequences(n):
+            s = build_surface(seq)
+            fibers = [invariant_fibers(s, a)[0] for a in range(1, s.k + 1)]
+            for i in range(1, s.k + 1):
+                for j in range(i + 1, s.k + 1):
+                    assert model_degree(s, i, j) == intersect(fibers[i - 1], fibers[j - 1], s)
+
+
 def test_bimeromorphic_pairs_n2():
     s = surf([(0, 1), (1, 1), (2, 1), (1, 0)])
     pairs = bimeromorphic_pairs(s)
@@ -123,4 +133,4 @@ def test_bad_indices_rejected():
     with pytest.raises(BadIndices):
         model_degree(s, 1, 4)
     with pytest.raises(BadIndices):
-        quotient_form(s, 7)
+        invariant_fibers(s, 7)

@@ -30,7 +30,6 @@ def test_default_roots():
 
 def test_hexagon_report_contents():
     report = analyze_sequence(validate(HEXAGON))
-    assert report.degree_matrix == ((0, 1, 1), (1, 0, 1), (1, 1, 0))
     assert tuple(d.m for d in report.divisors) == (1, 1, 1)
     assert report.bimeromorphic == ((1, 2), (1, 3), (2, 3))
     assert len(report.models) == 2
