@@ -7,10 +7,11 @@ Commands:
   model      model equations for one index pair
   classify   fiber classification for one index pair
 
-Input files hold a single JSON object {"n": ..., "vectors": [[a, b], ...]}.
-Every command writes one JSON document to stdout (or --output) and the same
-input always produces byte-identical output.  Exit codes: 0 on success, 1
-when the input fails validation or cannot be read, 2 on usage errors.
+Input files hold a single JSON object {"n": ..., "vectors": [[a, b], ...]}
+whose n, a and b are JSON integers (n optional).  Every command writes one
+JSON document to stdout (or --output) and the same input always produces
+byte-identical output.  Exit codes: 0 on success, 1 when the input fails
+validation or cannot be read, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -69,8 +70,13 @@ def _load_vectors(path: str) -> list[list[int]]:
     if not isinstance(data, dict) or "vectors" not in data:
         raise InputDataError(f"{path}: expected an object with a 'vectors' key")
     vectors = data["vectors"]
-    if "n" in data and data["n"] != len(vectors) - 2:
-        raise InputDataError(f"{path}: stated n = {data['n']} but {len(vectors)} vectors given")
+    if not isinstance(vectors, list):
+        raise InputDataError(f"{path}: 'vectors' must be a list")
+    n = data.get("n", len(vectors) - 2)
+    if type(n) is not int:
+        raise InputDataError(f"{path}: 'n' must be an integer, got {n!r}")
+    if n != len(vectors) - 2:
+        raise InputDataError(f"{path}: stated n = {n} but {len(vectors)} vectors given")
     return vectors
 
 
@@ -148,21 +154,19 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict | list, int]:
             0,
         )
 
-    if args.command in ("model", "classify"):
-        vectors = _load_vectors(args.input)
-        record = run_model(
-            vectors,
-            args.i,
-            args.j,
-            roots_tail=_parse_fractions(args.roots),
-            constants=_parse_fractions(args.constants),
-            full=getattr(args, "full", False),
-        )
-        if args.command == "classify":
-            return {"i": record["i"], "j": record["j"], "fibers": record["fibers"]}, 0
-        return record, 0
-
-    raise AssertionError(f"unhandled command {args.command}")
+    # the subparsers are required and closed, so what is left is model or classify
+    vectors = _load_vectors(args.input)
+    record = run_model(
+        vectors,
+        args.i,
+        args.j,
+        roots_tail=_parse_fractions(args.roots),
+        constants=_parse_fractions(args.constants),
+        full=getattr(args, "full", False),
+    )
+    if args.command == "classify":
+        return {"i": record["i"], "j": record["j"], "fibers": record["fibers"]}, 0
+    return record, 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -58,6 +58,11 @@ def is_primitive(v: Vector) -> bool:
     return v != (0, 0) and gcd(abs(v[0]), abs(v[1])) == 1
 
 
+def _is_int_pair(p: object) -> bool:
+    """A list or tuple of exactly two ints; bools (an int subclass), floats and strings are not."""
+    return isinstance(p, (list, tuple)) and len(p) == 2 and type(p[0]) is int and type(p[1]) is int
+
+
 def apply_matrix(mat: Matrix, v: Vector) -> Vector:
     return (mat[0][0] * v[0] + mat[0][1] * v[1], mat[1][0] * v[0] + mat[1][1] * v[1])
 
@@ -84,11 +89,11 @@ class ActionSequence:
 def check(pairs: Sequence[Sequence[int]]) -> list[Violation]:
     """Return every violated validity condition, with 1-based positions."""
     out: list[Violation] = []
-    vs = [tuple(int(c) for c in p) for p in pairs]
-    if not vs:
+    if not pairs:
         return [Violation(EMPTY_SEQUENCE, None, "sequence is empty")]
-    if any(len(v) != 2 for v in vs):
+    if not all(map(_is_int_pair, pairs)):
         return [Violation(NON_PRIMITIVE_VECTOR, None, "entries must be integer pairs")]
+    vs = [tuple(p) for p in pairs]
     k = len(vs)
     for i, v in enumerate(vs, start=1):
         if not is_primitive(v):
@@ -119,7 +124,7 @@ def validate(pairs: Sequence[Sequence[int]]) -> ActionSequence:
     violations = check(pairs)
     if violations:
         raise SequenceValidationError(violations)
-    vs = tuple((int(a), int(b)) for a, b in pairs)
+    vs = tuple((a, b) for a, b in pairs)
     return ActionSequence(n=len(vs) - 2, vectors=vs)
 
 
@@ -131,9 +136,9 @@ def normalize(pairs: Sequence[Sequence[int]]) -> tuple[ActionSequence, Matrix]:
     of the input when one is needed.  Raises NotNormalizable when no
     unimodular change of coordinates works.
     """
-    vs = [tuple(int(c) for c in p) for p in pairs]
-    if len(vs) < 2 or any(len(v) != 2 for v in vs):
+    if len(pairs) < 2 or not all(map(_is_int_pair, pairs)):
         raise NotNormalizable("need at least two integer pairs")
+    vs = [tuple(p) for p in pairs]
     first, last = vs[0], vs[-1]
     dv = det2(first, last)
     # The endpoints must map to (0, 1) and (1, 0), so M is forced:

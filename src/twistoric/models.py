@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .divisors import TwistorDivisorData
 from .errors import DegenerateConstants, RootCollision, RootOrderViolation
-from .ratpoly import Poly, degree, evaluate, from_factors, render, root_multiplicity
+from .ratpoly import Poly, degree, derivative, evaluate, from_factors, render
 
 GENERIC_FOUR_NODAL = "GenericFourNodal"
 TWO_QUADRIC_CONES = "TwoQuadricCones"
@@ -236,12 +236,9 @@ class FiberClass:
         )
 
 
-def _kind(mult1: int, mult2: int) -> str:
-    if mult1 > 0 and mult2 > 0:
-        return FOUR_PLANES
-    if mult1 > 0 or mult2 > 0:
-        return TWO_QUADRIC_CONES
-    return GENERIC_FOUR_NODAL
+def _kind(vanishes1: bool, vanishes2: bool) -> str:
+    # indexed by how many of P_1, P_2 vanish at the location
+    return (GENERIC_FOUR_NODAL, TWO_QUADRIC_CONES, FOUR_PLANES)[vanishes1 + vanishes2]
 
 
 def classify_fibers(eqs: ModelEquations, roots: ConformalRoots) -> list[FiberClass]:
@@ -249,20 +246,25 @@ def classify_fibers(eqs: ModelEquations, roots: ConformalRoots) -> list[FiberCla
 
     A fiber degenerates from four nodes to two quadric cones when exactly
     one of P_1, P_2 vanishes there, and to four planes when both do; a
-    vanishing order of two or more flags a non-reduced pencil member.
+    vanishing order of two or more (at a finite root r: P(r) = P'(r) = 0)
+    flags a non-reduced pencil member.  Raises ValueError when P_1 or P_2
+    vanishes at the generic sample.
     """
     out: list[FiberClass] = []
     m1 = 2 * eqs.m_i - degree(eqs.p1)
     m2 = 2 * eqs.m_j - degree(eqs.p2)
-    out.append(FiberClass(location=None, kind=_kind(m1, m2), non_reduced=m1 >= 2 or m2 >= 2))
+    out.append(FiberClass(location=None, kind=_kind(m1 > 0, m2 > 0), non_reduced=m1 >= 2 or m2 >= 2))
+    d1, d2 = derivative(eqs.p1), derivative(eqs.p2)
     for r in roots.finite_roots:
-        m1 = root_multiplicity(eqs.p1, r)
-        m2 = root_multiplicity(eqs.p2, r)
-        out.append(FiberClass(location=r, kind=_kind(m1, m2), non_reduced=m1 >= 2 or m2 >= 2))
+        v1 = evaluate(eqs.p1, r) == 0
+        v2 = evaluate(eqs.p2, r) == 0
+        non_reduced = (v1 and evaluate(d1, r) == 0) or (v2 and evaluate(d2, r) == 0)
+        out.append(FiberClass(location=r, kind=_kind(v1, v2), non_reduced=non_reduced))
     sample = Fraction(1)
     while sample in roots.finite_roots:
         sample += 1
-    assert evaluate(eqs.p1, sample) != 0 and evaluate(eqs.p2, sample) != 0
+    if evaluate(eqs.p1, sample) == 0 or evaluate(eqs.p2, sample) == 0:
+        raise ValueError(f"P_1 or P_2 vanishes at the generic sample {sample}")
     out.append(FiberClass(location=sample, kind=GENERIC_FOUR_NODAL, non_reduced=False, generic=True))
     return out
 

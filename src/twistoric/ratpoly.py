@@ -2,7 +2,8 @@
 
 Polynomials are tuples of Fractions in ascending degree order with no
 trailing zeros; the zero polynomial is the empty tuple.  Only the handful
-of operations the model emitter needs live here.
+of operations the model emitter needs live here.  There is no root testing
+and no general multiplication; the tests hold those as oracles.
 """
 
 from __future__ import annotations
@@ -15,14 +16,13 @@ Poly = tuple[Fraction, ...]
 __all__ = [
     "Poly",
     "degree",
+    "derivative",
     "evaluate",
     "from_factors",
     "normalized",
     "poly_from_strings",
-    "poly_mul",
     "poly_to_strings",
     "render",
-    "root_multiplicity",
 ]
 
 
@@ -38,25 +38,14 @@ def degree(p: Poly) -> int:
     return len(p) - 1
 
 
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    if not p or not q:
-        return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return normalized(out)
-
-
 def from_factors(scale: Fraction, factors: Iterable[tuple[Fraction, int]]) -> Poly:
     """scale times the product of (x - root)^mult over the given factors."""
-    p = normalized([scale])
+    p = [Fraction(scale)]
     for root, mult in factors:
-        lin = normalized([-Fraction(root), 1])
         for _ in range(mult):
-            p = poly_mul(p, lin)
-    return p
+            # times (x - root), one shift-and-subtract: new[t] = p[t-1] - root * p[t]
+            p = [a - root * b for a, b in zip([0] + p, p + [0])]
+    return normalized(p)
 
 
 def evaluate(p: Poly, x: Fraction) -> Fraction:
@@ -66,19 +55,8 @@ def evaluate(p: Poly, x: Fraction) -> Fraction:
     return acc
 
 
-def root_multiplicity(p: Poly, r: Fraction) -> int:
-    """Multiplicity of r as a root of p (0 when p(r) != 0)."""
-    mult = 0
-    while p and evaluate(p, r) == 0:
-        # synthetic division by (x - r)
-        q = [Fraction(0)] * (len(p) - 1)
-        carry = Fraction(0)
-        for i in range(len(p) - 1, 0, -1):
-            carry = p[i] + carry * r
-            q[i - 1] = carry
-        p = normalized(q)
-        mult += 1
-    return mult
+def derivative(p: Poly) -> Poly:
+    return normalized([t * c for t, c in enumerate(p)][1:])
 
 
 def poly_to_strings(p: Poly) -> list[str]:

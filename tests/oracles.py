@@ -2,16 +2,21 @@
 
 Everything here recomputes expected values by a different route than the
 package: enumeration by bounded brute-force search instead of mediant
-closure, and half-cycle decomposition by exhaustive search over bounded
-complementary multiplicity vectors instead of the difference solve.
+closure, half-cycle decomposition by exhaustive search over bounded
+complementary multiplicity vectors instead of the difference solve, and
+exact vanishing orders by repeated synthetic division instead of the
+P(r) = P'(r) = 0 test.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 from math import gcd
 
 import numpy as np
+
+from twistoric.ratpoly import Poly, evaluate, normalized
 
 Vec = tuple[int, int]
 
@@ -113,3 +118,18 @@ def mat_mul(a, b):
 
 def mat_apply(mat, v: Vec) -> Vec:
     return (mat[0][0] * v[0] + mat[0][1] * v[1], mat[1][0] * v[0] + mat[1][1] * v[1])
+
+
+def root_multiplicity(p: Poly, r: Fraction) -> int:
+    """Multiplicity of r as a root of p (0 when p(r) != 0)."""
+    mult = 0
+    while p and evaluate(p, r) == 0:
+        # synthetic division by (x - r)
+        q = [Fraction(0)] * (len(p) - 1)
+        carry = Fraction(0)
+        for i in range(len(p) - 1, 0, -1):
+            carry = p[i] + carry * r
+            q[i - 1] = carry
+        p = normalized(q)
+        mult += 1
+    return mult

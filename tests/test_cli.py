@@ -61,6 +61,43 @@ def test_stated_n_must_match(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "vectors",
+    [
+        [[0, 1], [1.7, 1], [1, 0]],
+        [[0, 1], [True, 1], [1, 0]],
+        [[0, 1], ["1", 1], [1, 0]],
+        ["a", 1],
+    ],
+    ids=["float-entry", "bool-entry", "string-entry", "string-vector"],
+)
+def test_non_integer_entries_are_invalid(tmp_path, capsys, vectors):
+    # no coercion: 1.7, true and "1" are not the integer 1
+    path = write_input(tmp_path, {"vectors": vectors})
+    code, out, err = run(capsys, ["validate", "--input", path])
+    assert code == 1 and err == ""
+    assert json.loads(out) == {
+        "valid": False,
+        "violations": [
+            {"code": "NonPrimitiveVector", "index": None, "message": "entries must be integer pairs"}
+        ],
+    }
+
+
+def test_vectors_not_a_list_is_an_input_error(tmp_path, capsys):
+    path = write_input(tmp_path, {"vectors": 5})
+    code, out, err = run(capsys, ["validate", "--input", path])
+    assert code == 1 and out == ""
+    assert "'vectors' must be a list" in err
+
+
+def test_non_integer_n_is_an_input_error(tmp_path, capsys):
+    path = write_input(tmp_path, {"n": "1", "vectors": [[0, 1], [1, 1], [1, 0]]})
+    code, out, err = run(capsys, ["validate", "--input", path])
+    assert code == 1 and out == ""
+    assert "'n' must be an integer" in err
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, ["validate", "--input", "/nonexistent/input.json"])
     assert code == 1 and "error:" in err

