@@ -48,10 +48,7 @@ from .fibers import (
     model_degree,
 )
 from .divisors import (
-    HalfCycle,
     TwistorDivisorData,
-    degree_drop_at_infinity,
-    half_cycles,
     solve_divisor_data,
     solve_from_fibers,
 )

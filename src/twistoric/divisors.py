@@ -6,60 +6,36 @@ invariant fibers for alpha.  That divisor decomposes uniquely over the 2k
 half-cycles: the plus half-cycle for beta covers the k components that
 follow position beta circularly, the minus half-cycle the complementary k.
 
-The decomposition is found from consecutive differences.  Crossing position
-beta changes membership in exactly the two half-cycles labelled beta, so the
-component-wise difference of the target pins l_plus[beta] - l_minus[beta];
-requiring one of each pair to vanish pins both, and m then follows from any
-single component equation.  The remaining 2k - 1 equations are verified.
+The weighted sum of the half-cycles is one running sum over the positions.
+Position 0 lies in every minus half-cycle and in no plus half-cycle, so it
+carries sum(l_minus).  Stepping from position r to r + 1 enters the plus
+half-cycle of label r + 1 (leaving its minus) while r < k, and leaves the
+plus half-cycle of label r + 1 - k from then on, so the steps are
+d_b = l_plus[b] - l_minus[b] for b < k followed by -d_0 .. -d_{k-2}.
+
+Solving reads those steps off the target: the component-wise difference of
+fbar - f at position b + 1 pins l_plus[b] - l_minus[b], and requiring one of
+each pair to vanish pins both.  Two checks guard arbitrary (f, fbar): every
+component equation must give the same m (InconsistentSystem), and m must be
+at least 1 (NegativeMultiplicity).  The half-cycle positions themselves live
+in the test oracles, where they are the independent reference for the sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .errors import BadIndices, InconsistentSystem, NegativeMultiplicity
+from .errors import InconsistentSystem, NegativeMultiplicity
+from .lattice import _typed
 from .surface import Divisor, ToricSurface
 from .fibers import invariant_fibers
 
 __all__ = [
-    "HalfCycle",
     "TwistorDivisorData",
-    "degree_drop_at_infinity",
-    "half_cycles",
     "solve_divisor_data",
     "solve_from_fibers",
 ]
-
-
-@dataclass(frozen=True)
-class HalfCycle:
-    """k consecutive components of the anticanonical cycle.
-
-    positions are 0-based component indices in circular order; sign +1 marks
-    the half-cycle starting right after position beta, -1 its complement.
-    """
-
-    beta: int
-    sign: int
-    positions: tuple[int, ...]
-
-    def indicator(self, k: int) -> Divisor:
-        ind = [0] * (2 * k)
-        for r in self.positions:
-            ind[r] = 1
-        return tuple(ind)
-
-
-def half_cycles(k: int, beta: int) -> tuple[HalfCycle, HalfCycle]:
-    """The complementary pair of half-cycles for label beta (1-based)."""
-    if not 1 <= beta <= k:
-        raise BadIndices(f"beta must be in 1..{k}, got {beta}")
-    plus = tuple((beta + t) % (2 * k) for t in range(k))
-    minus = tuple((beta + k + t) % (2 * k) for t in range(k))
-    return (
-        HalfCycle(beta=beta, sign=+1, positions=plus),
-        HalfCycle(beta=beta, sign=-1, positions=minus),
-    )
 
 
 @dataclass(frozen=True)
@@ -80,8 +56,8 @@ class TwistorDivisorData:
         return tuple(p + q for p, q in zip(self.l_plus, self.l_minus))
 
     def build_divisor(self) -> Divisor:
-        """Sum of the weighted half-cycle indicators, as a single divisor."""
-        return _accumulate(self.k, self.l_plus, self.l_minus)
+        """The weighted half-cycle sum as one divisor (the running sum of the module docstring)."""
+        return _accumulate(self.l_plus, self.l_minus)
 
     def to_json(self) -> dict:
         return {
@@ -94,22 +70,16 @@ class TwistorDivisorData:
     @staticmethod
     def from_json(data: dict) -> "TwistorDivisorData":
         return TwistorDivisorData(
-            alpha=int(data["alpha"]),
-            m=int(data["m"]),
-            l_plus=tuple(int(x) for x in data["lPlus"]),
-            l_minus=tuple(int(x) for x in data["lMinus"]),
+            alpha=_typed(data["alpha"], int, "alpha"),
+            m=_typed(data["m"], int, "m"),
+            l_plus=tuple(_typed(x, int, "lPlus") for x in data["lPlus"]),
+            l_minus=tuple(_typed(x, int, "lMinus") for x in data["lMinus"]),
         )
 
 
-def _accumulate(k: int, l_plus: tuple[int, ...], l_minus: tuple[int, ...]) -> Divisor:
-    built = [0] * (2 * k)
-    for b in range(k):
-        plus, minus = half_cycles(k, b + 1)
-        for r in plus.positions:
-            built[r] += l_plus[b]
-        for r in minus.positions:
-            built[r] += l_minus[b]
-    return tuple(built)
+def _accumulate(l_plus: tuple[int, ...], l_minus: tuple[int, ...]) -> Divisor:
+    steps = [p - q for p, q in zip(l_plus, l_minus)]
+    return tuple(accumulate(steps + [-d for d in steps[:-1]], initial=sum(l_minus)))
 
 
 def solve_from_fibers(f: Divisor, fbar: Divisor, alpha: int) -> TwistorDivisorData:
@@ -119,10 +89,10 @@ def solve_from_fibers(f: Divisor, fbar: Divisor, alpha: int) -> TwistorDivisorDa
     l_plus, l_minus = [], []
     for b in range(k):
         # crossing position b+1 (1-based) toggles exactly the beta = b+1 pair
-        diff = g[b + 1] - g[b] if b + 1 < 2 * k else g[0] - g[b]
+        diff = g[b + 1] - g[b]
         l_plus.append(max(diff, 0))
         l_minus.append(max(-diff, 0))
-    built = _accumulate(k, tuple(l_plus), tuple(l_minus))
+    built = _accumulate(tuple(l_plus), tuple(l_minus))
     m_values = {built[r] - g[r] for r in range(2 * k)}
     if len(m_values) != 1:
         raise InconsistentSystem(f"component equations disagree for index {alpha}: {sorted(m_values)}")
@@ -136,8 +106,3 @@ def solve_divisor_data(surface: ToricSurface, alpha: int) -> TwistorDivisorData:
     """Divisor data of the pencil member for index alpha on this surface."""
     f, fbar = invariant_fibers(surface, alpha)
     return solve_from_fibers(f, fbar, alpha)
-
-
-def degree_drop_at_infinity(data: TwistorDivisorData) -> int:
-    """Combined multiplicity at label 1; the degree deficit at infinity."""
-    return data.l_total[0]

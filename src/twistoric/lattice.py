@@ -63,6 +63,13 @@ def _is_int_pair(p: object) -> bool:
     return isinstance(p, (list, tuple)) and len(p) == 2 and type(p[0]) is int and type(p[1]) is int
 
 
+def _typed(value: object, kind: type, field: str):
+    """value when its type is exactly kind (so a bool is no int); ValueError naming field otherwise."""
+    if type(value) is not kind:
+        raise ValueError(f"{field!r} must be a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
 def apply_matrix(mat: Matrix, v: Vector) -> Vector:
     return (mat[0][0] * v[0] + mat[0][1] * v[1], mat[1][0] * v[0] + mat[1][1] * v[1])
 

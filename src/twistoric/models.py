@@ -24,11 +24,14 @@ from typing import Sequence
 
 from .divisors import TwistorDivisorData
 from .errors import DegenerateConstants, RootCollision, RootOrderViolation
+from .lattice import _typed
 from .ratpoly import Poly, degree, derivative, evaluate, from_factors, render
 
 GENERIC_FOUR_NODAL = "GenericFourNodal"
 TWO_QUADRIC_CONES = "TwoQuadricCones"
 FOUR_PLANES = "FourPlanes"
+# indexed by how many of P_1, P_2 vanish at the location
+_KINDS = (GENERIC_FOUR_NODAL, TWO_QUADRIC_CONES, FOUR_PLANES)
 
 __all__ = [
     "FOUR_PLANES",
@@ -86,7 +89,7 @@ class ConformalRoots:
 
     @staticmethod
     def from_json(data: dict) -> "ConformalRoots":
-        return ConformalRoots(k=int(data["k"]), tail=tuple(Fraction(s) for s in data["tail"]))
+        return ConformalRoots(k=_typed(data["k"], int, "k"), tail=tuple(Fraction(s) for s in data["tail"]))
 
 
 @dataclass(frozen=True)
@@ -228,17 +231,18 @@ class FiberClass:
     @staticmethod
     def from_json(data: dict) -> "FiberClass":
         at = None if data["at"] == "inf" else Fraction(data["at"])
+        if data["kind"] not in _KINDS:
+            raise ValueError(f"'kind' must be one of {', '.join(_KINDS)}, got {data['kind']!r}")
         return FiberClass(
             location=at,
-            kind=str(data["kind"]),
-            non_reduced=bool(data["nonReduced"]),
-            generic=bool(data.get("generic", False)),
+            kind=data["kind"],
+            non_reduced=_typed(data["nonReduced"], bool, "nonReduced"),
+            generic=_typed(data.get("generic", False), bool, "generic"),
         )
 
 
 def _kind(vanishes1: bool, vanishes2: bool) -> str:
-    # indexed by how many of P_1, P_2 vanish at the location
-    return (GENERIC_FOUR_NODAL, TWO_QUADRIC_CONES, FOUR_PLANES)[vanishes1 + vanishes2]
+    return _KINDS[vanishes1 + vanishes2]
 
 
 def classify_fibers(eqs: ModelEquations, roots: ConformalRoots) -> list[FiberClass]:

@@ -16,7 +16,7 @@ from typing import Sequence
 from .divisors import TwistorDivisorData, solve_divisor_data
 from .errors import CapExceeded
 from .fibers import bimeromorphic_pairs, invariant_fibers, model_degree
-from .lattice import ActionSequence, enumerate_sequences, validate
+from .lattice import ActionSequence, _typed, enumerate_sequences, validate
 from .models import (
     ConformalRoots,
     FiberClass,
@@ -65,10 +65,10 @@ def parse_model_record(data: dict) -> tuple[ModelEquations, tuple[FiberClass, ..
     polys = tuple(poly_from_strings(p) for p in data["P"])
     constants = tuple(Fraction(s) for s in data["c"])
     eqs = ModelEquations(
-        i=int(data["i"]),
-        j=int(data["j"]),
-        mu=int(data["mu"]),
-        bundle=tuple(int(b) for b in data["bundle"]),
+        i=_typed(data["i"], int, "i"),
+        j=_typed(data["j"], int, "j"),
+        mu=_typed(data["mu"], int, "mu"),
+        bundle=tuple(_typed(b, int, "bundle") for b in data["bundle"]),
         constants=constants,
         polys=polys,
     )

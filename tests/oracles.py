@@ -3,9 +3,10 @@
 Everything here recomputes expected values by a different route than the
 package: enumeration by bounded brute-force search instead of mediant
 closure, half-cycle decomposition by exhaustive search over bounded
-complementary multiplicity vectors instead of the difference solve, and
-exact vanishing orders by repeated synthetic division instead of the
-P(r) = P'(r) = 0 test.
+complementary multiplicity vectors instead of the difference solve, the
+weighted half-cycle sum position by position over explicit half-cycles
+instead of the running sum, and exact vanishing orders by repeated
+synthetic division instead of the P(r) = P'(r) = 0 test.
 """
 
 from __future__ import annotations
@@ -30,6 +31,20 @@ def fib(m: int) -> int:
 
 def det2(u: Vec, v: Vec) -> int:
     return u[0] * v[1] - u[1] * v[0]
+
+
+def grow_by_mediants(picks: list[int]) -> tuple[Vec, ...]:
+    """The base chain ((0,1), (1,0)) with one mediant inserted per pick.
+
+    Each pick, taken modulo the number of gaps, chooses the consecutive pair
+    whose sum is inserted between them; every valid chain arises this way.
+    """
+    chain = [(0, 1), (1, 0)]
+    for pick in picks:
+        i = pick % (len(chain) - 1)
+        u, v = chain[i], chain[i + 1]
+        chain.insert(i + 1, (u[0] + v[0], u[1] + v[1]))
+    return tuple(chain)
 
 
 def brute_force_sequences(n: int) -> list[tuple[Vec, ...]]:
@@ -63,14 +78,38 @@ def brute_force_sequences(n: int) -> list[tuple[Vec, ...]]:
     return sorted(found)
 
 
+def half_cycles(k: int, beta: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """0-based positions of the plus and minus half-cycles for label beta (1-based).
+
+    The plus half-cycle covers the k components that follow position beta
+    circularly, the minus half-cycle the complementary k.
+    """
+    plus = tuple((beta + t) % (2 * k) for t in range(k))
+    minus = tuple((beta + k + t) % (2 * k) for t in range(k))
+    return plus, minus
+
+
+def half_cycle_sum(l_plus: tuple[int, ...], l_minus: tuple[int, ...]) -> list[int]:
+    """The weighted sum of all 2k half-cycles, added one position at a time."""
+    k = len(l_plus)
+    built = [0] * (2 * k)
+    for b in range(k):
+        plus, minus = half_cycles(k, b + 1)
+        for r in plus:
+            built[r] += l_plus[b]
+        for r in minus:
+            built[r] += l_minus[b]
+    return built
+
+
 def half_cycle_indicators(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Indicator matrices (k x 2k) of the plus and minus half-cycles."""
     plus = np.zeros((k, 2 * k), dtype=np.int64)
     minus = np.zeros((k, 2 * k), dtype=np.int64)
     for b in range(k):
-        for t in range(k):
-            plus[b, (b + 1 + t) % (2 * k)] = 1
-            minus[b, (b + 1 + k + t) % (2 * k)] = 1
+        p, q = half_cycles(k, b + 1)
+        plus[b, list(p)] = 1
+        minus[b, list(q)] = 1
     return plus, minus
 
 

@@ -3,24 +3,24 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twistoric import (
     InconsistentSystem,
     NegativeMultiplicity,
     anticanonical_cycle,
     build_surface,
-    degree_drop_at_infinity,
     enumerate_sequences,
-    half_cycles,
     invariant_fibers,
+    model_degree,
+    reversal_dual,
     solve_divisor_data,
     solve_from_fibers,
     validate,
 )
 from twistoric.divisors import TwistorDivisorData
-from twistoric.errors import BadIndices
 
-from oracles import exhaustive_divisor_solutions
+from oracles import exhaustive_divisor_solutions, grow_by_mediants, half_cycle_sum, half_cycles
 
 
 def surf(vectors):
@@ -29,31 +29,26 @@ def surf(vectors):
 
 def test_half_cycles_k3():
     plus, minus = half_cycles(3, 1)
-    assert plus.positions == (1, 2, 3)  # C2, C3, C1bar
-    assert minus.positions == (4, 5, 0)
+    assert plus == (1, 2, 3)  # C2, C3, C1bar
+    assert minus == (4, 5, 0)
     plus3, minus3 = half_cycles(3, 3)
-    assert plus3.positions == (3, 4, 5)  # all three conjugates
-    assert minus3.positions == (0, 1, 2)
+    assert plus3 == (3, 4, 5)  # all three conjugates
+    assert minus3 == (0, 1, 2)
 
 
 def test_half_cycles_k2():
     plus, minus = half_cycles(2, 1)
-    assert plus.positions == (1, 2)
-    assert minus.positions == (3, 0)
+    assert plus == (1, 2)
+    assert minus == (3, 0)
 
 
 def test_half_cycles_partition_and_conjugation():
     for k in range(2, 9):
         for beta in range(1, k + 1):
             plus, minus = half_cycles(k, beta)
-            ind_p, ind_m = plus.indicator(k), minus.indicator(k)
-            assert tuple(p + q for p, q in zip(ind_p, ind_m)) == (1,) * (2 * k)
+            assert sorted(plus + minus) == list(range(2 * k))
             # the complement is the antipodal translate
-            assert set(minus.positions) == {(r + k) % (2 * k) for r in plus.positions}
-    with pytest.raises(BadIndices):
-        half_cycles(3, 0)
-    with pytest.raises(BadIndices):
-        half_cycles(3, 4)
+            assert set(minus) == {(r + k) % (2 * k) for r in plus}
 
 
 def test_hexagon_divisor_data():
@@ -76,10 +71,11 @@ def test_base_case_divisor_data():
 
 def test_degree_drop_at_infinity():
     s = surf([(0, 1), (1, 1), (1, 0)])
-    assert degree_drop_at_infinity(solve_divisor_data(s, 1)) == 1
-    assert degree_drop_at_infinity(solve_divisor_data(s, 2)) == 1
+    # the combined multiplicity at label 1 is the degree deficit at infinity
+    assert solve_divisor_data(s, 1).l_total[0] == 1
+    assert solve_divisor_data(s, 2).l_total[0] == 1
     s2 = surf([(0, 1), (1, 1), (2, 1), (1, 0)])
-    assert degree_drop_at_infinity(solve_divisor_data(s2, 1)) == 1
+    assert solve_divisor_data(s2, 1).l_total[0] == 1
 
 
 def test_reconstruction_identity_everywhere():
@@ -91,19 +87,54 @@ def test_reconstruction_identity_everywhere():
             for a in range(1, k + 1):
                 f, fbar = invariant_fibers(s, a)
                 data = solve_divisor_data(s, a)
-                built = [0] * (2 * k)
-                for b in range(k):
-                    plus, minus = half_cycles(k, b + 1)
-                    for r in plus.positions:
-                        built[r] += data.l_plus[b]
-                    for r in minus.positions:
-                        built[r] += data.l_minus[b]
+                built = half_cycle_sum(data.l_plus, data.l_minus)
                 expected = [data.m * cyc[r] - f[r] + fbar[r] for r in range(2 * k)]
                 assert built == expected
+                assert list(data.build_divisor()) == built
                 assert data.m >= 1
                 assert sum(data.l_total) == 2 * data.m
                 assert all(p * q == 0 for p, q in zip(data.l_plus, data.l_minus))
                 assert all(p >= 0 for p in data.l_plus + data.l_minus)
+
+
+@st.composite
+def fiber_pairs(draw):
+    k = draw(st.integers(1, 6))
+    entries = st.lists(st.integers(0, 3), min_size=2 * k, max_size=2 * k)
+    return tuple(draw(entries)), tuple(draw(entries))
+
+
+@given(fiber_pairs())
+def test_solve_from_arbitrary_fibers_is_checked(pair):
+    """Only half the component equations hold by construction; the rest are the check."""
+    f, fbar = pair
+    try:
+        data = solve_from_fibers(f, fbar, 1)
+    except (InconsistentSystem, NegativeMultiplicity):
+        return
+    assert data.m >= 1
+    assert half_cycle_sum(data.l_plus, data.l_minus) == [data.m - a + b for a, b in zip(f, fbar)]
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(0, 10**6), max_size=28))
+def test_deep_chain_invariants(picks):
+    """Chains grown by random mediant insertion, k up to 30, every index."""
+    seq = validate(grow_by_mediants(picks))
+    s, sd = build_surface(seq), build_surface(reversal_dual(seq))
+    k = s.k
+    for i in range(1, k):
+        assert model_degree(s, i, i + 1) == 1
+    for a in range(1, k + 1):
+        f, fbar = invariant_fibers(s, a)
+        data = solve_divisor_data(s, a)
+        assert half_cycle_sum(data.l_plus, data.l_minus) == [data.m - x + y for x, y in zip(f, fbar)]
+        assert sum(data.l_total) == 2 * data.m
+        assert all(p * q == 0 for p, q in zip(data.l_plus, data.l_minus))
+        # reversal duality: index a becomes k + 1 - a, labels are reflected
+        dual = solve_divisor_data(sd, k + 1 - a)
+        assert dual.m == data.m
+        assert all(dual.l_total[b] == data.l_total[(k - 2 - b) % k] for b in range(k))
 
 
 def test_conjugation_swaps_the_halves():
@@ -146,3 +177,10 @@ def test_divisor_json_round_trip():
     data = solve_divisor_data(s, 3)
     assert TwistorDivisorData.from_json(data.to_json()) == data
     assert data.to_json() == {"alpha": 3, "m": 2, "lPlus": [0, 0, 0, 0], "lMinus": [1, 1, 1, 1]}
+
+
+def test_divisor_json_reader_is_strict():
+    good = {"alpha": 3, "m": 2, "lPlus": [0, 0, 0, 0], "lMinus": [1, 1, 1, 1]}
+    for field, bad in [("alpha", 1.5), ("m", "2"), ("lPlus", [True, 0, 0, 0]), ("lMinus", [1, 1, 1.0, 1])]:
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            TwistorDivisorData.from_json({**good, field: bad})

@@ -25,7 +25,7 @@ from twistoric import (
     system_meta,
     validate,
 )
-from twistoric.models import FOUR_PLANES, GENERIC_FOUR_NODAL, TWO_QUADRIC_CONES, ModelEquations
+from twistoric.models import FOUR_PLANES, GENERIC_FOUR_NODAL, TWO_QUADRIC_CONES, FiberClass, ModelEquations
 from twistoric.ratpoly import degree, evaluate
 from twistoric.report import default_roots
 
@@ -35,6 +35,21 @@ from oracles import root_multiplicity
 def divisor_pair(vectors, i, j):
     s = build_surface(validate(vectors))
     return s, solve_divisor_data(s, i), solve_divisor_data(s, j)
+
+
+def test_conformal_roots_json_reader_is_strict():
+    assert ConformalRoots.from_json({"k": 3, "tail": ["1"]}) == ConformalRoots(k=3, tail=(Fraction(1),))
+    for bad in (2.9, True, "2"):
+        with pytest.raises(ValueError, match="'k'"):
+            ConformalRoots.from_json({"k": bad, "tail": []})
+
+
+def test_fiber_class_json_reader_is_strict():
+    good = {"at": "0", "kind": TWO_QUADRIC_CONES, "nonReduced": False, "generic": False}
+    assert FiberClass.from_json(good).to_json() == good
+    for field, bad in [("kind", "Nonsense"), ("nonReduced", "false"), ("nonReduced", 0), ("generic", 1)]:
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            FiberClass.from_json({**good, field: bad})
 
 
 def test_conformal_roots_validation():

@@ -66,6 +66,14 @@ def test_model_record_round_trip():
         assert eqs2 == eqs and classes2 == classes
 
 
+def test_model_record_reader_is_strict():
+    report = analyze_sequence(validate(HEXAGON))
+    data = json.loads(json.dumps(model_record(*report.models[0])))
+    for field, bad in [("i", "1"), ("j", 2.7), ("mu", True), ("bundle", [1, 1, 1.0, 1])]:
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            parse_model_record({**data, field: bad})
+
+
 def test_rational_roots_survive_serialization():
     report = analyze_sequence(
         validate(HEXAGON),
