@@ -56,7 +56,7 @@ def _parse_fractions(text: str | None) -> tuple[Fraction, ...] | None:
     if not text:
         return ()
     try:
-        return tuple(Fraction(part.strip()) for part in text.split(","))
+        return tuple([Fraction(part.strip()) for part in text.split(",")])
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse rational list {text!r}: {exc}") from exc
 
@@ -174,7 +174,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, code = _dispatch(args)
-    except tuple(kind for kinds, _ in EXIT_CODES for kind in kinds) as exc:
+    except tuple([kind for kinds, _ in EXIT_CODES for kind in kinds]) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds))
     _emit(payload, args.output)

@@ -53,7 +53,7 @@ class TwistorDivisorData:
 
     @property
     def l_total(self) -> tuple[int, ...]:
-        return tuple(p + q for p, q in zip(self.l_plus, self.l_minus))
+        return tuple([p + q for p, q in zip(self.l_plus, self.l_minus)])
 
     def build_divisor(self) -> Divisor:
         """The weighted half-cycle sum as one divisor (the running sum of the module docstring)."""
@@ -72,14 +72,14 @@ class TwistorDivisorData:
         return TwistorDivisorData(
             alpha=_typed(data["alpha"], int, "alpha"),
             m=_typed(data["m"], int, "m"),
-            l_plus=tuple(_typed(x, int, "lPlus") for x in data["lPlus"]),
-            l_minus=tuple(_typed(x, int, "lMinus") for x in data["lMinus"]),
+            l_plus=tuple([_typed(x, int, "lPlus") for x in data["lPlus"]]),
+            l_minus=tuple([_typed(x, int, "lMinus") for x in data["lMinus"]]),
         )
 
 
 def _accumulate(l_plus: tuple[int, ...], l_minus: tuple[int, ...]) -> Divisor:
     steps = [p - q for p, q in zip(l_plus, l_minus)]
-    return tuple(accumulate(steps + [-d for d in steps[:-1]], initial=sum(l_minus)))
+    return tuple([*accumulate(steps + [-d for d in steps[:-1]], initial=sum(l_minus))])
 
 
 def solve_from_fibers(f: Divisor, fbar: Divisor, alpha: int) -> TwistorDivisorData:

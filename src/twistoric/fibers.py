@@ -37,8 +37,8 @@ def invariant_fibers(surface: ToricSurface, alpha: int) -> tuple[Divisor, Diviso
         raise BadIndices(f"index {alpha} out of range 1..{surface.k}")
     v = surface.rays[alpha - 1]
     values = [det2(u, v) for u in surface.rays]
-    f = tuple(max(x, 0) for x in values)
-    fbar = tuple(max(-x, 0) for x in values)
+    f = tuple([max(x, 0) for x in values])
+    fbar = tuple([max(-x, 0) for x in values])
     return f, fbar
 
 

@@ -17,6 +17,7 @@ form by a unimodular change of lattice coordinates when one exists
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
@@ -68,6 +69,16 @@ def _typed(value: object, kind: type, field: str):
     if type(value) is not kind:
         raise ValueError(f"{field!r} must be a JSON {kind.__name__}, got {value!r}")
     return value
+
+
+def _rational(value: object, field: str) -> Fraction:
+    """The rational a JSON string such as '-3/4' spells; ValueError naming field for anything else."""
+    if type(value) is str:
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"{field!r} must be a rational string such as '-3/4', got {value!r}")
 
 
 def apply_matrix(mat: Matrix, v: Vector) -> Vector:
@@ -131,7 +142,7 @@ def validate(pairs: Sequence[Sequence[int]]) -> ActionSequence:
     violations = check(pairs)
     if violations:
         raise SequenceValidationError(violations)
-    vs = tuple((a, b) for a, b in pairs)
+    vs = tuple([(a, b) for a, b in pairs])
     return ActionSequence(n=len(vs) - 2, vectors=vs)
 
 
@@ -155,7 +166,7 @@ def normalize(pairs: Sequence[Sequence[int]]) -> tuple[ActionSequence, Matrix]:
     adj = ((last[1], -last[0]), (-first[1], first[0]))  # adjugate of [v_1 | v_k]
     w = ((0, 1), (1, 0))  # target endpoints as columns
     mat = tuple(
-        tuple((w[r][0] * adj[0][c] + w[r][1] * adj[1][c]) // dv for c in range(2)) for r in range(2)
+        [tuple([(w[r][0] * adj[0][c] + w[r][1] * adj[1][c]) // dv for c in range(2)]) for r in range(2)]
     )
     mapped = [apply_matrix(mat, v) for v in vs]
     violations = check(mapped)

@@ -24,8 +24,8 @@ from typing import Sequence
 
 from .divisors import TwistorDivisorData
 from .errors import DegenerateConstants, RootCollision, RootOrderViolation
-from .lattice import _typed
-from .ratpoly import Poly, degree, derivative, evaluate, from_factors, render
+from .lattice import _rational, _typed
+from .ratpoly import Poly, cleared, degree, derivative, from_factors, render, vanishes
 
 GENERIC_FOUR_NODAL = "GenericFourNodal"
 TWO_QUADRIC_CONES = "TwoQuadricCones"
@@ -67,7 +67,7 @@ class ConformalRoots:
             raise RootOrderViolation("need k >= 2")
         if len(self.tail) != self.k - 2:
             raise RootOrderViolation(f"expected {self.k - 2} roots for labels 3..{self.k}, got {len(self.tail)}")
-        object.__setattr__(self, "tail", tuple(Fraction(r) for r in self.tail))
+        object.__setattr__(self, "tail", tuple([Fraction(r) for r in self.tail]))
         seen: set[Fraction] = set()
         for r in self.tail:
             if r in seen or r == 0:
@@ -89,7 +89,8 @@ class ConformalRoots:
 
     @staticmethod
     def from_json(data: dict) -> "ConformalRoots":
-        return ConformalRoots(k=_typed(data["k"], int, "k"), tail=tuple(Fraction(s) for s in data["tail"]))
+        tail = tuple([_rational(s, "tail") for s in _typed(data["tail"], list, "tail")])
+        return ConformalRoots(k=_typed(data["k"], int, "k"), tail=tail)
 
 
 @dataclass(frozen=True)
@@ -137,7 +138,7 @@ def _ordered(data_i: TwistorDivisorData, data_j: TwistorDivisorData) -> tuple[Tw
 def _check_constants(constants: Sequence[Fraction | int], count: int) -> tuple[Fraction, ...]:
     if len(constants) != count:
         raise ValueError(f"expected {count} scale constants, got {len(constants)}")
-    out = tuple(Fraction(c) for c in constants)
+    out = tuple([Fraction(c) for c in constants])
     for c in out:
         if c == 0:
             raise DegenerateConstants("scale constants must be nonzero")
@@ -166,11 +167,11 @@ def _build_model(
     count = mu + 2 if full else 2
     cs = _check_constants((1,) * count if constants is None else constants, count)
     p1 = _pencil_poly(di, roots, cs[0])
-    base_j = _pencil_poly(dj, roots, Fraction(1))
+    # the label-j product, expanded once per distinct constant rather than per chain member
+    scaled = {c: _pencil_poly(dj, roots, c) for c in set(cs[1:])}
     polys = [p1]
     for a in range(2, count + 1):
-        shifted = (Fraction(0),) * (2 * (a - 2)) + tuple(cs[a - 1] * c for c in base_j)
-        polys.append(shifted)
+        polys.append((Fraction(0),) * (2 * (a - 2)) + scaled[cs[a - 1]])
     return ModelEquations(
         i=di.alpha,
         j=dj.alpha,
@@ -230,7 +231,7 @@ class FiberClass:
 
     @staticmethod
     def from_json(data: dict) -> "FiberClass":
-        at = None if data["at"] == "inf" else Fraction(data["at"])
+        at = None if data["at"] == "inf" else _rational(data["at"], "at")
         if data["kind"] not in _KINDS:
             raise ValueError(f"'kind' must be one of {', '.join(_KINDS)}, got {data['kind']!r}")
         return FiberClass(
@@ -251,23 +252,27 @@ def classify_fibers(eqs: ModelEquations, roots: ConformalRoots) -> list[FiberCla
     A fiber degenerates from four nodes to two quadric cones when exactly
     one of P_1, P_2 vanishes there, and to four planes when both do; a
     vanishing order of two or more (at a finite root r: P(r) = P'(r) = 0)
-    flags a non-reduced pencil member.  Raises ValueError when P_1 or P_2
-    vanishes at the generic sample.
+    flags a non-reduced pencil member.  The root tests run on P_1, P_2 with
+    their denominators cleared, by integer homogeneous Horner (vanishes).
+    Raises ValueError when P_1 or P_2 vanishes at the generic sample.
     """
     out: list[FiberClass] = []
     m1 = 2 * eqs.m_i - degree(eqs.p1)
     m2 = 2 * eqs.m_j - degree(eqs.p2)
     out.append(FiberClass(location=None, kind=_kind(m1 > 0, m2 > 0), non_reduced=m1 >= 2 or m2 >= 2))
-    d1, d2 = derivative(eqs.p1), derivative(eqs.p2)
+    c1, c2 = cleared(eqs.p1), cleared(eqs.p2)
+    d1, d2 = derivative(c1), derivative(c2)
     for r in roots.finite_roots:
-        v1 = evaluate(eqs.p1, r) == 0
-        v2 = evaluate(eqs.p2, r) == 0
-        non_reduced = (v1 and evaluate(d1, r) == 0) or (v2 and evaluate(d2, r) == 0)
+        v1 = vanishes(c1, r)
+        v2 = vanishes(c2, r)
+        non_reduced = (v1 and vanishes(d1, r)) or (v2 and vanishes(d2, r))
         out.append(FiberClass(location=r, kind=_kind(v1, v2), non_reduced=non_reduced))
-    sample = Fraction(1)
-    while sample in roots.finite_roots:
-        sample += 1
-    if evaluate(eqs.p1, sample) == 0 or evaluate(eqs.p2, sample) == 0:
+    taken = set(roots.finite_roots)
+    n = 1
+    while n in taken:
+        n += 1
+    sample = Fraction(n)
+    if vanishes(c1, sample) or vanishes(c2, sample):
         raise ValueError(f"P_1 or P_2 vanishes at the generic sample {sample}")
     out.append(FiberClass(location=sample, kind=GENERIC_FOUR_NODAL, non_reduced=False, generic=True))
     return out

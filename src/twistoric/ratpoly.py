@@ -2,19 +2,27 @@
 
 Polynomials are tuples of Fractions in ascending degree order with no
 trailing zeros; the zero polynomial is the empty tuple.  Only the handful
-of operations the model emitter needs live here.  There is no root testing
-and no general multiplication; the tests hold those as oracles.
+of operations the model emitter and the fiber classifier need live here.
+
+The arithmetic runs on ints: from_factors expands with the denominators
+cleared and makes one Fraction per coefficient at the end, and the root
+test runs vanishes, an integer homogeneous Horner scheme, on the cleared
+coefficients.  evaluate is kept as the exact Fraction evaluator: the
+independent route the tests check the integer kernel against.  There is
+no general multiplication; the tests hold that as an oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 Poly = tuple[Fraction, ...]
 
 __all__ = [
     "Poly",
+    "cleared",
     "degree",
     "derivative",
     "evaluate",
@@ -23,6 +31,7 @@ __all__ = [
     "poly_from_strings",
     "poly_to_strings",
     "render",
+    "vanishes",
 ]
 
 
@@ -39,13 +48,21 @@ def degree(p: Poly) -> int:
 
 
 def from_factors(scale: Fraction, factors: Iterable[tuple[Fraction, int]]) -> Poly:
-    """scale times the product of (x - root)^mult over the given factors."""
-    p = [Fraction(scale)]
+    """scale times the product of (x - root)^mult over the given factors.
+
+    Expands on ints: root a/q contributes (q x - a) and a factor q to the
+    common denominator, so the coefficients are Fractions only at the end.
+    """
+    p = [1]
+    den = 1
     for root, mult in factors:
+        a, q = root.numerator, root.denominator
         for _ in range(mult):
-            # times (x - root), one shift-and-subtract: new[t] = p[t-1] - root * p[t]
-            p = [a - root * b for a, b in zip([0] + p, p + [0])]
-    return normalized(p)
+            # times (q x - a), one shift-and-subtract: new[t] = q * p[t-1] - a * p[t]
+            p = [q * hi - a * lo for hi, lo in zip([0] + p, p + [0])]
+        den *= q**mult
+    num, den = scale.numerator, scale.denominator * den
+    return tuple([Fraction(num * c, den) for c in p]) if num else ()
 
 
 def evaluate(p: Poly, x: Fraction) -> Fraction:
@@ -55,8 +72,28 @@ def evaluate(p: Poly, x: Fraction) -> Fraction:
     return acc
 
 
-def derivative(p: Poly) -> Poly:
-    return normalized([t * c for t, c in enumerate(p)][1:])
+def derivative(p: Sequence) -> tuple:
+    """Coefficients of p' in the coefficient type of p; normalized when p is."""
+    return tuple([t * c for t, c in enumerate(p)][1:])
+
+
+def cleared(p: Poly) -> list[int]:
+    """The coefficients of p times their least common denominator."""
+    den = lcm(*[c.denominator for c in p])
+    return [c.numerator * (den // c.denominator) for c in p]
+
+
+def vanishes(coeffs: Sequence[int], x: Fraction) -> bool:
+    """Whether the integer polynomial is zero at x = a/b.
+
+    Homogeneous Horner: acc ends as b^d P(a/b), all on ints.
+    """
+    a, b = x.numerator, x.denominator
+    acc, power = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * a + c * power
+        power *= b
+    return acc == 0
 
 
 def poly_to_strings(p: Poly) -> list[str]:

@@ -16,7 +16,7 @@ from typing import Sequence
 from .divisors import TwistorDivisorData, solve_divisor_data
 from .errors import CapExceeded
 from .fibers import bimeromorphic_pairs, invariant_fibers, model_degree
-from .lattice import ActionSequence, _typed, enumerate_sequences, validate
+from .lattice import ActionSequence, _is_int_pair, _rational, _typed, enumerate_sequences, validate
 from .models import (
     ConformalRoots,
     FiberClass,
@@ -25,7 +25,7 @@ from .models import (
     emit_full_model,
     emit_reduced_model,
 )
-from .ratpoly import poly_from_strings, poly_to_strings
+from .ratpoly import normalized, poly_to_strings
 from .surface import ToricSurface, build_surface
 
 DEFAULT_CAP = 8
@@ -45,7 +45,7 @@ __all__ = [
 
 def default_roots(k: int) -> ConformalRoots:
     """Deterministic root choice 1, 2, ... for labels 3 .. k."""
-    return ConformalRoots(k=k, tail=tuple(Fraction(t) for t in range(1, k - 1)))
+    return ConformalRoots(k=k, tail=tuple([Fraction(t) for t in range(1, k - 1)]))
 
 
 def model_record(eqs: ModelEquations, classes: Sequence[FiberClass]) -> dict:
@@ -62,17 +62,18 @@ def model_record(eqs: ModelEquations, classes: Sequence[FiberClass]) -> dict:
 
 
 def parse_model_record(data: dict) -> tuple[ModelEquations, tuple[FiberClass, ...]]:
-    polys = tuple(poly_from_strings(p) for p in data["P"])
-    constants = tuple(Fraction(s) for s in data["c"])
+    rows = _typed(data["P"], list, "P")
+    polys = tuple([normalized([_rational(s, "P") for s in _typed(row, list, "P")]) for row in rows])
+    constants = tuple([_rational(s, "c") for s in _typed(data["c"], list, "c")])
     eqs = ModelEquations(
         i=_typed(data["i"], int, "i"),
         j=_typed(data["j"], int, "j"),
         mu=_typed(data["mu"], int, "mu"),
-        bundle=tuple(_typed(b, int, "bundle") for b in data["bundle"]),
+        bundle=tuple([_typed(b, int, "bundle") for b in data["bundle"]]),
         constants=constants,
         polys=polys,
     )
-    classes = tuple(FiberClass.from_json(fc) for fc in data["fibers"])
+    classes = tuple([FiberClass.from_json(fc) for fc in data["fibers"]])
     return eqs, classes
 
 
@@ -113,13 +114,16 @@ class AnalysisReport:
         sequence = ActionSequence.from_json(data["input"])
         surface = build_surface(sequence)
         roots = ConformalRoots.from_json(data["roots"])
+        pairs = _typed(data["bimeromorphicPairs"], list, "bimeromorphicPairs")
+        if not all(map(_is_int_pair, pairs)):
+            raise ValueError(f"'bimeromorphicPairs' must hold pairs of JSON ints, got {pairs!r}")
         return AnalysisReport(
             sequence=sequence,
             surface=surface,
             roots=roots,
-            bimeromorphic=tuple((p[0], p[1]) for p in data["bimeromorphicPairs"]),
-            divisors=tuple(TwistorDivisorData.from_json(d) for d in data["divisors"]),
-            models=tuple(parse_model_record(m) for m in data["models"]),
+            bimeromorphic=tuple([(p[0], p[1]) for p in pairs]),
+            divisors=tuple([TwistorDivisorData.from_json(d) for d in data["divisors"]]),
+            models=tuple([parse_model_record(m) for m in data["models"]]),
             warnings=tuple(data["warnings"]),
         )
 
@@ -134,7 +138,7 @@ def analyze_sequence(
     k = surface.k
     if roots is None:
         roots = default_roots(k)
-    divisors = tuple(solve_divisor_data(surface, a) for a in range(1, k + 1))
+    divisors = tuple([solve_divisor_data(surface, a) for a in range(1, k + 1)])
     models = []
     for i in range(1, k):
         eqs = emit_reduced_model(divisors[i - 1], divisors[i], roots, constants)

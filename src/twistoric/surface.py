@@ -61,7 +61,7 @@ def build_surface(seq: ActionSequence) -> ToricSurface:
     bypassed validation.
     """
     k = len(seq.vectors)
-    rays = tuple(seq.vectors) + tuple((-a, -b) for (a, b) in seq.vectors)
+    rays = tuple(seq.vectors) + tuple([(-a, -b) for (a, b) in seq.vectors])
     for r in range(2 * k):
         if det2(rays[r], rays[(r + 1) % (2 * k)]) != -1:
             raise NonSmoothFan(f"rays {r} and {r + 1} do not span the lattice with the right orientation")
@@ -101,4 +101,4 @@ def conjugate_divisor(d: Sequence[int], surface: ToricSurface) -> Divisor:
     m = 2 * surface.k
     if len(d) != m:
         raise IndexMismatch(f"divisor length must be {m}, got {len(d)}")
-    return tuple(d[(r + surface.k) % m] for r in range(m))
+    return tuple([d[(r + surface.k) % m] for r in range(m)])

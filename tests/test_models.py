@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import ast
+import random
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import example, given, settings, strategies as st
 
 import twistoric
 from twistoric import (
@@ -29,7 +32,7 @@ from twistoric.models import FOUR_PLANES, GENERIC_FOUR_NODAL, TWO_QUADRIC_CONES,
 from twistoric.ratpoly import degree, evaluate
 from twistoric.report import default_roots
 
-from oracles import root_multiplicity
+from oracles import grow_by_mediants, root_multiplicity
 
 
 def divisor_pair(vectors, i, j):
@@ -37,11 +40,44 @@ def divisor_pair(vectors, i, j):
     return s, solve_divisor_data(s, i), solve_divisor_data(s, j)
 
 
+def rational_tail(rng: random.Random, k: int) -> tuple[Fraction, ...]:
+    """k - 2 roots of one sign, growing in size, mostly with denominators above one."""
+    sign = rng.choice((1, -1))
+    steps = [Fraction(rng.randint(1, 9), rng.randint(1, 8)) for _ in range(k - 2)]
+    return tuple([sign * r for r in accumulate(steps)])
+
+
+def expected_class(order1: int, order2: int) -> tuple[str, bool]:
+    """Kind and non-reducedness from the vanishing orders of P_1 and P_2 at one location."""
+    if order1 > 0 and order2 > 0:
+        kind = FOUR_PLANES
+    elif order1 > 0 or order2 > 0:
+        kind = TWO_QUADRIC_CONES
+    else:
+        kind = GENERIC_FOUR_NODAL
+    return kind, order1 >= 2 or order2 >= 2
+
+
 def test_conformal_roots_json_reader_is_strict():
     assert ConformalRoots.from_json({"k": 3, "tail": ["1"]}) == ConformalRoots(k=3, tail=(Fraction(1),))
     for bad in (2.9, True, "2"):
         with pytest.raises(ValueError, match="'k'"):
             ConformalRoots.from_json({"k": bad, "tail": []})
+
+
+def test_conformal_roots_json_reader_takes_roots_as_strings_only():
+    assert ConformalRoots.from_json({"k": 4, "tail": ["1/2", "3"]}).tail == (Fraction(1, 2), Fraction(3))
+    for bad in ([True], [1], [0.5], [None], ["1/0"], ["one"], "1"):
+        with pytest.raises(ValueError, match="'tail'"):
+            ConformalRoots.from_json({"k": 3, "tail": bad})
+
+
+def test_fiber_class_json_reader_takes_the_location_as_a_string_only():
+    good = {"at": "-3/4", "kind": TWO_QUADRIC_CONES, "nonReduced": False, "generic": False}
+    assert FiberClass.from_json(good).location == Fraction(-3, 4)
+    for bad in (0.1, True, 1, None, "1/0", "infinity"):
+        with pytest.raises(ValueError, match="'at'"):
+            FiberClass.from_json({**good, "at": bad})
 
 
 def test_fiber_class_json_reader_is_strict():
@@ -240,6 +276,49 @@ def test_classification_matches_oracle_vanishing_orders():
     assert models == 1275
 
 
+def test_classification_with_rational_roots_matches_oracle():
+    """Every adjacent pair for n <= 5 (351 reduced models), each chain with its own rational tail and constants."""
+    rng = random.Random(5)
+    models = 0
+    for n in range(6):
+        for seq in enumerate_sequences(n):
+            s = build_surface(seq)
+            roots = ConformalRoots(k=s.k, tail=rational_tail(rng, s.k))
+            data = {a: solve_divisor_data(s, a) for a in range(1, s.k + 1)}
+            for i in range(1, s.k):
+                constants = [Fraction(rng.choice((1, -1)) * rng.randint(1, 5), rng.randint(1, 4)) for _ in range(2)]
+                eqs = emit_reduced_model(data[i], data[i + 1], roots, constants)
+                orders1 = [root_multiplicity(eqs.p1, r) for r in roots.finite_roots]
+                orders2 = [root_multiplicity(eqs.p2, r) for r in roots.finite_roots]
+                assert orders1 == list(data[eqs.i].l_total[1:])
+                assert orders2 == list(data[eqs.j].l_total[1:])
+                classes = classify_fibers(eqs, roots)
+                assert [c.location for c in classes[1:-1]] == list(roots.finite_roots)
+                for c, o1, o2 in zip(classes[1:-1], orders1, orders2):
+                    assert (c.kind, c.non_reduced) == expected_class(o1, o2)
+                models += 1
+    assert models == 351
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(st.integers(0, 10**6), min_size=4, max_size=12), st.randoms(use_true_random=False))
+@example([0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6], random.Random(0))  # k = 14 with m up to 233
+def test_deep_chain_models_follow_divisor_data(picks, rng):
+    """Chains grown by random mediant insertion (k up to 14) with rational roots, every adjacent pair."""
+    s = build_surface(validate(grow_by_mediants(picks)))
+    roots = ConformalRoots(k=s.k, tail=rational_tail(rng, s.k))
+    data = [solve_divisor_data(s, a) for a in range(1, s.k + 1)]
+    for i in range(1, s.k):
+        eqs = emit_reduced_model(data[i - 1], data[i], roots)
+        di, dj = data[eqs.i - 1], data[eqs.j - 1]
+        assert degree(eqs.p1) == 2 * di.m - di.l_total[0]
+        assert degree(eqs.p2) == 2 * dj.m - dj.l_total[0]
+        classes = classify_fibers(eqs, roots)
+        # infinity, then labels 2 .. k: the same order as l_total
+        for c, li, lj in zip(classes[:-1], di.l_total, dj.l_total):
+            assert (c.kind, c.non_reduced) == expected_class(li, lj)
+
+
 def test_vanishing_at_generic_sample_is_a_value_error():
     # hand-built: P_1 = lambda - 2 vanishes at the sample 2 for roots 0, 1
     roots = ConformalRoots(k=3, tail=(Fraction(1),))
@@ -255,10 +334,30 @@ def test_vanishing_at_generic_sample_is_a_value_error():
         classify_fibers(eqs, roots)
 
 
-def test_library_code_has_no_assert():
+def library_trees():
     for path in sorted(Path(twistoric.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)], path.name
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_library_code_has_no_assert():
+    for name, tree in library_trees():
+        assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)], name
+
+
+def test_library_code_builds_no_tuple_from_a_generator():
+    """tuple(<generator>) sizes its result by resizing, which moves tuples between CPython's
+    per-size free lists and lets memory creep on the per-operation path; tuple([...]) does not."""
+    for name, tree in library_trees():
+        bad = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "tuple"
+            and node.args
+            and isinstance(node.args[0], ast.GeneratorExp)
+        ]
+        assert not bad, (name, bad)
 
 
 def test_emitted_polynomials_factor_exactly():

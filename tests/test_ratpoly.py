@@ -1,5 +1,5 @@
-"""Exact rational polynomial helpers, cross-checked against sympy and the
-synthetic-division oracle."""
+"""Exact rational polynomial helpers, cross-checked against sympy, the
+synthetic-division oracle and the Fraction evaluator."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import sympy
 from hypothesis import given, strategies as st
 
 from twistoric.ratpoly import (
+    cleared,
     degree,
     derivative,
     evaluate,
@@ -17,6 +18,7 @@ from twistoric.ratpoly import (
     poly_from_strings,
     poly_to_strings,
     render,
+    vanishes,
 )
 
 from oracles import root_multiplicity
@@ -75,6 +77,31 @@ def test_derivative_exact():
     assert derivative(normalized([Fraction(1, 2), 3, 0, Fraction(-2, 3)])) == (3, 0, -2)
     assert derivative(normalized([5])) == ()
     assert derivative(()) == ()
+    ints = derivative([7, 3, 0, -2])
+    assert ints == (3, 0, -6) and all(type(c) is int for c in ints)
+
+
+def test_cleared_scales_by_the_common_denominator():
+    p = normalized([Fraction(1, 2), Fraction(-2, 3), 0, 5])
+    assert cleared(p) == [3, -4, 0, 30]
+    assert cleared(normalized([2, 4])) == [2, 4]
+    assert cleared(()) == []
+
+
+@given(
+    st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=7), max_size=6),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(lambda f: f != 0),
+    st.lists(st.tuples(small_fracs, st.integers(0, 3)), max_size=3),
+    small_fracs,
+)
+def test_integer_root_test_matches_fraction_evaluation(coeffs, scale, factors, probe):
+    """vanishes on the cleared coefficients agrees with evaluate, at random points and at the roots."""
+    for p in (normalized(coeffs), from_factors(scale, factors)):
+        c, d = cleared(p), derivative(cleared(p))
+        assert all(type(x) is int for x in c + list(d))
+        for x in [probe, Fraction(0)] + [root for root, _ in factors]:
+            assert vanishes(c, x) == (evaluate(p, x) == 0)
+            assert vanishes(d, x) == (evaluate(derivative(p), x) == 0)
 
 
 def test_evaluate_exact():

@@ -74,6 +74,31 @@ def test_model_record_reader_is_strict():
             parse_model_record({**data, field: bad})
 
 
+def test_model_record_reader_takes_rationals_as_strings_only():
+    report = analyze_sequence(validate(HEXAGON))
+    data = json.loads(json.dumps(model_record(*report.models[0])))
+    bad_values = [
+        ("c", [1.5, True]),
+        ("c", ["1", True]),
+        ("c", ["1", "1/0"]),
+        ("c", "11"),
+        ("P", [[0.5, 1], [True]]),
+        ("P", [["-1", "1"], [1]]),
+        ("P", [["-1", "1"], "01"]),
+    ]
+    for field, bad in bad_values:
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            parse_model_record({**data, field: bad})
+
+
+def test_report_reader_takes_bimeromorphic_pairs_as_int_pairs_only():
+    data = json.loads(json.dumps(analyze_sequence(validate(HEXAGON)).to_json()))
+    assert AnalysisReport.from_json(data).bimeromorphic == ((1, 2), (1, 3), (2, 3))
+    for bad in ([[1, True]], [[1, 2, 3]], [["1", 2]], [[1.0, 2]], [[1]], "12", [12]):
+        with pytest.raises(ValueError, match="'bimeromorphicPairs'"):
+            AnalysisReport.from_json({**data, "bimeromorphicPairs": bad})
+
+
 def test_rational_roots_survive_serialization():
     report = analyze_sequence(
         validate(HEXAGON),
