@@ -167,8 +167,12 @@ def _build_model(
     count = mu + 2 if full else 2
     cs = _check_constants((1,) * count if constants is None else constants, count)
     p1 = _pencil_poly(di, roots, cs[0])
-    # the label-j product, expanded once per distinct constant rather than per chain member
-    scaled = {c: _pencil_poly(dj, roots, c) for c in set(cs[1:])}
+    # the label-j product is expanded once; each other distinct constant rescales it
+    base = _pencil_poly(dj, roots, cs[1])
+    scaled = {cs[1]: base}
+    for c in set(cs[2:]) - {cs[1]}:
+        ratio = c / cs[1]
+        scaled[c] = tuple([ratio * x for x in base])
     polys = [p1]
     for a in range(2, count + 1):
         polys.append((Fraction(0),) * (2 * (a - 2)) + scaled[cs[a - 1]])

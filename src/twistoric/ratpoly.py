@@ -18,6 +18,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
+from .lattice import _rational, _typed
+
 Poly = tuple[Fraction, ...]
 
 __all__ = [
@@ -35,11 +37,14 @@ __all__ = [
 ]
 
 
+def _stripped(coeffs: list) -> tuple:
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
 def normalized(coeffs: Iterable[Fraction | int]) -> Poly:
-    out = [Fraction(c) for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+    return _stripped([Fraction(c) for c in coeffs])
 
 
 def degree(p: Poly) -> int:
@@ -73,8 +78,11 @@ def evaluate(p: Poly, x: Fraction) -> Fraction:
 
 
 def derivative(p: Sequence) -> tuple:
-    """Coefficients of p' in the coefficient type of p; normalized when p is."""
-    return tuple([t * c for t, c in enumerate(p)][1:])
+    """Coefficients of p' with no trailing zeros, in the coefficient type of p.
+
+    A Poly gives a Poly, and the ints of cleared(p) give ints.
+    """
+    return _stripped([t * c for t, c in enumerate(p)][1:])
 
 
 def cleared(p: Poly) -> list[int]:
@@ -100,8 +108,12 @@ def poly_to_strings(p: Poly) -> list[str]:
     return [str(c) for c in p]
 
 
-def poly_from_strings(items: Sequence[str]) -> Poly:
-    return normalized([Fraction(s) for s in items])
+def poly_from_strings(items: object) -> Poly:
+    """The inverse of poly_to_strings: one JSON list of 'p/q' strings, as in a model record's 'P'.
+
+    Anything else, floats and bools included, is a ValueError naming 'P'.
+    """
+    return normalized([_rational(s, "P") for s in _typed(items, list, "P")])
 
 
 def render(p: Poly, var: str = "lambda") -> str:

@@ -25,7 +25,7 @@ from .models import (
     emit_full_model,
     emit_reduced_model,
 )
-from .ratpoly import normalized, poly_to_strings
+from .ratpoly import poly_from_strings, poly_to_strings
 from .surface import ToricSurface, build_surface
 
 DEFAULT_CAP = 8
@@ -62,8 +62,7 @@ def model_record(eqs: ModelEquations, classes: Sequence[FiberClass]) -> dict:
 
 
 def parse_model_record(data: dict) -> tuple[ModelEquations, tuple[FiberClass, ...]]:
-    rows = _typed(data["P"], list, "P")
-    polys = tuple([normalized([_rational(s, "P") for s in _typed(row, list, "P")]) for row in rows])
+    polys = tuple([poly_from_strings(row) for row in _typed(data["P"], list, "P")])
     constants = tuple([_rational(s, "c") for s in _typed(data["c"], list, "c")])
     eqs = ModelEquations(
         i=_typed(data["i"], int, "i"),

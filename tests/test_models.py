@@ -197,6 +197,19 @@ def test_full_model_custom_constants():
     assert eqs.polys[2] == tuple(5 * c for c in base.polys[2])
 
 
+def test_full_model_members_match_their_own_expansion():
+    """Distinct, repeated and rational constants: member a is the reduced model with constants (c_1, c_a), times lambda^(2(a-2))."""
+    _, d1, d2 = divisor_pair([(0, 1), (1, 4), (1, 3), (1, 2), (1, 1), (1, 0)], 1, 2)
+    roots = ConformalRoots(k=6, tail=(Fraction(1, 3), Fraction(3, 2), Fraction(5, 2), Fraction(7)))
+    cs = (Fraction(2, 3), Fraction(-1, 2), Fraction(5), Fraction(-1, 2), Fraction(7, 4))
+    eqs = emit_full_model(d1, d2, roots, cs)
+    assert eqs.mu == 3 and eqs.constants == cs
+    assert eqs.polys[0] == emit_reduced_model(d1, d2, roots, cs[:2]).p1
+    for a in range(2, len(cs) + 1):
+        alone = emit_reduced_model(d1, d2, roots, (cs[0], cs[a - 1])).p2
+        assert eqs.polys[a - 1] == (Fraction(0),) * (2 * (a - 2)) + alone
+
+
 def test_hexagon_fiber_classification_exact():
     _, d1, d2 = divisor_pair([(0, 1), (1, 1), (1, 0)], 1, 2)
     roots = ConformalRoots(k=3, tail=(Fraction(1),))
@@ -237,67 +250,40 @@ def test_classification_complete_and_kind_matches_vanishing():
                 di = next(d for d in data if d.alpha == eqs.i)
                 dj = next(d for d in data if d.alpha == eqs.j)
                 for idx, c in enumerate(c for c in classes if not c.generic):
-                    li, lj = di.l_total[idx], dj.l_total[idx]
-                    if li > 0 and lj > 0:
-                        assert c.kind == FOUR_PLANES
-                    elif li > 0 or lj > 0:
-                        assert c.kind == TWO_QUADRIC_CONES
-                    else:
-                        assert c.kind == GENERIC_FOUR_NODAL
-                    assert c.non_reduced == (li > 1 or lj > 1)
+                    assert (c.kind, c.non_reduced) == expected_class(di.l_total[idx], dj.l_total[idx])
 
 
 def test_classification_matches_oracle_vanishing_orders():
-    # every adjacent pair for n <= 6: 1275 reduced models
-    models = 0
-    for n in range(7):
-        for seq in enumerate_sequences(n):
-            s = build_surface(seq)
-            roots = default_roots(s.k)
-            data = {a: solve_divisor_data(s, a) for a in range(1, s.k + 1)}
-            for i in range(1, s.k):
-                eqs = emit_reduced_model(data[i], data[i + 1], roots)
-                di, dj = data[eqs.i], data[eqs.j]
-                orders1 = [root_multiplicity(eqs.p1, r) for r in roots.finite_roots]
-                orders2 = [root_multiplicity(eqs.p2, r) for r in roots.finite_roots]
-                assert orders1 == list(di.l_total[1:])
-                assert orders2 == list(dj.l_total[1:])
-                classes = classify_fibers(eqs, roots)
-                orders = zip([di.l_total[0]] + orders1, [dj.l_total[0]] + orders2)
-                for c, (o1, o2) in zip(classes[:-1], orders):
-                    if o1 > 0 and o2 > 0:
-                        assert c.kind == FOUR_PLANES
-                    elif o1 > 0 or o2 > 0:
-                        assert c.kind == TWO_QUADRIC_CONES
-                    else:
-                        assert c.kind == GENERIC_FOUR_NODAL
-                    assert c.non_reduced == (o1 >= 2 or o2 >= 2)
-                models += 1
-    assert models == 1275
+    """Every adjacent pair against the oracle's vanishing orders.
 
-
-def test_classification_with_rational_roots_matches_oracle():
-    """Every adjacent pair for n <= 5 (351 reduced models), each chain with its own rational tail and constants."""
+    On the default integer roots for n <= 6 (1275 reduced models), then for
+    n <= 5 (351) with a rational tail per chain and rational constants per model.
+    """
     rng = random.Random(5)
-    models = 0
-    for n in range(6):
-        for seq in enumerate_sequences(n):
-            s = build_surface(seq)
-            roots = ConformalRoots(k=s.k, tail=rational_tail(rng, s.k))
-            data = {a: solve_divisor_data(s, a) for a in range(1, s.k + 1)}
-            for i in range(1, s.k):
-                constants = [Fraction(rng.choice((1, -1)) * rng.randint(1, 5), rng.randint(1, 4)) for _ in range(2)]
-                eqs = emit_reduced_model(data[i], data[i + 1], roots, constants)
-                orders1 = [root_multiplicity(eqs.p1, r) for r in roots.finite_roots]
-                orders2 = [root_multiplicity(eqs.p2, r) for r in roots.finite_roots]
-                assert orders1 == list(data[eqs.i].l_total[1:])
-                assert orders2 == list(data[eqs.j].l_total[1:])
-                classes = classify_fibers(eqs, roots)
-                assert [c.location for c in classes[1:-1]] == list(roots.finite_roots)
-                for c, o1, o2 in zip(classes[1:-1], orders1, orders2):
-                    assert (c.kind, c.non_reduced) == expected_class(o1, o2)
-                models += 1
-    assert models == 351
+    for max_n, rational, expected in ((6, False, 1275), (5, True, 351)):
+        models = 0
+        for n in range(max_n + 1):
+            for seq in enumerate_sequences(n):
+                s = build_surface(seq)
+                roots = ConformalRoots(k=s.k, tail=rational_tail(rng, s.k)) if rational else default_roots(s.k)
+                data = {a: solve_divisor_data(s, a) for a in range(1, s.k + 1)}
+                for i in range(1, s.k):
+                    constants = (1, 1)
+                    if rational:
+                        constants = [Fraction(rng.choice((1, -1)) * rng.randint(1, 5), rng.randint(1, 4)) for _ in range(2)]
+                    eqs = emit_reduced_model(data[i], data[i + 1], roots, constants)
+                    di, dj = data[eqs.i], data[eqs.j]
+                    orders1 = [root_multiplicity(eqs.p1, r) for r in roots.finite_roots]
+                    orders2 = [root_multiplicity(eqs.p2, r) for r in roots.finite_roots]
+                    assert orders1 == list(di.l_total[1:])
+                    assert orders2 == list(dj.l_total[1:])
+                    classes = classify_fibers(eqs, roots)
+                    assert [c.location for c in classes[1:-1]] == list(roots.finite_roots)
+                    orders = zip([di.l_total[0]] + orders1, [dj.l_total[0]] + orders2)
+                    for c, (o1, o2) in zip(classes[:-1], orders):
+                        assert (c.kind, c.non_reduced) == expected_class(o1, o2)
+                    models += 1
+        assert models == expected
 
 
 @settings(deadline=None, max_examples=40)

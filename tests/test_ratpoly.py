@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given, strategies as st
 
@@ -79,6 +80,7 @@ def test_derivative_exact():
     assert derivative(()) == ()
     ints = derivative([7, 3, 0, -2])
     assert ints == (3, 0, -6) and all(type(c) is int for c in ints)
+    assert derivative([1, 2, 0]) == (2,) and derivative([4, 0]) == ()
 
 
 def test_cleared_scales_by_the_common_denominator():
@@ -120,3 +122,6 @@ def test_render_readable():
 def test_string_round_trip():
     p = from_factors(Fraction(-5, 7), [(Fraction(2, 3), 2), (Fraction(-1), 1)])
     assert poly_from_strings(poly_to_strings(p)) == p
+    for bad in (["1/2", 0.5], ["1", True], "1/2", ["1/0"]):
+        with pytest.raises(ValueError, match="'P'"):
+            poly_from_strings(bad)
