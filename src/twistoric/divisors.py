@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import InconsistentSystem, NegativeMultiplicity
-from .lattice import _typed
+from .lattice import _read
 from .surface import Divisor, ToricSurface
 from .fibers import invariant_fibers
 
@@ -69,12 +69,14 @@ class TwistorDivisorData:
 
     @staticmethod
     def from_json(data: dict) -> "TwistorDivisorData":
-        return TwistorDivisorData(
-            alpha=_typed(data["alpha"], int, "alpha"),
-            m=_typed(data["m"], int, "m"),
-            l_plus=tuple([_typed(x, int, "lPlus") for x in data["lPlus"]]),
-            l_minus=tuple([_typed(x, int, "lMinus") for x in data["lMinus"]]),
-        )
+        return _read(data, _parse_divisor_data, TwistorDivisorData.to_json, "divisors")
+
+
+def _parse_divisor_data(data: dict) -> TwistorDivisorData:
+    l_plus, l_minus = tuple([int(x) for x in data["lPlus"]]), tuple([int(x) for x in data["lMinus"]])
+    if len(l_plus) != len(l_minus):
+        raise ValueError(f"'lPlus' and 'lMinus' must have one entry per label, got {len(l_plus)} and {len(l_minus)}")
+    return TwistorDivisorData(alpha=int(data["alpha"]), m=int(data["m"]), l_plus=l_plus, l_minus=l_minus)
 
 
 def _accumulate(l_plus: tuple[int, ...], l_minus: tuple[int, ...]) -> Divisor:

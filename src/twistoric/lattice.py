@@ -16,8 +16,8 @@ form by a unimodular change of lattice coordinates when one exists
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
@@ -39,7 +39,6 @@ __all__ = [
     "ActionSequence",
     "Matrix",
     "Vector",
-    "apply_matrix",
     "check",
     "det2",
     "enumerate_sequences",
@@ -64,25 +63,40 @@ def _is_int_pair(p: object) -> bool:
     return isinstance(p, (list, tuple)) and len(p) == 2 and type(p[0]) is int and type(p[1]) is int
 
 
-def _typed(value: object, kind: type, field: str):
-    """value when its type is exactly kind (so a bool is no int); ValueError naming field otherwise."""
-    if type(value) is not kind:
-        raise ValueError(f"{field!r} must be a JSON {kind.__name__}, got {value!r}")
-    return value
+def _text(value: object) -> str:
+    return json.dumps(value, sort_keys=True)
 
 
-def _rational(value: object, field: str) -> Fraction:
-    """The rational a JSON string such as '-3/4' spells; ValueError naming field for anything else."""
-    if type(value) is str:
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise ValueError(f"{field!r} must be a rational string such as '-3/4', got {value!r}")
+def _where(out: object, data: object) -> str:
+    """The subscript path where data first departs from out, the writer's output, and the two values there."""
+    if isinstance(out, (dict, list)) and type(data) is type(out):
+        keys = sorted(out.keys() | data.keys(), key=str) if isinstance(out, dict) else range(max(len(out), len(data)))
+        for key in keys:
+            try:
+                here, there = out[key], data[key]
+            except LookupError:
+                return f"[{key!r}] is on one side only"
+            if _text(here) != _text(there):
+                return f"[{key!r}]" + _where(here, there)
+    return f": the record has {_text(data)}, the writer emits {_text(out)}"
 
 
-def apply_matrix(mat: Matrix, v: Vector) -> Vector:
-    return (mat[0][0] * v[0] + mat[0][1] * v[1], mat[1][0] * v[0] + mat[1][1] * v[1])
+def _read(data: object, parse, write, field: str):
+    """parse(data), accepted only when write emits it back as the same sorted-key JSON text.
+
+    Text, not ==, since 1 == 1.0 == True.  A parse failure or a difference is one
+    ValueError naming field; a nested read's message follows the outer field.
+    """
+    try:
+        obj = parse(data)
+        out = write(obj)
+        same = _text(out) == _text(data)
+    except (ArithmeticError, LookupError, TypeError, ValueError) as exc:  # a TwistoricError passes through
+        reason = exc if type(exc) is ValueError else f"{type(exc).__name__} {exc}"
+        raise ValueError(f"{field!r}: {reason}") from None
+    if not same:
+        raise ValueError(f"{field!r}{_where(out, data)}")
+    return obj
 
 
 @dataclass(frozen=True)
@@ -101,7 +115,7 @@ class ActionSequence:
 
     @staticmethod
     def from_json(data: dict) -> "ActionSequence":
-        return validate([tuple(v) for v in data["vectors"]])
+        return _read(data, lambda d: validate(d["vectors"]), ActionSequence.to_json, "input")
 
 
 def check(pairs: Sequence[Sequence[int]]) -> list[Violation]:
@@ -157,18 +171,16 @@ def normalize(pairs: Sequence[Sequence[int]]) -> tuple[ActionSequence, Matrix]:
     if len(pairs) < 2 or not all(map(_is_int_pair, pairs)):
         raise NotNormalizable("need at least two integer pairs")
     vs = [tuple(p) for p in pairs]
-    first, last = vs[0], vs[-1]
-    dv = det2(first, last)
+    (a, b), (c, d) = vs[0], vs[-1]
+    dv = a * d - b * c
     # The endpoints must map to (0, 1) and (1, 0), so M is forced:
     # M [v_1 | v_k] = [(0,1) | (1,0)], solvable over Z only when det = +-1.
     if dv not in (1, -1):
         raise NotNormalizable(f"det(v_1, v_k) = {dv}, no unimodular matrix fixes the endpoints")
-    adj = ((last[1], -last[0]), (-first[1], first[0]))  # adjugate of [v_1 | v_k]
-    w = ((0, 1), (1, 0))  # target endpoints as columns
-    mat = tuple(
-        [tuple([(w[r][0] * adj[0][c] + w[r][1] * adj[1][c]) // dv for c in range(2)]) for r in range(2)]
-    )
-    mapped = [apply_matrix(mat, v) for v in vs]
+    # dv is its own inverse, so M is dv times the adjugate of [v_1 | v_k] with its
+    # rows swapped: M v = dv * (det(v_1, v), det(v, v_k))
+    mat = ((-b * dv, a * dv), (d * dv, -c * dv))
+    mapped = [(dv * det2(vs[0], v), dv * det2(v, vs[-1])) for v in vs]
     violations = check(mapped)
     if violations:
         detail = "; ".join(v.message for v in violations)

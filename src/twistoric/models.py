@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .divisors import TwistorDivisorData
 from .errors import DegenerateConstants, RootCollision, RootOrderViolation
-from .lattice import _rational, _typed
+from .lattice import _read
 from .ratpoly import Poly, cleared, degree, derivative, from_factors, render, vanishes
 
 GENERIC_FOUR_NODAL = "GenericFourNodal"
@@ -89,23 +89,29 @@ class ConformalRoots:
 
     @staticmethod
     def from_json(data: dict) -> "ConformalRoots":
-        tail = tuple([_rational(s, "tail") for s in _typed(data["tail"], list, "tail")])
-        return ConformalRoots(k=_typed(data["k"], int, "k"), tail=tail)
+        return _read(data, _parse_roots, ConformalRoots.to_json, "roots")
+
+
+def _parse_roots(data: dict) -> ConformalRoots:
+    # k and the roots feed the validating constructor, so each is read on its own first
+    tail = tuple([_read(s, Fraction, str, "tail") for s in data["tail"]])
+    return ConformalRoots(k=_read(data["k"], int, int, "k"), tail=tail)
 
 
 @dataclass(frozen=True)
 class ModelEquations:
     """Equations xi_{2a-1} xi_{2a} = P_a(lambda) of one projective model.
 
-    bundle lists the four line-bundle degrees (m_i, m_i, m_j, m_j); polys
-    holds P_1, P_2 and, for a full chain, the remaining members up to
-    P_{mu+2}.  Indices i, j are the pencil labels with m_i >= m_j.
+    Indices i, j are the pencil labels and m_i >= m_j their pencil
+    multiplicities; mu = m_i - m_j and the four line-bundle degrees
+    bundle = (m_i, m_i, m_j, m_j) are derived from them.  polys holds P_1,
+    P_2 and, for a full chain, the remaining members up to P_{mu+2}.
     """
 
     i: int
     j: int
-    mu: int
-    bundle: tuple[int, int, int, int]
+    m_i: int
+    m_j: int
     constants: tuple[Fraction, ...]
     polys: tuple[Poly, ...]
 
@@ -118,12 +124,12 @@ class ModelEquations:
         return self.polys[1]
 
     @property
-    def m_i(self) -> int:
-        return self.bundle[0]
+    def mu(self) -> int:
+        return self.m_i - self.m_j
 
     @property
-    def m_j(self) -> int:
-        return self.bundle[2]
+    def bundle(self) -> tuple[int, int, int, int]:
+        return (self.m_i, self.m_i, self.m_j, self.m_j)
 
 
 def _ordered(data_i: TwistorDivisorData, data_j: TwistorDivisorData) -> tuple[TwistorDivisorData, TwistorDivisorData]:
@@ -166,24 +172,18 @@ def _build_model(
     mu = di.m - dj.m
     count = mu + 2 if full else 2
     cs = _check_constants((1,) * count if constants is None else constants, count)
-    p1 = _pencil_poly(di, roots, cs[0])
+    polys = _chain(_pencil_poly(di, roots, cs[0]), _pencil_poly(dj, roots, cs[1]), cs)
+    return ModelEquations(i=di.alpha, j=dj.alpha, m_i=di.m, m_j=dj.m, constants=cs, polys=polys)
+
+
+def _chain(p1: Poly, p2: Poly, cs: tuple[Fraction, ...]) -> tuple[Poly, ...]:
+    """P_1, P_2, then c_a / c_2 * lambda^(2(a-2)) * P_2 for a = 3 .. len(cs), P_2 having the constant c_2."""
     # the label-j product is expanded once; each other distinct constant rescales it
-    base = _pencil_poly(dj, roots, cs[1])
-    scaled = {cs[1]: base}
+    scaled = {cs[1]: p2}
     for c in set(cs[2:]) - {cs[1]}:
         ratio = c / cs[1]
-        scaled[c] = tuple([ratio * x for x in base])
-    polys = [p1]
-    for a in range(2, count + 1):
-        polys.append((Fraction(0),) * (2 * (a - 2)) + scaled[cs[a - 1]])
-    return ModelEquations(
-        i=di.alpha,
-        j=dj.alpha,
-        mu=mu,
-        bundle=(di.m, di.m, dj.m, dj.m),
-        constants=cs,
-        polys=tuple(polys),
-    )
+        scaled[c] = tuple([ratio * x for x in p2])
+    return (p1,) + tuple([(Fraction(0),) * (2 * (a - 2)) + scaled[cs[a - 1]] for a in range(2, len(cs) + 1)])
 
 
 def emit_reduced_model(
@@ -235,15 +235,14 @@ class FiberClass:
 
     @staticmethod
     def from_json(data: dict) -> "FiberClass":
-        at = None if data["at"] == "inf" else _rational(data["at"], "at")
-        if data["kind"] not in _KINDS:
-            raise ValueError(f"'kind' must be one of {', '.join(_KINDS)}, got {data['kind']!r}")
-        return FiberClass(
-            location=at,
-            kind=data["kind"],
-            non_reduced=_typed(data["nonReduced"], bool, "nonReduced"),
-            generic=_typed(data.get("generic", False), bool, "generic"),
-        )
+        return _read(data, _parse_fiber_class, FiberClass.to_json, "fibers")
+
+
+def _parse_fiber_class(data: dict) -> FiberClass:
+    if data["kind"] not in _KINDS:
+        raise ValueError(f"'kind' must be one of {', '.join(_KINDS)}, got {data['kind']!r}")
+    at = None if data["at"] == "inf" else _read(data["at"], Fraction, str, "at")
+    return FiberClass(location=at, kind=data["kind"], non_reduced=bool(data["nonReduced"]), generic=bool(data["generic"]))
 
 
 def _kind(vanishes1: bool, vanishes2: bool) -> str:

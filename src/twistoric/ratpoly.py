@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .lattice import _rational, _typed
+from .lattice import _read
 
 Poly = tuple[Fraction, ...]
 
@@ -111,9 +111,9 @@ def poly_to_strings(p: Poly) -> list[str]:
 def poly_from_strings(items: object) -> Poly:
     """The inverse of poly_to_strings: one JSON list of 'p/q' strings, as in a model record's 'P'.
 
-    Anything else, floats and bools included, is a ValueError naming 'P'.
+    Anything poly_to_strings does not emit ('2/4', 0.5, true, a trailing '0') is a ValueError naming 'P'.
     """
-    return normalized([_rational(s, "P") for s in _typed(items, list, "P")])
+    return _read(items, lambda row: normalized([Fraction(s) for s in row]), poly_to_strings, "P")
 
 
 def render(p: Poly, var: str = "lambda") -> str:

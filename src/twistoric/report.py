@@ -3,8 +3,9 @@
 A report gathers everything derived from one action sequence: the surface,
 the invariant fibers and their pairwise degrees, the divisor data of every
 pencil, model equations for the chosen index pairs, fiber classifications,
-and warnings.  Reports serialize to a single JSON document; rationals are
-encoded as 'p/q' strings so the round trip is lossless.
+and warnings.  Reports serialize to one JSON document, rationals as 'p/q'
+strings.  Each reader accepts exactly what its writer emits; a report is
+read from its input, roots and first constants, then analyzed again.
 """
 
 from __future__ import annotations
@@ -16,11 +17,12 @@ from typing import Sequence
 from .divisors import TwistorDivisorData, solve_divisor_data
 from .errors import CapExceeded
 from .fibers import bimeromorphic_pairs, invariant_fibers, model_degree
-from .lattice import ActionSequence, _is_int_pair, _rational, _typed, enumerate_sequences, validate
+from .lattice import ActionSequence, _read, enumerate_sequences, validate
 from .models import (
     ConformalRoots,
     FiberClass,
     ModelEquations,
+    _chain,
     classify_fibers,
     emit_full_model,
     emit_reduced_model,
@@ -62,18 +64,22 @@ def model_record(eqs: ModelEquations, classes: Sequence[FiberClass]) -> dict:
 
 
 def parse_model_record(data: dict) -> tuple[ModelEquations, tuple[FiberClass, ...]]:
-    polys = tuple([poly_from_strings(row) for row in _typed(data["P"], list, "P")])
-    constants = tuple([_rational(s, "c") for s in _typed(data["c"], list, "c")])
-    eqs = ModelEquations(
-        i=_typed(data["i"], int, "i"),
-        j=_typed(data["j"], int, "j"),
-        mu=_typed(data["mu"], int, "mu"),
-        bundle=tuple([_typed(b, int, "bundle") for b in data["bundle"]]),
-        constants=constants,
-        polys=polys,
-    )
-    classes = tuple([FiberClass.from_json(fc) for fc in data["fibers"]])
-    return eqs, classes
+    """The inverse of model_record; ValueError naming the field for anything model_record does not emit."""
+    return _read(data, _parse_model, lambda model: model_record(*model), "models")
+
+
+def _parse_model(data: dict) -> tuple[ModelEquations, tuple[FiberClass, ...]]:
+    # c is the leading coefficients of P, the rows past P_2 follow from P_2 and c, and the
+    # fibers are classified again at their locations
+    bundle, rows = data["bundle"], [poly_from_strings(row) for row in data["P"]]
+    constants = tuple([p[-1] for p in rows])
+    polys = _chain(rows[0], rows[1], constants)
+    eqs = ModelEquations(i=int(data["i"]), j=int(data["j"]), m_i=int(bundle[0]), m_j=int(bundle[2]), constants=constants, polys=polys)
+    if eqs.mu < 0 or len(polys) not in (2, eqs.mu + 2):
+        raise ValueError(f"'P' and 'bundle' disagree: {len(polys)} polynomials with mu = {eqs.mu}, not 2 or mu + 2 with mu >= 0")
+    classes = [FiberClass.from_json(fc) for fc in data["fibers"]]
+    finite = tuple([fc.location for fc in classes[1:-1]])
+    return eqs, tuple(classify_fibers(eqs, ConformalRoots(k=len(finite) + 1, tail=finite[1:])))
 
 
 @dataclass(frozen=True)
@@ -110,21 +116,13 @@ class AnalysisReport:
 
     @staticmethod
     def from_json(data: dict) -> "AnalysisReport":
-        sequence = ActionSequence.from_json(data["input"])
-        surface = build_surface(sequence)
-        roots = ConformalRoots.from_json(data["roots"])
-        pairs = _typed(data["bimeromorphicPairs"], list, "bimeromorphicPairs")
-        if not all(map(_is_int_pair, pairs)):
-            raise ValueError(f"'bimeromorphicPairs' must hold pairs of JSON ints, got {pairs!r}")
-        return AnalysisReport(
-            sequence=sequence,
-            surface=surface,
-            roots=roots,
-            bimeromorphic=tuple([(p[0], p[1]) for p in pairs]),
-            divisors=tuple([TwistorDivisorData.from_json(d) for d in data["divisors"]]),
-            models=tuple([parse_model_record(m) for m in data["models"]]),
-            warnings=tuple(data["warnings"]),
-        )
+        """The inverse of to_json: analyzes the input again with the record's roots and first constants."""
+        return _read(data, _parse_report, AnalysisReport.to_json, "report")
+
+
+def _parse_report(data: dict) -> AnalysisReport:
+    constants = [_read(c, Fraction, str, "c") for c in data["models"][0]["c"]]
+    return analyze_sequence(ActionSequence.from_json(data["input"]), ConformalRoots.from_json(data["roots"]), constants)
 
 
 def analyze_sequence(

@@ -12,7 +12,6 @@ synthetic division instead of the P(r) = P'(r) = 0 test.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from math import gcd
 
 import numpy as np
@@ -117,7 +116,12 @@ def exhaustive_divisor_solutions(
     f: tuple[int, ...], fbar: tuple[int, ...], entry_cap: int = 8
 ) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
     """All (m, l_plus, l_minus) with complementary entries <= entry_cap that
-    satisfy the component equations, found by exhaustive search."""
+    satisfy the component equations, found by exhaustive search.
+
+    The half-cycle sums of all combinations of the other labels are one
+    broadcast sum, taken once per option of the first label, so the
+    solutions come in itertools.product order.
+    """
     k = len(f) // 2
     plus_ind, minus_ind = half_cycle_indicators(k)
     g = np.array([fbar[r] - f[r] for r in range(2 * k)], dtype=np.int64)
@@ -125,19 +129,21 @@ def exhaustive_divisor_solutions(
     options = [(0, 0)] + [(p, 0) for p in range(1, entry_cap + 1)] + [
         (0, q) for q in range(1, entry_cap + 1)
     ]
+    opts = np.array(options, dtype=np.int64)
+    # parts[b, o] is the half-cycle sum of option o at label b + 1
+    parts = opts[None, :, 0, None] * plus_ind[:, None, :] + opts[None, :, 1, None] * minus_ind[:, None, :]
+    rest = np.zeros((len(options),) * (k - 1) + (2 * k,), dtype=np.int64)
+    for b in range(1, k):
+        rest = rest + parts[b].reshape((1,) * (b - 1) + (len(options),) + (1,) * (k - 1 - b) + (2 * k,))
     solutions = []
-    for combo in product(options, repeat=k):
-        total = np.zeros(2 * k, dtype=np.int64)
-        for b, (p, q) in enumerate(combo):
-            if p:
-                total += p * plus_ind[b]
-            if q:
-                total += q * minus_ind[b]
-        diff = total - g
-        if np.all(diff == diff[0]) and diff[0] >= 1:
+    for first, part in zip(options, parts[0]):
+        diff = rest + (part - g)
+        hits = np.argwhere(np.all(diff == diff[..., :1], axis=-1) & (diff[..., 0] >= 1))
+        for idx in hits:
+            combo = [first] + [options[i] for i in idx]
             lp = tuple(p for p, _ in combo)
             lm = tuple(q for _, q in combo)
-            solutions.append((int(diff[0]), lp, lm))
+            solutions.append((int(diff[tuple(idx)][0]), lp, lm))
     return solutions
 
 

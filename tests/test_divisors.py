@@ -151,14 +151,15 @@ def test_conjugation_swaps_the_halves():
 
 
 def test_matches_exhaustive_search_oracle():
-    for n in range(3):
-        for seq in enumerate_sequences(n):
-            s = build_surface(seq)
-            for a in range(1, s.k + 1):
-                f, fbar = invariant_fibers(s, a)
-                data = solve_divisor_data(s, a)
-                solutions = exhaustive_divisor_solutions(f, fbar, entry_cap=8)
-                assert solutions == [(data.m, data.l_plus, data.l_minus)]
+    """n = 3, 17^5 combinations per index, which the oracle searches one first-label option at a time;
+    the acceptance suite covers n < 3."""
+    for seq in enumerate_sequences(3):
+        s = build_surface(seq)
+        for a in range(1, s.k + 1):
+            f, fbar = invariant_fibers(s, a)
+            data = solve_divisor_data(s, a)
+            solutions = exhaustive_divisor_solutions(f, fbar, entry_cap=8)
+            assert solutions == [(data.m, data.l_plus, data.l_minus)]
 
 
 def test_inconsistent_fibers_rejected():
@@ -184,3 +185,7 @@ def test_divisor_json_reader_is_strict():
     for field, bad in [("alpha", 1.5), ("m", "2"), ("lPlus", [True, 0, 0, 0]), ("lMinus", [1, 1, 1.0, 1])]:
         with pytest.raises(ValueError, match=f"'{field}'"):
             TwistorDivisorData.from_json({**good, field: bad})
+    no_m = {key: value for key, value in good.items() if key != "m"}
+    for bad, field in [(no_m, "'m'"), ({**good, "lPlus": 5}, "'divisors'"), ({**good, "lPlus": [0, 0, 0]}, "'lPlus'")]:
+        with pytest.raises(ValueError, match=field):
+            TwistorDivisorData.from_json(bad)

@@ -166,3 +166,6 @@ def test_enumerate_rejects_negative():
 def test_sequence_json_round_trip():
     seq = validate([(0, 1), (1, 2), (1, 1), (1, 0)])
     assert ActionSequence.from_json(seq.to_json()) == seq
+    for bad, field in [({**seq.to_json(), "n": 1}, "'n'"), ({"n": 2, "vectors": 5}, "'input'")]:
+        with pytest.raises(ValueError, match=field):
+            ActionSequence.from_json(bad)

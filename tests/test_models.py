@@ -63,11 +63,13 @@ def test_conformal_roots_json_reader_is_strict():
     for bad in (2.9, True, "2"):
         with pytest.raises(ValueError, match="'k'"):
             ConformalRoots.from_json({"k": bad, "tail": []})
+    with pytest.raises(ValueError, match="'roots'"):
+        ConformalRoots.from_json(None)
 
 
 def test_conformal_roots_json_reader_takes_roots_as_strings_only():
     assert ConformalRoots.from_json({"k": 4, "tail": ["1/2", "3"]}).tail == (Fraction(1, 2), Fraction(3))
-    for bad in ([True], [1], [0.5], [None], ["1/0"], ["one"], "1"):
+    for bad in ([True], [1], [0.5], [None], ["1/0"], ["one"], "1", ["2/4"], [" 1"]):
         with pytest.raises(ValueError, match="'tail'"):
             ConformalRoots.from_json({"k": 3, "tail": bad})
 
@@ -86,6 +88,10 @@ def test_fiber_class_json_reader_is_strict():
     for field, bad in [("kind", "Nonsense"), ("nonReduced", "false"), ("nonReduced", 0), ("generic", 1)]:
         with pytest.raises(ValueError, match=f"'{field}'"):
             FiberClass.from_json({**good, field: bad})
+    no_generic = {key: value for key, value in good.items() if key != "generic"}
+    for bad, field in [(no_generic, "'generic'"), (list(good.values()), "'fibers'")]:
+        with pytest.raises(ValueError, match=field):
+            FiberClass.from_json(bad)
 
 
 def test_conformal_roots_validation():
@@ -311,8 +317,8 @@ def test_vanishing_at_generic_sample_is_a_value_error():
     eqs = ModelEquations(
         i=1,
         j=2,
-        mu=0,
-        bundle=(1, 1, 1, 1),
+        m_i=1,
+        m_j=1,
         constants=(Fraction(1), Fraction(1)),
         polys=((Fraction(-2), Fraction(1)), (Fraction(0), Fraction(1))),
     )

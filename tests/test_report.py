@@ -6,12 +6,20 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twistoric import (
+    ActionSequence,
     AnalysisReport,
     CapExceeded,
+    ConformalRoots,
+    FiberClass,
+    TwistoricError,
+    TwistorDivisorData,
     analyze_sequence,
+    classify_fibers,
     default_roots,
+    emit_full_model,
     enumerate_sequences,
     run_analyze,
     run_enumerate,
@@ -69,9 +77,35 @@ def test_model_record_round_trip():
 def test_model_record_reader_is_strict():
     report = analyze_sequence(validate(HEXAGON))
     data = json.loads(json.dumps(model_record(*report.models[0])))
-    for field, bad in [("i", "1"), ("j", 2.7), ("mu", True), ("bundle", [1, 1, 1.0, 1])]:
+    bad_values = [
+        ("i", "1"),
+        ("j", 2.7),
+        ("mu", True),
+        ("bundle", [1, 1, 1.0, 1]),
+        ("fibers", "ab"),
+        ("fibers", [1]),
+        ("mu", 1),  # not bundle[0] - bundle[2]
+        ("bundle", [1, 2, 1, 1]),
+        ("c", ["1", "1", "1"]),  # not one constant per row of P
+    ]
+    for field, bad in bad_values:
         with pytest.raises(ValueError, match=f"'{field}'"):
             parse_model_record({**data, field: bad})
+    no_mu = {key: value for key, value in data.items() if key != "mu"}
+    three_rows = {**data, "P": data["P"] + [data["P"][1]], "c": ["1", "1", "1"]}  # mu = 0 takes two
+    full = run_model([(0, 1), (1, 1), (2, 1), (1, 0)], 1, 2, full=True)
+    third_row_off = {**full, "P": full["P"][:2] + [["1"] + full["P"][2][1:]]}  # not lambda^2 * P_2
+    bad_records = [
+        (no_mu, "'mu'"),
+        (three_rows, "'P'"),
+        (third_row_off, "'P'"),
+        ({**data, "bundle": [1]}, "'models'"),
+        ({**data, "bundle": 4}, "'models'"),
+        (list(data.values()), "'models'"),
+    ]
+    for bad, field in bad_records:
+        with pytest.raises(ValueError, match=field):
+            parse_model_record(bad)
 
 
 def test_model_record_reader_takes_rationals_as_strings_only():
@@ -97,6 +131,22 @@ def test_report_reader_takes_bimeromorphic_pairs_as_int_pairs_only():
     for bad in ([[1, True]], [[1, 2, 3]], [["1", 2]], [[1.0, 2]], [[1]], "12", [12]):
         with pytest.raises(ValueError, match="'bimeromorphicPairs'"):
             AnalysisReport.from_json({**data, "bimeromorphicPairs": bad})
+
+
+def test_report_reader_rebuilds_every_derived_field():
+    data = json.loads(json.dumps(analyze_sequence(validate([(0, 1), (1, 1), (2, 1), (1, 0)])).to_json()))
+    assert data["warnings"]
+    cases = [(field, {**data, field: data[field][:-1]}) for field in ("degreeMatrix", "fibers", "divisors", "warnings")]
+    for field in ("degreeMatrix", "fibers", "surface", "divisors", "warnings", "roots"):
+        cases.append((field, {key: value for key, value in data.items() if key != field}))
+    cases += [
+        ("surface", {**data, "surface": {**data["surface"], "selfInt": [-1] * 8}}),
+        ("divisors", {**data, "divisors": {"alpha": 1}}),
+        ("models", {**data, "roots": {"k": 4, "tail": ["1", "3"]}}),  # models built on other roots
+    ]
+    for field, bad in cases:
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            AnalysisReport.from_json(bad)
 
 
 def test_rational_roots_survive_serialization():
@@ -151,3 +201,82 @@ def test_run_model_reduced_and_full():
     assert len(full["P"]) == 3
     assert full["P"][:2] == reduced["P"]
     assert full["mu"] == 1
+
+
+def sweep_records() -> list[tuple]:
+    """(reader, writer, objects) for each record kind, over the n <= 4 sweep."""
+    write_model = lambda model: model_record(*model)
+    reports = [analyze_sequence(seq) for n in range(5) for seq in enumerate_sequences(n)]
+    full_models = []
+    for report in reports:
+        for d_i, d_j in zip(report.divisors, report.divisors[1:]):
+            full = emit_full_model(d_i, d_j, report.roots)
+            full_models.append((full, tuple(classify_fibers(full, report.roots))))
+    return [
+        (AnalysisReport.from_json, AnalysisReport.to_json, reports),
+        (parse_model_record, write_model, [model for report in reports for model in report.models]),
+        (parse_model_record, write_model, full_models),
+        (TwistorDivisorData.from_json, TwistorDivisorData.to_json, [d for report in reports for d in report.divisors]),
+        (ConformalRoots.from_json, ConformalRoots.to_json, [report.roots for report in reports]),
+        (FiberClass.from_json, FiberClass.to_json, [fc for report in reports for _, fcs in report.models for fc in fcs]),
+        (ActionSequence.from_json, ActionSequence.to_json, [report.sequence for report in reports]),
+    ]
+
+
+SWEEP_RECORDS = sweep_records()
+
+
+def retyped(leaf: object) -> list:
+    """The leaf as another JSON type: int, float, bool and str swap, and 'p/q' becomes '2p/2q'."""
+    if isinstance(leaf, bool):
+        return [int(leaf), float(leaf), str(leaf).lower()]
+    if isinstance(leaf, int):
+        return [float(leaf), str(leaf), leaf == 1]
+    try:
+        r = Fraction(leaf)
+    except ValueError:  # a name such as 'inf' or a fiber kind
+        return [0, 0.0, False]
+    return [f"{2 * r.numerator}/{2 * r.denominator}", r.numerator, float(r), r == 1]
+
+
+@st.composite
+def mutated_records(draw):
+    """A real record with one mutation at a random node: a key dropped or added, a container
+    replaced by a str, int, None or dict, a list truncated or extended, or a leaf retyped."""
+    # indices, not sampled_from: hypothesis would hash every object of the pool on each draw
+    reader, writer, objects = SWEEP_RECORDS[draw(st.integers(0, len(SWEEP_RECORDS) - 1))]
+    obj = objects[draw(st.integers(0, len(objects) - 1))]
+    text = json.dumps(writer(obj))
+    root = [json.loads(text)]
+    parent, key = root, 0
+    for _ in range(draw(st.integers(0, 6))):
+        node = parent[key]
+        if not isinstance(node, (dict, list)) or not node:
+            break
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        parent, key = node, keys[draw(st.integers(0, len(keys) - 1))]
+    node = parent[key]
+    if isinstance(node, dict):
+        options = [{k: v for k, v in node.items() if k != dropped} for dropped in sorted(node)] + [{**node, "extra": 0}]
+    elif isinstance(node, list):
+        options = [node[:-1], node + node[-1:], node + [0]]
+    else:
+        options = retyped(node)
+    if isinstance(node, (dict, list)):
+        options += ["x", 1, None, {"x": 1}]
+    parent[key] = draw(st.sampled_from(options))
+    return reader, writer, obj, json.loads(text), root[0]
+
+
+@settings(deadline=None, max_examples=800)
+@given(mutated_records())
+def test_readers_accept_only_what_their_writer_emits(case):
+    """Every reader, fuzzed: a mutated record is refused with ValueError or a TwistoricError,
+    or read into an object the writer emits as exactly that record."""
+    reader, writer, obj, original, mutated = case
+    assert reader(original) == obj
+    try:
+        got = reader(mutated)
+    except (ValueError, TwistoricError):
+        return
+    assert json.dumps(writer(got), sort_keys=True) == json.dumps(mutated, sort_keys=True)
