@@ -13,12 +13,15 @@ half-cycle of label r + 1 (leaving its minus) while r < k, and leaves the
 plus half-cycle of label r + 1 - k from then on, so the steps are
 d_b = l_plus[b] - l_minus[b] for b < k followed by -d_0 .. -d_{k-2}.
 
-Solving reads those steps off the target: the component-wise difference of
-fbar - f at position b + 1 pins l_plus[b] - l_minus[b], and requiring one of
-each pair to vanish pins both.  Two checks guard arbitrary (f, fbar): every
-component equation must give the same m (InconsistentSystem), and m must be
-at least 1 (NegativeMultiplicity).  The half-cycle positions themselves live
-in the test oracles, where they are the independent reference for the sum.
+Solving reads those steps off the target g = fbar - f: the difference
+g[b + 1] - g[b] pins l_plus[b] - l_minus[b], and requiring one of each pair
+to vanish pins both.  Position 0 then gives m = sum(l_minus) - g[0], and the
+equations at positions 1 .. k hold by construction.  At position k + s the
+sum gives m + g[0] + g[k] - g[s] - g[k + s], so all 2k equations hold exactly
+when g[s] + g[k + s] is the same for every s < k.  That condition
+(InconsistentSystem) and m >= 1 (NegativeMultiplicity) guard arbitrary
+(f, fbar).  The half-cycle positions live in the test oracles, where they are
+the independent reference for the sum.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ class TwistorDivisorData:
 
 
 def _parse_divisor_data(data: dict) -> TwistorDivisorData:
-    l_plus, l_minus = tuple([int(x) for x in data["lPlus"]]), tuple([int(x) for x in data["lMinus"]])
+    l_plus, l_minus = [_read(data[key], lambda xs: tuple([int(x) for x in xs]), list, key) for key in ("lPlus", "lMinus")]
     if len(l_plus) != len(l_minus):
         raise ValueError(f"'lPlus' and 'lMinus' must have one entry per label, got {len(l_plus)} and {len(l_minus)}")
     return TwistorDivisorData(alpha=int(data["alpha"]), m=int(data["m"]), l_plus=l_plus, l_minus=l_minus)
@@ -88,20 +91,17 @@ def solve_from_fibers(f: Divisor, fbar: Divisor, alpha: int) -> TwistorDivisorDa
     """Decompose m * C - f + fbar over half-cycles; see module docstring."""
     k = len(f) // 2
     g = [fbar[r] - f[r] for r in range(2 * k)]
-    l_plus, l_minus = [], []
-    for b in range(k):
-        # crossing position b+1 (1-based) toggles exactly the beta = b+1 pair
-        diff = g[b + 1] - g[b]
-        l_plus.append(max(diff, 0))
-        l_minus.append(max(-diff, 0))
-    built = _accumulate(tuple(l_plus), tuple(l_minus))
-    m_values = {built[r] - g[r] for r in range(2 * k)}
-    if len(m_values) != 1:
+    # crossing position b+1 (1-based) toggles exactly the beta = b+1 pair
+    steps = [g[b + 1] - g[b] for b in range(k)]
+    l_plus, l_minus = tuple([d if d > 0 else 0 for d in steps]), tuple([-d if d < 0 else 0 for d in steps])
+    if len({g[s] + g[k + s] for s in range(k)}) != 1:
+        built = _accumulate(l_plus, l_minus)
+        m_values = {built[r] - g[r] for r in range(2 * k)}
         raise InconsistentSystem(f"component equations disagree for index {alpha}: {sorted(m_values)}")
-    m = m_values.pop()
+    m = sum(l_minus) - g[0]
     if m < 1:
         raise NegativeMultiplicity(f"pencil multiplicity m = {m} for index {alpha}")
-    return TwistorDivisorData(alpha=alpha, m=m, l_plus=tuple(l_plus), l_minus=tuple(l_minus))
+    return TwistorDivisorData(alpha=alpha, m=m, l_plus=l_plus, l_minus=l_minus)
 
 
 def solve_divisor_data(surface: ToricSurface, alpha: int) -> TwistorDivisorData:

@@ -6,18 +6,19 @@ two distinguished fibers are invariant divisors.  The fiber over one end
 collects the curves whose ray pairs positively against v_a, with the pairing
 value as multiplicity; the fiber over the other end is its conjugate.
 
-The pairing used throughout is phi_a(u) = det(u, v_a).  Both signs occur
-over a complete fan, so both fibers are nonzero effective divisors.
-
-The degree of the map for a pair (i, j) is f_i . f_j = |det(v_i, v_j)|,
-computed in that closed form; the intersection-form sum (surface.intersect)
-is its test oracle.
+The pairing is phi_a(u) = det(u, v_a), and build_surface stores it once as
+the matrix ToricSurface.pairing: row a - 1 holds phi_a on all 2k rays.  It is
+the one source of everything here.  Both signs occur over a complete fan, so
+the fibers, the positive and negative parts of a row, are nonzero effective
+divisors.  The degree of the map for a pair (i, j) is f_i . f_j =
+|det(v_i, v_j)|, the entry |pairing[j-1][i-1]|; the pair is bimeromorphic
+when that entry is +-1.  The intersection-form sum (surface.intersect) is the
+test oracle for the degrees.
 """
 
 from __future__ import annotations
 
 from .errors import BadIndices
-from .lattice import det2
 from .surface import Divisor, ToricSurface
 
 __all__ = [
@@ -35,11 +36,8 @@ def invariant_fibers(surface: ToricSurface, alpha: int) -> tuple[Divisor, Diviso
     """
     if not 1 <= alpha <= surface.k:
         raise BadIndices(f"index {alpha} out of range 1..{surface.k}")
-    v = surface.rays[alpha - 1]
-    values = [det2(u, v) for u in surface.rays]
-    f = tuple([max(x, 0) for x in values])
-    fbar = tuple([max(-x, 0) for x in values])
-    return f, fbar
+    row = surface.pairing[alpha - 1]
+    return tuple([x if x > 0 else 0 for x in row]), tuple([-x if x < 0 else 0 for x in row])
 
 
 def model_degree(surface: ToricSurface, i: int, j: int) -> int:
@@ -50,10 +48,10 @@ def model_degree(surface: ToricSurface, i: int, j: int) -> int:
     """
     if not 1 <= i < j <= surface.k:
         raise BadIndices(f"need 1 <= i < j <= {surface.k}, got ({i}, {j})")
-    return abs(det2(surface.rays[i - 1], surface.rays[j - 1]))
+    return abs(surface.pairing[j - 1][i - 1])
 
 
 def bimeromorphic_pairs(surface: ToricSurface) -> list[tuple[int, int]]:
     """All index pairs i < j whose model degree is 1, in lexicographic order."""
     k = surface.k
-    return [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1) if model_degree(surface, i, j) == 1]
+    return [(i + 1, j + 1) for i, row in enumerate(surface.pairing) for j in range(i + 1, k) if row[j] in (1, -1)]

@@ -71,10 +71,11 @@ def parse_model_record(data: dict) -> tuple[ModelEquations, tuple[FiberClass, ..
 def _parse_model(data: dict) -> tuple[ModelEquations, tuple[FiberClass, ...]]:
     # c is the leading coefficients of P, the rows past P_2 follow from P_2 and c, and the
     # fibers are classified again at their locations
-    bundle, rows = data["bundle"], [poly_from_strings(row) for row in data["P"]]
+    m_i, m_j = _read(data["bundle"], lambda b: (int(b[0]), int(b[2])), lambda m: [m[0], m[0], m[1], m[1]], "bundle")
+    rows = [poly_from_strings(row) for row in data["P"]]
     constants = tuple([p[-1] for p in rows])
     polys = _chain(rows[0], rows[1], constants)
-    eqs = ModelEquations(i=int(data["i"]), j=int(data["j"]), m_i=int(bundle[0]), m_j=int(bundle[2]), constants=constants, polys=polys)
+    eqs = ModelEquations(i=int(data["i"]), j=int(data["j"]), m_i=m_i, m_j=m_j, constants=constants, polys=polys)
     if eqs.mu < 0 or len(polys) not in (2, eqs.mu + 2):
         raise ValueError(f"'P' and 'bundle' disagree: {len(polys)} polynomials with mu = {eqs.mu}, not 2 or mu + 2 with mu >= 0")
     classes = [FiberClass.from_json(fc) for fc in data["fibers"]]
@@ -105,9 +106,7 @@ class AnalysisReport:
                 {"alpha": a + 1, "f": list(f), "fbar": list(fbar)}
                 for a, (f, fbar) in enumerate(invariant_fibers(s, b) for b in ks)
             ],
-            "degreeMatrix": [
-                [model_degree(s, min(i, j), max(i, j)) if i != j else 0 for j in ks] for i in ks
-            ],
+            "degreeMatrix": [[abs(d) for d in row[: s.k]] for row in s.pairing],
             "bimeromorphicPairs": [list(p) for p in self.bimeromorphic],
             "divisors": [d.to_json() for d in self.divisors],
             "models": [model_record(eqs, classes) for eqs, classes in self.models],
@@ -141,9 +140,9 @@ def analyze_sequence(
         eqs = emit_reduced_model(divisors[i - 1], divisors[i], roots, constants)
         models.append((eqs, tuple(classify_fibers(eqs, roots))))
     warnings: list[dict] = []
-    for i in range(1, k + 1):
+    for i, row in enumerate(surface.pairing, start=1):
         for j in range(i + 1, k + 1):
-            d = model_degree(surface, i, j)
+            d = abs(row[j - 1])
             if d > 1:
                 warnings.append({"type": "degree", "i": i, "j": j, "d": d})
     for data in divisors:

@@ -35,10 +35,15 @@ def component_label(r: int, k: int) -> str:
 
 @dataclass(frozen=True)
 class ToricSurface:
-    """Rays and self-intersection numbers of the invariant curves."""
+    """Rays, self-intersections of the invariant curves, and the pairing matrix.
+
+    pairing[a][r] = det(rays[r], rays[a]) for a < k, the one source of fibers,
+    degrees and bimeromorphic pairs; each row's second half negates its first.
+    """
 
     rays: tuple[Vector, ...]
     self_int: tuple[int, ...]
+    pairing: tuple[tuple[int, ...], ...]
 
     @property
     def k(self) -> int:
@@ -53,12 +58,12 @@ class ToricSurface:
 
 
 def build_surface(seq: ActionSequence) -> ToricSurface:
-    """Build the surface: 2k rays and the self-intersection of each curve.
+    """Build the surface: 2k rays, the self-intersection of each curve, and the pairing matrix.
 
     Self-intersections come from the ray relation
     u_{r-1} + u_{r+1} = -(C_r . C_r) u_r, which must hold exactly in a
     smooth complete fan; a failure raises NonSmoothFan and means the input
-    bypassed validation.
+    bypassed validation.  The pairing matrix is computed here, once.
     """
     k = len(seq.vectors)
     rays = tuple(seq.vectors) + tuple([(-a, -b) for (a, b) in seq.vectors])
@@ -72,7 +77,9 @@ def build_surface(seq: ActionSequence) -> ToricSurface:
         if (prev[0] + nxt[0], prev[1] + nxt[1]) != (-c * cur[0], -c * cur[1]):
             raise NonSmoothFan(f"ray relation fails at component {component_label(r, k)}")
         self_int.append(c)
-    return ToricSurface(rays=rays, self_int=tuple(self_int))
+    halves = [[p * y - q * x for p, q in seq.vectors] for x, y in seq.vectors]
+    pairing = tuple([tuple(half + [-d for d in half]) for half in halves])
+    return ToricSurface(rays=rays, self_int=tuple(self_int), pairing=pairing)
 
 
 def intersect(d1: Sequence[int], d2: Sequence[int], surface: ToricSurface) -> int:

@@ -9,8 +9,10 @@ from twistoric import (
     InconsistentSystem,
     NegativeMultiplicity,
     anticanonical_cycle,
+    bimeromorphic_pairs,
     build_surface,
     enumerate_sequences,
+    intersect,
     invariant_fibers,
     model_degree,
     reversal_dual,
@@ -20,7 +22,7 @@ from twistoric import (
 )
 from twistoric.divisors import TwistorDivisorData
 
-from oracles import exhaustive_divisor_solutions, grow_by_mediants, half_cycle_sum, half_cycles
+from oracles import det2, exhaustive_divisor_solutions, grow_by_mediants, half_cycle_sum, half_cycles
 
 
 def surf(vectors):
@@ -110,7 +112,16 @@ def test_solve_from_arbitrary_fibers_is_checked(pair):
     f, fbar = pair
     try:
         data = solve_from_fibers(f, fbar, 1)
-    except (InconsistentSystem, NegativeMultiplicity):
+    except InconsistentSystem:
+        # The equations at neighbouring positions force l_plus - l_minus to the steps of
+        # g = fbar - f, and adding t to both halves of one label adds t at every position,
+        # so one choice of the l's shows whether any m fits all 2k equations.
+        g = [y - x for x, y in zip(f, fbar)]
+        steps = [g[b + 1] - g[b] for b in range(len(f) // 2)]
+        built = half_cycle_sum(tuple([max(d, 0) for d in steps]), tuple([max(-d, 0) for d in steps]))
+        assert len({x - y for x, y in zip(built, g)}) > 1
+        return
+    except NegativeMultiplicity:
         return
     assert data.m >= 1
     assert half_cycle_sum(data.l_plus, data.l_minus) == [data.m - a + b for a, b in zip(f, fbar)]
@@ -123,10 +134,21 @@ def test_deep_chain_invariants(picks):
     seq = validate(grow_by_mediants(picks))
     s, sd = build_surface(seq), build_surface(reversal_dual(seq))
     k = s.k
+    assert s.pairing == tuple([tuple([det2(u, v) for u in s.rays]) for v in s.rays[:k]])
+    # reversal sends v_a to the swapped v_(k+1-a), and swapping negates det: both indices reflect
+    assert sd.pairing == tuple([tuple([-s.pairing[k - 1 - a][(k - 1 - r) % (2 * k)] for r in range(2 * k)]) for a in range(k)])
+    pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
+    assert bimeromorphic_pairs(s) == [(i, j) for i, j in pairs if abs(det2(s.rays[i - 1], s.rays[j - 1])) == 1]
+    fibers = [invariant_fibers(s, a) for a in range(1, k + 1)]
+    for i, j in pairs[:: 1 + len(pairs) // 40]:
+        assert model_degree(s, i, j) == intersect(fibers[i - 1][0], fibers[j - 1][0], s)
     for i in range(1, k):
         assert model_degree(s, i, i + 1) == 1
     for a in range(1, k + 1):
-        f, fbar = invariant_fibers(s, a)
+        f, fbar = fibers[a - 1]
+        assert intersect(f, f, s) == 0
+        # under reversal the fiber f of index a becomes the dual's fbar, reflected
+        assert invariant_fibers(sd, k + 1 - a)[1] == tuple([f[(k - 1 - r) % (2 * k)] for r in range(2 * k)])
         data = solve_divisor_data(s, a)
         assert half_cycle_sum(data.l_plus, data.l_minus) == [data.m - x + y for x, y in zip(f, fbar)]
         assert sum(data.l_total) == 2 * data.m
@@ -186,6 +208,6 @@ def test_divisor_json_reader_is_strict():
         with pytest.raises(ValueError, match=f"'{field}'"):
             TwistorDivisorData.from_json({**good, field: bad})
     no_m = {key: value for key, value in good.items() if key != "m"}
-    for bad, field in [(no_m, "'m'"), ({**good, "lPlus": 5}, "'divisors'"), ({**good, "lPlus": [0, 0, 0]}, "'lPlus'")]:
+    for bad, field in [(no_m, "'m'"), ({**good, "lPlus": 5}, "'lPlus'"), ({**good, "lPlus": [0, 0, 0]}, "'lPlus'")]:
         with pytest.raises(ValueError, match=field):
             TwistorDivisorData.from_json(bad)

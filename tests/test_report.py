@@ -99,8 +99,8 @@ def test_model_record_reader_is_strict():
         (no_mu, "'mu'"),
         (three_rows, "'P'"),
         (third_row_off, "'P'"),
-        ({**data, "bundle": [1]}, "'models'"),
-        ({**data, "bundle": 4}, "'models'"),
+        ({**data, "bundle": [1]}, "'bundle'"),
+        ({**data, "bundle": 4}, "'bundle'"),
         (list(data.values()), "'models'"),
     ]
     for bad, field in bad_records:
