@@ -38,12 +38,12 @@ from .surface import (
     ToricSurface,
     anticanonical_cycle,
     build_surface,
-    component_label,
     conjugate_divisor,
     intersect,
 )
 from .fibers import (
     bimeromorphic_pairs,
+    degree_matrix,
     invariant_fibers,
     model_degree,
 )

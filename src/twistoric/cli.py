@@ -11,7 +11,8 @@ Input files hold a single JSON object {"n": ..., "vectors": [[a, b], ...]}
 whose n, a and b are JSON integers (n optional).  Every command writes one
 JSON document to stdout (or --output) and the same input always produces
 byte-identical output.  Exit codes: 0 on success, 1 when the input fails
-validation or cannot be read, 2 on usage errors.
+validation or cannot be read or the --output file cannot be written, 2 on
+usage errors.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def _load_vectors(path: str) -> list[list[int]]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # undecodable bytes or JSON, or nesting too deep to parse
         raise InputDataError(f"{path}: {exc}") from exc
     if not isinstance(data, dict) or "vectors" not in data:
         raise InputDataError(f"{path}: expected an object with a 'vectors' key")
@@ -174,10 +175,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, code = _dispatch(args)
+        _emit(payload, args.output)
     except tuple([kind for kinds, _ in EXIT_CODES for kind in kinds]) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds))
-    _emit(payload, args.output)
     return code
 
 

@@ -6,14 +6,14 @@ two distinguished fibers are invariant divisors.  The fiber over one end
 collects the curves whose ray pairs positively against v_a, with the pairing
 value as multiplicity; the fiber over the other end is its conjugate.
 
-The pairing is phi_a(u) = det(u, v_a), and build_surface stores it once as
-the matrix ToricSurface.pairing: row a - 1 holds phi_a on all 2k rays.  It is
-the one source of everything here.  Both signs occur over a complete fan, so
-the fibers, the positive and negative parts of a row, are nonzero effective
-divisors.  The degree of the map for a pair (i, j) is f_i . f_j =
-|det(v_i, v_j)|, the entry |pairing[j-1][i-1]|; the pair is bimeromorphic
-when that entry is +-1.  The intersection-form sum (surface.intersect) is the
-test oracle for the degrees.
+The pairing is phi_a(u) = det(u, v_a), stored once by build_surface as the
+matrix ToricSurface.pairing: row a - 1 holds phi_a on all 2k rays.  This
+module is its only reader past build_surface.  Both signs occur over a
+complete fan, so the fibers, the positive and negative parts of a row, are
+nonzero effective divisors.  The degree of the map for a pair (i, j) is
+f_i . f_j = |det(v_i, v_j)|, the entry |pairing[j-1][i-1]| (degree_matrix
+lists them all); the pair is bimeromorphic when it is 1.  The intersection-form sum (surface.intersect)
+is the test oracle for the degrees.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .surface import Divisor, ToricSurface
 
 __all__ = [
     "bimeromorphic_pairs",
+    "degree_matrix",
     "invariant_fibers",
     "model_degree",
 ]
@@ -51,7 +52,11 @@ def model_degree(surface: ToricSurface, i: int, j: int) -> int:
     return abs(surface.pairing[j - 1][i - 1])
 
 
+def degree_matrix(surface: ToricSurface) -> list[list[int]]:
+    """The k x k degrees: entry [i - 1][j - 1] is |det(v_i, v_j)|, symmetric with a zero diagonal."""
+    return [[abs(d) for d in row[: surface.k]] for row in surface.pairing]
+
+
 def bimeromorphic_pairs(surface: ToricSurface) -> list[tuple[int, int]]:
     """All index pairs i < j whose model degree is 1, in lexicographic order."""
-    k = surface.k
-    return [(i + 1, j + 1) for i, row in enumerate(surface.pairing) for j in range(i + 1, k) if row[j] in (1, -1)]
+    return [(i + 1, j + 1) for i, row in enumerate(degree_matrix(surface)) for j in range(i + 1, len(row)) if row[j] == 1]

@@ -181,11 +181,11 @@ def normalize(pairs: Sequence[Sequence[int]]) -> tuple[ActionSequence, Matrix]:
     # rows swapped: M v = dv * (det(v_1, v), det(v, v_k))
     mat = ((-b * dv, a * dv), (d * dv, -c * dv))
     mapped = [(dv * det2(vs[0], v), dv * det2(v, vs[-1])) for v in vs]
-    violations = check(mapped)
-    if violations:
-        detail = "; ".join(v.message for v in violations)
-        raise NotNormalizable(f"endpoint-determined matrix does not normalize the chain: {detail}")
-    return validate(mapped), mat
+    try:
+        return validate(mapped), mat
+    except SequenceValidationError as exc:
+        detail = "; ".join(v.message for v in exc.violations)
+        raise NotNormalizable(f"endpoint-determined matrix does not normalize the chain: {detail}") from None
 
 
 def reversal_dual(seq: ActionSequence) -> ActionSequence:

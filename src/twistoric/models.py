@@ -190,12 +190,12 @@ def emit_reduced_model(
     data_i: TwistorDivisorData,
     data_j: TwistorDivisorData,
     roots: ConformalRoots,
-    constants: Sequence[Fraction | int] | None = (1, 1),
+    constants: Sequence[Fraction | int] | None = None,
 ) -> ModelEquations:
     """The two-equation model: the first two members of the full chain.
 
     Swaps the roles of i and j internally when m_i < m_j so the recorded
-    bundle degrees never decrease.  constants None means (1, 1).
+    bundle degrees never decrease.  Takes two scale constants, both ones when omitted.
     """
     return _build_model(data_i, data_j, roots, constants, full=False)
 
@@ -294,15 +294,6 @@ class LinearSystemMeta:
     def num_coords(self) -> int:
         """N, the number of homogeneous coordinates; always dim_combined."""
         return self.dim_combined
-
-    def to_json(self) -> dict:
-        return {
-            "mu": self.mu,
-            "dimWi": self.dim_w_i,
-            "dimWj": self.dim_w_j,
-            "dimCombined": self.dim_combined,
-            "N": self.num_coords,
-        }
 
 
 def system_meta(data_i: TwistorDivisorData, data_j: TwistorDivisorData) -> LinearSystemMeta:

@@ -116,7 +116,7 @@ def poly_from_strings(items: object) -> Poly:
     return _read(items, lambda row: normalized([Fraction(s) for s in row]), poly_to_strings, "P")
 
 
-def render(p: Poly, var: str = "lambda") -> str:
+def render(p: Poly) -> str:
     """Human-readable form, highest degree first: '2*lambda^2 - 1/3'."""
     if not p:
         return "0"
@@ -130,7 +130,7 @@ def render(p: Poly, var: str = "lambda") -> str:
         if d == 0:
             body = str(mag)
         else:
-            pw = var if d == 1 else f"{var}^{d}"
+            pw = "lambda" if d == 1 else f"lambda^{d}"
             body = pw if mag == 1 else f"{mag}*{pw}"
         if not parts:
             parts.append(body if sign == "+" else f"-{body}")

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .divisors import TwistorDivisorData, solve_divisor_data
 from .errors import CapExceeded
-from .fibers import bimeromorphic_pairs, invariant_fibers, model_degree
+from .fibers import bimeromorphic_pairs, degree_matrix, invariant_fibers, model_degree
 from .lattice import ActionSequence, _read, enumerate_sequences, validate
 from .models import (
     ConformalRoots,
@@ -106,7 +106,7 @@ class AnalysisReport:
                 {"alpha": a + 1, "f": list(f), "fbar": list(fbar)}
                 for a, (f, fbar) in enumerate(invariant_fibers(s, b) for b in ks)
             ],
-            "degreeMatrix": [[abs(d) for d in row[: s.k]] for row in s.pairing],
+            "degreeMatrix": degree_matrix(s),
             "bimeromorphicPairs": [list(p) for p in self.bimeromorphic],
             "divisors": [d.to_json() for d in self.divisors],
             "models": [model_record(eqs, classes) for eqs, classes in self.models],
@@ -127,7 +127,7 @@ def _parse_report(data: dict) -> AnalysisReport:
 def analyze_sequence(
     seq: ActionSequence,
     roots: ConformalRoots | None = None,
-    constants: Sequence[Fraction | int] | None = (1, 1),
+    constants: Sequence[Fraction | int] | None = None,
 ) -> AnalysisReport:
     """Full analysis of one sequence; models for every adjacent index pair."""
     surface = build_surface(seq)
@@ -140,11 +140,10 @@ def analyze_sequence(
         eqs = emit_reduced_model(divisors[i - 1], divisors[i], roots, constants)
         models.append((eqs, tuple(classify_fibers(eqs, roots))))
     warnings: list[dict] = []
-    for i, row in enumerate(surface.pairing, start=1):
+    for i, row in enumerate(degree_matrix(surface), start=1):
         for j in range(i + 1, k + 1):
-            d = abs(row[j - 1])
-            if d > 1:
-                warnings.append({"type": "degree", "i": i, "j": j, "d": d})
+            if row[j - 1] > 1:
+                warnings.append({"type": "degree", "i": i, "j": j, "d": row[j - 1]})
     for data in divisors:
         for b, l in enumerate(data.l_total, start=1):
             if l > 1:

@@ -5,6 +5,9 @@ in circular order.  Component index r runs 0 .. 2k-1; indices 0 .. k-1 are
 the invariant curves C_1 .. C_k and indices k .. 2k-1 their conjugates
 (the curves on the antipodal rays).  Divisors supported on the invariant
 curves are plain integer coefficient tuples of length 2k.
+
+All of the fan's combinatorics comes from one table, ToricSurface.pairing:
+the fan check and the self-intersections read it here, the fibers module the rest.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import IndexMismatch, NonSmoothFan
-from .lattice import ActionSequence, Vector, det2
+from .lattice import ActionSequence, Vector
 
 Divisor = tuple[int, ...]
 
@@ -22,23 +25,16 @@ __all__ = [
     "ToricSurface",
     "anticanonical_cycle",
     "build_surface",
-    "component_label",
     "conjugate_divisor",
     "intersect",
 ]
 
 
-def component_label(r: int, k: int) -> str:
-    """Human name of component r: C1..Ck, then C1bar..Ckbar."""
-    return f"C{r + 1}" if r < k else f"C{r - k + 1}bar"
-
-
 @dataclass(frozen=True)
 class ToricSurface:
-    """Rays, self-intersections of the invariant curves, and the pairing matrix.
+    """Rays, self-intersections of the invariant curves, and the pairing matrix they are read from.
 
-    pairing[a][r] = det(rays[r], rays[a]) for a < k, the one source of fibers,
-    degrees and bimeromorphic pairs; each row's second half negates its first.
+    pairing[a][r] = det(rays[r], rays[a]) for a < k; each row's second half negates its first.
     """
 
     rays: tuple[Vector, ...]
@@ -58,28 +54,25 @@ class ToricSurface:
 
 
 def build_surface(seq: ActionSequence) -> ToricSurface:
-    """Build the surface: 2k rays, the self-intersection of each curve, and the pairing matrix.
+    """The surface read off its pairing matrix: 2k rays and the self-intersection of each curve.
 
-    Self-intersections come from the ray relation
-    u_{r-1} + u_{r+1} = -(C_r . C_r) u_r, which must hold exactly in a
-    smooth complete fan; a failure raises NonSmoothFan and means the input
-    bypassed validation.  The pairing matrix is computed here, once.
+    Row a holds det(rays[a - 1], rays[a]) at a - 1: every consecutive pair of the fan, the
+    antipodal half repeating them.  Each must be -1, else NonSmoothFan (the input bypassed
+    validation).  Row a holds c = det(rays[a - 2], rays[a]) at a - 2, and c = C . C for the
+    curve on rays[a - 1] by the ray relation u_{r-1} + u_{r+1} = -c u_r.  That relation needs
+    no check: det(u_{r-1}, u_r) = det(u_r, u_{r+1}) = -1 gives det(u_{r-1} + u_{r+1}, u_r) = 0,
+    so u_{r-1} + u_{r+1} = t u_r, and pairing both sides with u_{r-1} gives t = -c.
     """
     k = len(seq.vectors)
     rays = tuple(seq.vectors) + tuple([(-a, -b) for (a, b) in seq.vectors])
-    for r in range(2 * k):
-        if det2(rays[r], rays[(r + 1) % (2 * k)]) != -1:
-            raise NonSmoothFan(f"rays {r} and {r + 1} do not span the lattice with the right orientation")
-    self_int = []
-    for r in range(2 * k):
-        prev, cur, nxt = rays[r - 1], rays[r], rays[(r + 1) % (2 * k)]
-        c = det2(prev, nxt)
-        if (prev[0] + nxt[0], prev[1] + nxt[1]) != (-c * cur[0], -c * cur[1]):
-            raise NonSmoothFan(f"ray relation fails at component {component_label(r, k)}")
-        self_int.append(c)
     halves = [[p * y - q * x for p, q in seq.vectors] for x, y in seq.vectors]
     pairing = tuple([tuple(half + [-d for d in half]) for half in halves])
-    return ToricSurface(rays=rays, self_int=tuple(self_int), pairing=pairing)
+    for r in range(k):  # the pair (r, r + 1) lies in row r + 1, the wrap pair (k - 1, k) in row 0
+        a = (r + 1) % k
+        if pairing[a][a - 1] != -1:
+            raise NonSmoothFan(f"rays {r} and {r + 1} do not span the lattice with the right orientation")
+    c = [row[a - 2] for a, row in enumerate(pairing)]  # C . C for the curve on rays[a - 1]
+    return ToricSurface(rays=rays, self_int=tuple(c[1:] + c[:1]) * 2, pairing=pairing)
 
 
 def intersect(d1: Sequence[int], d2: Sequence[int], surface: ToricSurface) -> int:

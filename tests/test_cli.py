@@ -103,6 +103,15 @@ def test_missing_file(capsys):
     assert code == 1 and "error:" in err
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000], ids=["utf16-bom", "deep-nesting"])
+def test_undecodable_input_is_an_input_error(tmp_path, capsys, content):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, ["analyze", "--input", str(path)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ")
+
+
 def test_enumerate_count_only(capsys):
     code, out, _ = run(capsys, ["enumerate", "--n", "2", "--count-only"])
     assert code == 0
@@ -209,6 +218,14 @@ def test_output_file_suppresses_stdout(tmp_path, capsys):
     code, out, _ = run(capsys, ["validate", "--input", path, "--output", str(out_file)])
     assert code == 0 and out == ""
     assert json.loads(out_file.read_text(encoding="utf-8"))["valid"] is True
+
+
+@pytest.mark.parametrize("target", ["missing-dir/report.json", "."], ids=["missing-dir", "directory"])
+def test_unwritable_output_exits_1(tmp_path, capsys, target):
+    path = write_input(tmp_path, HEXAGON)
+    code, out, err = run(capsys, ["analyze", "--input", path, "--output", str(tmp_path / target)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ")
 
 
 def test_missing_subcommand_exits_via_argparse(capsys):

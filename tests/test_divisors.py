@@ -135,6 +135,11 @@ def test_deep_chain_invariants(picks):
     s, sd = build_surface(seq), build_surface(reversal_dual(seq))
     k = s.k
     assert s.pairing == tuple([tuple([det2(u, v) for u in s.rays]) for v in s.rays[:k]])
+    # self_int is read off the pairing; the ray relation is its independent check
+    for r in range(2 * k):
+        prev, cur, nxt = s.rays[r - 1], s.rays[r], s.rays[(r + 1) % (2 * k)]
+        assert (prev[0] + nxt[0], prev[1] + nxt[1]) == (-s.self_int[r] * cur[0], -s.self_int[r] * cur[1])
+    assert s.self_int[:k] == s.self_int[k:]
     # reversal sends v_a to the swapped v_(k+1-a), and swapping negates det: both indices reflect
     assert sd.pairing == tuple([tuple([-s.pairing[k - 1 - a][(k - 1 - r) % (2 * k)] for r in range(2 * k)]) for a in range(k)])
     pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]

@@ -113,7 +113,11 @@ def test_intersect_rejects_wrong_length():
 
 
 def test_build_surface_guards_against_corrupt_input():
-    # bypass validation on purpose; the fan check must still catch this
+    # bypass validation on purpose; the fan check must still catch these
     bogus = ActionSequence(n=1, vectors=((0, 1), (2, 1), (1, 0)))
     with pytest.raises(NonSmoothFan):
         build_surface(bogus)
+    # interior determinants are -1; only the wrap pair fails, det(v_3, -v_1) = -2
+    wrap = ActionSequence(n=1, vectors=((0, 1), (1, 1), (2, 1)))
+    with pytest.raises(NonSmoothFan):
+        build_surface(wrap)
