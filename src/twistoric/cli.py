@@ -50,16 +50,19 @@ EXIT_CODES: tuple[tuple[tuple[type[Exception], ...], int], ...] = (
 )
 
 
-def _parse_fractions(text: str | None) -> tuple[Fraction, ...] | None:
+def _parse_fractions(text: str | None, flag: str) -> tuple[Fraction, ...] | None:
     if text is None:
         return None
     text = text.strip()
     if not text:
         return ()
     try:
-        return tuple([Fraction(part.strip()) for part in text.split(",")])
+        values = tuple([Fraction(part.strip()) for part in text.split(",")])
+        for value in values:
+            str(value)  # the JSON writer's form; past sys.get_int_max_str_digits() it raises ValueError
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"cannot parse rational list {text!r}: {exc}") from exc
+        raise ValueError(f"{flag}: cannot parse rational list {text!r}: {exc}") from exc
+    return values
 
 
 def _load_vectors(path: str) -> list[list[int]]:
@@ -149,8 +152,8 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict | list, int]:
         return (
             run_analyze(
                 vectors,
-                roots_tail=_parse_fractions(args.roots),
-                constants=_parse_fractions(args.constants),
+                roots_tail=_parse_fractions(args.roots, "--roots"),
+                constants=_parse_fractions(args.constants, "--constants"),
             ),
             0,
         )
@@ -161,8 +164,8 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict | list, int]:
         vectors,
         args.i,
         args.j,
-        roots_tail=_parse_fractions(args.roots),
-        constants=_parse_fractions(args.constants),
+        roots_tail=_parse_fractions(args.roots, "--roots"),
+        constants=_parse_fractions(args.constants, "--constants"),
         full=getattr(args, "full", False),
     )
     if args.command == "classify":

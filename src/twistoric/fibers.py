@@ -11,9 +11,9 @@ matrix ToricSurface.pairing: row a - 1 holds phi_a on all 2k rays.  This
 module is its only reader past build_surface.  Both signs occur over a
 complete fan, so the fibers, the positive and negative parts of a row, are
 nonzero effective divisors.  The degree of the map for a pair (i, j) is
-f_i . f_j = |det(v_i, v_j)|, the entry |pairing[j-1][i-1]| (degree_matrix
-lists them all); the pair is bimeromorphic when it is 1.  The intersection-form sum (surface.intersect)
-is the test oracle for the degrees.
+f_i . f_j = |det(v_i, v_j)|, the entry |pairing[j-1][i-1]|; degree_matrix lists
+them all, and bimeromorphic_pairs reads the pairs of degree 1 off that matrix.
+The intersection-form sum (surface.intersect) is the test oracle for the degrees.
 """
 
 from __future__ import annotations
@@ -52,11 +52,11 @@ def model_degree(surface: ToricSurface, i: int, j: int) -> int:
     return abs(surface.pairing[j - 1][i - 1])
 
 
-def degree_matrix(surface: ToricSurface) -> list[list[int]]:
+def degree_matrix(surface: ToricSurface) -> tuple[tuple[int, ...], ...]:
     """The k x k degrees: entry [i - 1][j - 1] is |det(v_i, v_j)|, symmetric with a zero diagonal."""
-    return [[abs(d) for d in row[: surface.k]] for row in surface.pairing]
+    return tuple([tuple([abs(d) for d in row[: surface.k]]) for row in surface.pairing])
 
 
-def bimeromorphic_pairs(surface: ToricSurface) -> list[tuple[int, int]]:
-    """All index pairs i < j whose model degree is 1, in lexicographic order."""
-    return [(i + 1, j + 1) for i, row in enumerate(degree_matrix(surface)) for j in range(i + 1, len(row)) if row[j] == 1]
+def bimeromorphic_pairs(degrees: tuple[tuple[int, ...], ...]) -> list[tuple[int, int]]:
+    """All index pairs i < j whose degree is 1, in lexicographic order, read off degree_matrix(surface)."""
+    return [(i + 1, j + 1) for i, row in enumerate(degrees) for j in range(i + 1, len(row)) if row[j] == 1]

@@ -1,11 +1,11 @@
 """Assembly and serialization of full analysis reports.
 
-A report gathers everything derived from one action sequence: the surface,
-the invariant fibers and their pairwise degrees, the divisor data of every
-pencil, model equations for the chosen index pairs, fiber classifications,
-and warnings.  Reports serialize to one JSON document, rationals as 'p/q'
-strings.  Each reader accepts exactly what its writer emits; a report is
-read from its input, roots and first constants, then analyzed again.
+A report holds what analyze_sequence derives, once each, from one action
+sequence: the surface, its invariant fibers and their degree matrix, the
+divisor data solved from those fibers, adjacent-pair models with their fiber
+classes, and warnings.  to_json only writes them, rationals as 'p/q' strings.
+Each reader accepts exactly what its writer emits; a report is read from its
+input, roots and first constants, then analyzed again.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .divisors import TwistorDivisorData, solve_divisor_data
+from .divisors import TwistorDivisorData, solve_divisor_data, solve_from_fibers
 from .errors import CapExceeded
 from .fibers import bimeromorphic_pairs, degree_matrix, invariant_fibers, model_degree
 from .lattice import ActionSequence, _read, enumerate_sequences, validate
@@ -28,7 +28,7 @@ from .models import (
     emit_reduced_model,
 )
 from .ratpoly import poly_from_strings, poly_to_strings
-from .surface import ToricSurface, build_surface
+from .surface import Divisor, ToricSurface, build_surface
 
 DEFAULT_CAP = 8
 
@@ -90,23 +90,23 @@ class AnalysisReport:
     sequence: ActionSequence
     surface: ToricSurface
     roots: ConformalRoots
+    fibers: tuple[tuple[Divisor, Divisor], ...]
+    degrees: tuple[tuple[int, ...], ...]
     bimeromorphic: tuple[tuple[int, int], ...]
     divisors: tuple[TwistorDivisorData, ...]
     models: tuple[tuple[ModelEquations, tuple[FiberClass, ...]], ...]
     warnings: tuple[dict, ...]
 
     def to_json(self) -> dict:
-        s = self.surface
-        ks = range(1, s.k + 1)
         return {
             "input": self.sequence.to_json(),
-            "surface": s.to_json(),
+            "surface": self.surface.to_json(),
             "roots": self.roots.to_json(),
             "fibers": [
-                {"alpha": a + 1, "f": list(f), "fbar": list(fbar)}
-                for a, (f, fbar) in enumerate(invariant_fibers(s, b) for b in ks)
+                {"alpha": a, "f": list(f), "fbar": list(fbar)}
+                for a, (f, fbar) in enumerate(self.fibers, start=1)
             ],
-            "degreeMatrix": degree_matrix(s),
+            "degreeMatrix": [list(row) for row in self.degrees],
             "bimeromorphicPairs": [list(p) for p in self.bimeromorphic],
             "divisors": [d.to_json() for d in self.divisors],
             "models": [model_record(eqs, classes) for eqs, classes in self.models],
@@ -134,13 +134,15 @@ def analyze_sequence(
     k = surface.k
     if roots is None:
         roots = default_roots(k)
-    divisors = tuple([solve_divisor_data(surface, a) for a in range(1, k + 1)])
+    fibers = tuple([invariant_fibers(surface, a) for a in range(1, k + 1)])
+    divisors = tuple([solve_from_fibers(f, fbar, a) for a, (f, fbar) in enumerate(fibers, start=1)])
+    degrees = degree_matrix(surface)
     models = []
     for i in range(1, k):
         eqs = emit_reduced_model(divisors[i - 1], divisors[i], roots, constants)
         models.append((eqs, tuple(classify_fibers(eqs, roots))))
     warnings: list[dict] = []
-    for i, row in enumerate(degree_matrix(surface), start=1):
+    for i, row in enumerate(degrees, start=1):
         for j in range(i + 1, k + 1):
             if row[j - 1] > 1:
                 warnings.append({"type": "degree", "i": i, "j": j, "d": row[j - 1]})
@@ -152,7 +154,9 @@ def analyze_sequence(
         sequence=seq,
         surface=surface,
         roots=roots,
-        bimeromorphic=tuple(bimeromorphic_pairs(surface)),
+        fibers=fibers,
+        degrees=degrees,
+        bimeromorphic=tuple(bimeromorphic_pairs(degrees)),
         divisors=divisors,
         models=tuple(models),
         warnings=tuple(warnings),
@@ -188,7 +192,7 @@ def run_enumerate(n: int, count_only: bool = False, cap: int = DEFAULT_CAP) -> d
                 "vectors": [list(v) for v in seq.vectors],
                 "selfInt": list(surface.self_int),
                 "m": [d.m for d in divisors],
-                "bimeromorphicPairs": [list(p) for p in bimeromorphic_pairs(surface)],
+                "bimeromorphicPairs": [list(p) for p in bimeromorphic_pairs(degree_matrix(surface))],
             }
         )
     out["sequences"] = summaries

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -183,6 +184,16 @@ def test_unparsable_roots_rejected(tmp_path, capsys):
     path = write_input(tmp_path, HEXAGON)
     code, _, _ = run(capsys, ["model", "--input", path, "--i", "1", "--j", "2", "--roots", "x"])
     assert code == 2
+    if not hasattr(sys, "get_int_max_str_digits"):  # an interpreter without the int-to-str digit limit
+        return
+    # values whose integer part str() refuses are refused when parsed, naming the flag
+    for argv, flag in [
+        (["analyze", "--input", path, "--roots", "1e5000"], "--roots"),
+        (["model", "--input", path, "--i", "1", "--j", "2", "--constants", "1e5000,1"], "--constants"),
+    ]:
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert flag in err
 
 
 def test_classify_shape(tmp_path, capsys):

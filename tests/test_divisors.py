@@ -11,6 +11,7 @@ from twistoric import (
     anticanonical_cycle,
     bimeromorphic_pairs,
     build_surface,
+    degree_matrix,
     enumerate_sequences,
     intersect,
     invariant_fibers,
@@ -143,12 +144,16 @@ def test_deep_chain_invariants(picks):
     # reversal sends v_a to the swapped v_(k+1-a), and swapping negates det: both indices reflect
     assert sd.pairing == tuple([tuple([-s.pairing[k - 1 - a][(k - 1 - r) % (2 * k)] for r in range(2 * k)]) for a in range(k)])
     pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
-    assert bimeromorphic_pairs(s) == [(i, j) for i, j in pairs if abs(det2(s.rays[i - 1], s.rays[j - 1])) == 1]
+    assert bimeromorphic_pairs(degree_matrix(s)) == [(i, j) for i, j in pairs if abs(det2(s.rays[i - 1], s.rays[j - 1])) == 1]
     fibers = [invariant_fibers(s, a) for a in range(1, k + 1)]
     for i, j in pairs[:: 1 + len(pairs) // 40]:
         assert model_degree(s, i, j) == intersect(fibers[i - 1][0], fibers[j - 1][0], s)
     for i in range(1, k):
         assert model_degree(s, i, i + 1) == 1
+    # the principal divisor of the character e, sum of <e, u_r> C_r, meets every curve in 0
+    for e in ((1, 0), (0, 1)):
+        principal = tuple([e[0] * u[0] + e[1] * u[1] for u in s.rays])
+        assert all(intersect(principal, tuple([int(r == t) for r in range(2 * k)]), s) == 0 for t in range(2 * k))
     for a in range(1, k + 1):
         f, fbar = fibers[a - 1]
         assert intersect(f, f, s) == 0

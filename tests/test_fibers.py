@@ -9,6 +9,7 @@ from twistoric import (
     bimeromorphic_pairs,
     build_surface,
     conjugate_divisor,
+    degree_matrix,
     enumerate_sequences,
     intersect,
     invariant_fibers,
@@ -115,7 +116,7 @@ def test_degree_matches_intersection_form_oracle():
 
 def test_bimeromorphic_pairs_n2():
     s = surf([(0, 1), (1, 1), (2, 1), (1, 0)])
-    pairs = bimeromorphic_pairs(s)
+    pairs = bimeromorphic_pairs(degree_matrix(s))
     assert pairs == [(1, 2), (1, 4), (2, 3), (2, 4), (3, 4)]
     assert (1, 3) not in pairs
     for i in range(1, 4):

@@ -22,7 +22,7 @@ from twistoric.errors import (
     POSITIVITY_VIOLATION,
 )
 
-from oracles import NEG, ROT, SHEAR, SHEAR_INV, brute_force_sequences, mat_apply, mat_mul
+from oracles import NEG, ROT, SHEAR, SHEAR_INV, brute_force_sequences, grow_by_mediants, mat_apply, mat_mul
 
 
 def test_validate_hexagon_data():
@@ -100,12 +100,13 @@ def test_normalize_matrix_maps_input_to_output():
 
 
 enumerated_pool = [seq for n in range(4) for seq in enumerate_sequences(n)]
+mediant_pool = st.lists(st.integers(0, 10**6), max_size=28).map(lambda picks: validate(grow_by_mediants(picks)))
 unimodular_words = st.lists(
     st.sampled_from([ROT, SHEAR, SHEAR_INV, NEG]), min_size=0, max_size=6
 )
 
 
-@given(st.sampled_from(enumerated_pool), unimodular_words)
+@given(st.one_of(st.sampled_from(enumerated_pool), mediant_pool), unimodular_words)
 def test_normalize_recovers_scrambled_sequences(seq, word):
     mat = ((1, 0), (0, 1))
     for w in word:

@@ -17,16 +17,22 @@ from twistoric import (
     TwistoricError,
     TwistorDivisorData,
     analyze_sequence,
+    bimeromorphic_pairs,
     classify_fibers,
     default_roots,
+    degree_matrix,
     emit_full_model,
     enumerate_sequences,
+    invariant_fibers,
     run_analyze,
     run_enumerate,
     run_model,
+    solve_divisor_data,
     validate,
 )
 from twistoric.report import model_record, parse_model_record
+
+from oracles import grow_by_mediants
 
 HEXAGON = [(0, 1), (1, 1), (1, 0)]
 
@@ -64,6 +70,23 @@ def test_report_round_trips_through_json():
             rebuilt = AnalysisReport.from_json(data)
             assert rebuilt == report
             assert rebuilt.to_json() == report.to_json()
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(st.integers(0, 10**6), max_size=8))
+def test_report_sections_match_per_index_functions(picks):
+    """Chains grown by mediants, k up to 10: each section the report holds is what the
+    per-index function gives, and the JSON reads back to an equal report."""
+    seq = validate(grow_by_mediants(picks))
+    report = analyze_sequence(seq)
+    s = report.surface
+    assert report.degrees == degree_matrix(s)
+    assert report.bimeromorphic == tuple(bimeromorphic_pairs(degree_matrix(s)))
+    assert len(report.fibers) == len(report.divisors) == s.k
+    for a in range(1, s.k + 1):
+        assert report.fibers[a - 1] == invariant_fibers(s, a)
+        assert report.divisors[a - 1] == solve_divisor_data(s, a)
+    assert AnalysisReport.from_json(json.loads(json.dumps(report.to_json()))) == report
 
 
 def test_model_record_round_trip():
