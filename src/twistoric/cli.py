@@ -147,27 +147,13 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict | list, int]:
     if args.command == "enumerate":
         return run_enumerate(args.n, count_only=args.count_only, cap=args.cap), 0
 
-    if args.command == "analyze":
-        vectors = _load_vectors(args.input)
-        return (
-            run_analyze(
-                vectors,
-                roots_tail=_parse_fractions(args.roots, "--roots"),
-                constants=_parse_fractions(args.constants, "--constants"),
-            ),
-            0,
-        )
-
-    # the subparsers are required and closed, so what is left is model or classify
+    # the subparsers are required and closed, so what is left is analyze, model or classify
     vectors = _load_vectors(args.input)
-    record = run_model(
-        vectors,
-        args.i,
-        args.j,
-        roots_tail=_parse_fractions(args.roots, "--roots"),
-        constants=_parse_fractions(args.constants, "--constants"),
-        full=getattr(args, "full", False),
-    )
+    roots_tail = _parse_fractions(args.roots, "--roots")
+    constants = _parse_fractions(args.constants, "--constants")
+    if args.command == "analyze":
+        return run_analyze(vectors, roots_tail, constants), 0
+    record = run_model(vectors, args.i, args.j, roots_tail, constants, full=getattr(args, "full", False))
     if args.command == "classify":
         return {"i": record["i"], "j": record["j"], "fibers": record["fibers"]}, 0
     return record, 0

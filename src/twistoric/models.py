@@ -11,9 +11,10 @@ where P_1 = c_1 prod (lambda - r_b)^{l_ib} over the finite root labels and
 P_2 likewise with the l_jb.  The full chain of models adds one equation per
 step between m_j and m_i, each picking up a factor lambda^2.
 
-Roots are labelled 2 .. k; label 1 sits at infinity, label 2 at zero.  A
-polynomial vanishes at infinity exactly when its degree falls short of twice
-the pencil multiplicity, and the deficit is the multiplicity there.
+Roots are labelled 2 .. k; label 1 sits at infinity, label 2 at zero.  P_1
+vanishes at label b to order l_ib, so a fiber's kind is read from the two
+multiplicities at its label; only the model-record reader and the test
+oracles root-test P.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Sequence
 from .divisors import TwistorDivisorData
 from .errors import DegenerateConstants, RootCollision, RootOrderViolation
 from .lattice import _read
-from .ratpoly import Poly, cleared, degree, derivative, from_factors, render, vanishes
+from .ratpoly import Poly, from_factors, render
 
 GENERIC_FOUR_NODAL = "GenericFourNodal"
 TWO_QUADRIC_CONES = "TwoQuadricCones"
@@ -67,7 +68,7 @@ class ConformalRoots:
             raise RootOrderViolation("need k >= 2")
         if len(self.tail) != self.k - 2:
             raise RootOrderViolation(f"expected {self.k - 2} roots for labels 3..{self.k}, got {len(self.tail)}")
-        object.__setattr__(self, "tail", tuple([Fraction(r) for r in self.tail]))
+        object.__setattr__(self, "tail", _exact(self.tail, "roots"))
         seen: set[Fraction] = set()
         for r in self.tail:
             if r in seen or r == 0:
@@ -90,6 +91,14 @@ class ConformalRoots:
     @staticmethod
     def from_json(data: dict) -> "ConformalRoots":
         return _read(data, _parse_roots, ConformalRoots.to_json, "roots")
+
+
+def _exact(values: Sequence[Fraction | int], field: str) -> tuple[Fraction, ...]:
+    """The values as Fractions; anything but an int or a Fraction (a float, a bool) is a ValueError naming field."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+            raise ValueError(f"{field!r} must be ints or Fractions, got {v!r}")
+    return tuple([Fraction(v) for v in values])
 
 
 def _parse_roots(data: dict) -> ConformalRoots:
@@ -141,48 +150,48 @@ def _ordered(data_i: TwistorDivisorData, data_j: TwistorDivisorData) -> tuple[Tw
     return (data_i, data_j) if data_i.m >= data_j.m else (data_j, data_i)
 
 
-def _check_constants(constants: Sequence[Fraction | int], count: int) -> tuple[Fraction, ...]:
+def _check_constants(constants: Sequence[Fraction | int] | None, count: int) -> tuple[Fraction, ...]:
+    if constants is None:
+        return (Fraction(1),) * count
     if len(constants) != count:
         raise ValueError(f"expected {count} scale constants, got {len(constants)}")
-    out = tuple([Fraction(c) for c in constants])
-    for c in out:
-        if c == 0:
-            raise DegenerateConstants("scale constants must be nonzero")
+    out = _exact(constants, "constants")
+    if 0 in out:
+        raise DegenerateConstants("scale constants must be nonzero")
     return out
 
 
-def _pencil_poly(data: TwistorDivisorData, roots: ConformalRoots, scale: Fraction) -> Poly:
-    finite = roots.finite_roots
-    ltot = data.l_total
-    # labels 2..k carry the finite roots; label 1 is the point at infinity
-    return from_factors(scale, ((finite[b - 2], ltot[b - 1]) for b in range(2, data.k + 1)))
-
-
-def _build_model(
-    data_i: TwistorDivisorData,
-    data_j: TwistorDivisorData,
+def _models(
+    data: Sequence[TwistorDivisorData],
     roots: ConformalRoots,
     constants: Sequence[Fraction | int] | None,
     full: bool,
-) -> ModelEquations:
-    """The chain's first two members, or all mu + 2 when full; None constants are ones."""
-    di, dj = _ordered(data_i, data_j)
-    if roots.k != di.k:
-        raise ValueError(f"roots are for k = {roots.k}, divisor data for k = {di.k}")
-    mu = di.m - dj.m
-    count = mu + 2 if full else 2
-    cs = _check_constants((1,) * count if constants is None else constants, count)
-    polys = _chain(_pencil_poly(di, roots, cs[0]), _pencil_poly(dj, roots, cs[1]), cs)
-    return ModelEquations(i=di.alpha, j=dj.alpha, m_i=di.m, m_j=dj.m, constants=cs, polys=polys)
+) -> list[ModelEquations]:
+    """The model of each adjacent pair in data: the chain's first two members, or all mu + 2 when full.
+
+    Each label's product of (lambda - r_b)^{l_b} over labels b = 2 .. k is expanded
+    once, and a model only rescales it; None constants are ones.
+    """
+    pairs = [_ordered(d_i, d_j) for d_i, d_j in zip(data, data[1:])]
+    if roots.k != data[0].k:
+        raise ValueError(f"roots are for k = {roots.k}, divisor data for k = {data[0].k}")
+    css = [_check_constants(constants, di.m - dj.m + 2 if full else 2) for di, dj in pairs]
+    products = {d.alpha: from_factors(Fraction(1), zip(roots.finite_roots, d.l_total[1:])) for d in data}
+    out = []
+    for (di, dj), cs in zip(pairs, css):
+        polys = _chain(_scaled(products[di.alpha], cs[0]), _scaled(products[dj.alpha], cs[1]), cs)
+        out.append(ModelEquations(i=di.alpha, j=dj.alpha, m_i=di.m, m_j=dj.m, constants=cs, polys=polys))
+    return out
+
+
+def _scaled(p: Poly, c: Fraction) -> Poly:
+    return p if c == 1 else tuple([c * x for x in p])
 
 
 def _chain(p1: Poly, p2: Poly, cs: tuple[Fraction, ...]) -> tuple[Poly, ...]:
     """P_1, P_2, then c_a / c_2 * lambda^(2(a-2)) * P_2 for a = 3 .. len(cs), P_2 having the constant c_2."""
-    # the label-j product is expanded once; each other distinct constant rescales it
-    scaled = {cs[1]: p2}
-    for c in set(cs[2:]) - {cs[1]}:
-        ratio = c / cs[1]
-        scaled[c] = tuple([ratio * x for x in p2])
+    # P_2 is rescaled once per distinct constant
+    scaled = {c: _scaled(p2, c / cs[1]) for c in set(cs[1:])}
     return (p1,) + tuple([(Fraction(0),) * (2 * (a - 2)) + scaled[cs[a - 1]] for a in range(2, len(cs) + 1)])
 
 
@@ -197,7 +206,7 @@ def emit_reduced_model(
     Swaps the roles of i and j internally when m_i < m_j so the recorded
     bundle degrees never decrease.  Takes two scale constants, both ones when omitted.
     """
-    return _build_model(data_i, data_j, roots, constants, full=False)
+    return _models((data_i, data_j), roots, constants, full=False)[0]
 
 
 def emit_full_model(
@@ -213,7 +222,7 @@ def emit_full_model(
     chain starts at the reduced second equation and gains lambda^2 each step.
     Takes mu + 2 scale constants, all ones when omitted.
     """
-    return _build_model(data_i, data_j, roots, constants, full=True)
+    return _models((data_i, data_j), roots, constants, full=True)[0]
 
 
 @dataclass(frozen=True)
@@ -245,39 +254,33 @@ def _parse_fiber_class(data: dict) -> FiberClass:
     return FiberClass(location=at, kind=data["kind"], non_reduced=bool(data["nonReduced"]), generic=bool(data["generic"]))
 
 
-def _kind(vanishes1: bool, vanishes2: bool) -> str:
-    return _KINDS[vanishes1 + vanishes2]
+def _fiber_class(location: Fraction | None, order_1: int, order_2: int) -> FiberClass:
+    """The class where P_1, P_2 vanish to these orders: the kind counts the positive ones, and two or more is non-reduced."""
+    return FiberClass(location=location, kind=_KINDS[(order_1 > 0) + (order_2 > 0)], non_reduced=order_1 >= 2 or order_2 >= 2)
 
 
-def classify_fibers(eqs: ModelEquations, roots: ConformalRoots) -> list[FiberClass]:
-    """Classify the fiber over each root location, plus one generic sample.
-
-    A fiber degenerates from four nodes to two quadric cones when exactly
-    one of P_1, P_2 vanishes there, and to four planes when both do; a
-    vanishing order of two or more (at a finite root r: P(r) = P'(r) = 0)
-    flags a non-reduced pencil member.  The root tests run on P_1, P_2 with
-    their denominators cleared, by integer homogeneous Horner (vanishes).
-    Raises ValueError when P_1 or P_2 vanishes at the generic sample.
-    """
-    out: list[FiberClass] = []
-    m1 = 2 * eqs.m_i - degree(eqs.p1)
-    m2 = 2 * eqs.m_j - degree(eqs.p2)
-    out.append(FiberClass(location=None, kind=_kind(m1 > 0, m2 > 0), non_reduced=m1 >= 2 or m2 >= 2))
-    c1, c2 = cleared(eqs.p1), cleared(eqs.p2)
-    d1, d2 = derivative(c1), derivative(c2)
-    for r in roots.finite_roots:
-        v1 = vanishes(c1, r)
-        v2 = vanishes(c2, r)
-        non_reduced = (v1 and vanishes(d1, r)) or (v2 and vanishes(d2, r))
-        out.append(FiberClass(location=r, kind=_kind(v1, v2), non_reduced=non_reduced))
-    taken = set(roots.finite_roots)
+def _generic_class(roots: ConformalRoots) -> FiberClass:
+    """The sample standing in for every unlisted location: the smallest positive integer that is no root."""
+    taken = {r.numerator for r in roots.finite_roots if r.denominator == 1}
     n = 1
     while n in taken:
         n += 1
-    sample = Fraction(n)
-    if vanishes(c1, sample) or vanishes(c2, sample):
-        raise ValueError(f"P_1 or P_2 vanishes at the generic sample {sample}")
-    out.append(FiberClass(location=sample, kind=GENERIC_FOUR_NODAL, non_reduced=False, generic=True))
+    return FiberClass(location=Fraction(n), kind=GENERIC_FOUR_NODAL, non_reduced=False, generic=True)
+
+
+def classify_fibers(l_i: Sequence[int], l_j: Sequence[int], roots: ConformalRoots) -> list[FiberClass]:
+    """Classify the fiber over each label's location, plus one generic sample.
+
+    l_i, l_j are the l_total of the model's i and j: the multiplicities of P_1
+    and P_2 at label 1 (infinity) and labels 2 .. k (roots.finite_roots).  A
+    fiber degenerates from four nodes to two quadric cones when one of the
+    two is positive there, and to four planes when both are; a multiplicity
+    of two or more flags a non-reduced pencil member.  No root is tested.
+    """
+    if not len(l_i) == len(l_j) == roots.k:
+        raise ValueError(f"need one multiplicity per label 1 .. {roots.k}, got {len(l_i)} and {len(l_j)}")
+    out = [_fiber_class(r, a, b) for r, a, b in zip((None,) + roots.finite_roots, l_i, l_j)]
+    out.append(_generic_class(roots))
     return out
 
 

@@ -2,14 +2,14 @@
 
 Polynomials are tuples of Fractions in ascending degree order with no
 trailing zeros; the zero polynomial is the empty tuple.  Only the handful
-of operations the model emitter and the fiber classifier need live here.
+of operations the model emitter and the model-record reader need live here.
 
 The arithmetic runs on ints: from_factors expands with the denominators
-cleared and makes one Fraction per coefficient at the end, and the root
-test runs vanishes, an integer homogeneous Horner scheme, on the cleared
-coefficients.  evaluate is kept as the exact Fraction evaluator: the
-independent route the tests check the integer kernel against.  There is
-no general multiplication; the tests hold that as an oracle.
+cleared and makes one Fraction per coefficient at the end.  The root test,
+vanishes, is integer homogeneous Horner on the cleared coefficients; only
+the model-record reader runs it, where P is free data.  evaluate is the
+exact Fraction evaluator the tests check the integer kernel against.  There
+is no general multiplication; the tests hold that as an oracle.
 """
 
 from __future__ import annotations

@@ -23,11 +23,14 @@ from .models import (
     FiberClass,
     ModelEquations,
     _chain,
+    _fiber_class,
+    _generic_class,
+    _models,
     classify_fibers,
     emit_full_model,
     emit_reduced_model,
 )
-from .ratpoly import poly_from_strings, poly_to_strings
+from .ratpoly import cleared, degree, derivative, poly_from_strings, poly_to_strings, vanishes
 from .surface import Divisor, ToricSurface, build_surface
 
 DEFAULT_CAP = 8
@@ -70,7 +73,7 @@ def parse_model_record(data: dict) -> tuple[ModelEquations, tuple[FiberClass, ..
 
 def _parse_model(data: dict) -> tuple[ModelEquations, tuple[FiberClass, ...]]:
     # c is the leading coefficients of P, the rows past P_2 follow from P_2 and c, and the
-    # fibers are classified again at their locations
+    # fibers are classified again at their locations, from the orders of P_1 and P_2 there
     m_i, m_j = _read(data["bundle"], lambda b: (int(b[0]), int(b[2])), lambda m: [m[0], m[0], m[1], m[1]], "bundle")
     rows = [poly_from_strings(row) for row in data["P"]]
     constants = tuple([p[-1] for p in rows])
@@ -80,7 +83,19 @@ def _parse_model(data: dict) -> tuple[ModelEquations, tuple[FiberClass, ...]]:
         raise ValueError(f"'P' and 'bundle' disagree: {len(polys)} polynomials with mu = {eqs.mu}, not 2 or mu + 2 with mu >= 0")
     classes = [FiberClass.from_json(fc) for fc in data["fibers"]]
     finite = tuple([fc.location for fc in classes[1:-1]])
-    return eqs, tuple(classify_fibers(eqs, ConformalRoots(k=len(finite) + 1, tail=finite[1:])))
+    roots = ConformalRoots(k=len(finite) + 1, tail=finite[1:])
+    generic = _generic_class(roots)
+    cs = [cleared(p) for p in polys[:2]]
+    if vanishes(cs[0], generic.location) or vanishes(cs[1], generic.location):
+        raise ValueError(f"P_1 or P_2 vanishes at the generic sample {generic.location}")
+    out = [_fiber_class(None, 2 * m_i - degree(polys[0]), 2 * m_j - degree(polys[1]))]
+    out += [_fiber_class(r, _order(cs[0], r), _order(cs[1], r)) for r in roots.finite_roots]
+    return eqs, tuple(out + [generic])
+
+
+def _order(coeffs: list[int], r: Fraction) -> int:
+    """The vanishing order at r, capped at 2, by integer Horner on the polynomial and its derivative."""
+    return 0 if not vanishes(coeffs, r) else 1 if not vanishes(derivative(coeffs), r) else 2
 
 
 @dataclass(frozen=True)
@@ -129,7 +144,7 @@ def analyze_sequence(
     roots: ConformalRoots | None = None,
     constants: Sequence[Fraction | int] | None = None,
 ) -> AnalysisReport:
-    """Full analysis of one sequence; models for every adjacent index pair."""
+    """Full analysis of one sequence; models for every adjacent index pair, each label's product expanded once."""
     surface = build_surface(seq)
     k = surface.k
     if roots is None:
@@ -137,10 +152,10 @@ def analyze_sequence(
     fibers = tuple([invariant_fibers(surface, a) for a in range(1, k + 1)])
     divisors = tuple([solve_from_fibers(f, fbar, a) for a, (f, fbar) in enumerate(fibers, start=1)])
     degrees = degree_matrix(surface)
-    models = []
-    for i in range(1, k):
-        eqs = emit_reduced_model(divisors[i - 1], divisors[i], roots, constants)
-        models.append((eqs, tuple(classify_fibers(eqs, roots))))
+    models = [
+        (eqs, tuple(classify_fibers(divisors[eqs.i - 1].l_total, divisors[eqs.j - 1].l_total, roots)))
+        for eqs in _models(divisors, roots, constants, full=False)
+    ]
     warnings: list[dict] = []
     for i, row in enumerate(degrees, start=1):
         for j in range(i + 1, k + 1):
@@ -216,9 +231,7 @@ def run_model(
         if roots_tail is None
         else ConformalRoots(k=surface.k, tail=tuple(roots_tail))
     )
-    data_i = solve_divisor_data(surface, i)
-    data_j = solve_divisor_data(surface, j)
+    data = {a: solve_divisor_data(surface, a) for a in (i, j)}
     emit = emit_full_model if full else emit_reduced_model
-    eqs = emit(data_i, data_j, roots, constants)
-    classes = classify_fibers(eqs, roots)
-    return model_record(eqs, classes)
+    eqs = emit(data[i], data[j], roots, constants)
+    return model_record(eqs, classify_fibers(data[eqs.i].l_total, data[eqs.j].l_total, roots))

@@ -160,10 +160,9 @@ def test_c08_linear_system_metadata():
 def test_c09_fiber_classification():
     hexagon = build_surface(validate(HEXAGON))
     roots = ConformalRoots(k=3, tail=(Fraction(1),))
-    eqs = emit_reduced_model(
-        solve_divisor_data(hexagon, 1), solve_divisor_data(hexagon, 2), roots, (1, 1)
-    )
-    classes = classify_fibers(eqs, roots)
+    # m_1 = m_2 = 1, so the model for the pair keeps the order (1, 2)
+    d1, d2 = solve_divisor_data(hexagon, 1), solve_divisor_data(hexagon, 2)
+    classes = classify_fibers(d1.l_total, d2.l_total, roots)
     by_location = {c.location: c.kind for c in classes if not c.generic}
     assert by_location[None] == FOUR_PLANES
     assert by_location[Fraction(0)] == TWO_QUADRIC_CONES
@@ -180,7 +179,7 @@ def test_c09_fiber_classification():
                 eqs = emit_reduced_model(data[i - 1], data[i], roots)
                 di = next(d for d in data if d.alpha == eqs.i)
                 dj = next(d for d in data if d.alpha == eqs.j)
-                for c in classify_fibers(eqs, roots):
+                for c in classify_fibers(di.l_total, dj.l_total, roots):
                     if c.generic:
                         assert c.kind == GENERIC_FOUR_NODAL
                         continue

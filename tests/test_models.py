@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import ast
+import importlib
+import json
+import pkgutil
 import random
 from fractions import Fraction
 from itertools import accumulate
@@ -28,9 +31,10 @@ from twistoric import (
     system_meta,
     validate,
 )
-from twistoric.models import FOUR_PLANES, GENERIC_FOUR_NODAL, TWO_QUADRIC_CONES, FiberClass, ModelEquations
+from twistoric import ratpoly
+from twistoric.models import FOUR_PLANES, GENERIC_FOUR_NODAL, TWO_QUADRIC_CONES, FiberClass
 from twistoric.ratpoly import degree, evaluate
-from twistoric.report import default_roots
+from twistoric.report import analyze_sequence, default_roots, model_record, parse_model_record, run_model
 
 from oracles import grow_by_mediants, root_multiplicity
 
@@ -112,6 +116,19 @@ def test_conformal_roots_validation():
     with pytest.raises(RootOrderViolation):
         ConformalRoots(k=4, tail=(Fraction(1),))  # wrong count
     assert ConformalRoots(k=3, tail=(Fraction(1),)).finite_roots == (Fraction(0), Fraction(1))
+
+
+def test_float_and_bool_roots_and_constants_are_refused():
+    for bad in (0.1, True, 2.0):
+        with pytest.raises(ValueError, match="'roots'"):
+            ConformalRoots(k=4, tail=(Fraction(1, 2), bad))
+        with pytest.raises(ValueError, match="'constants'"):
+            run_model([(0, 1), (1, 1), (1, 0)], 1, 2, constants=[Fraction(1, 2), bad])
+        with pytest.raises(ValueError, match="'constants'"):
+            analyze_sequence(validate([(0, 1), (1, 1), (1, 0)]), constants=[bad, 1])
+    # ints and Fractions as before
+    assert ConformalRoots(k=4, tail=(1, Fraction(5, 2))).tail == (Fraction(1), Fraction(5, 2))
+    assert run_model([(0, 1), (1, 1), (1, 0)], 1, 2, constants=[2, Fraction(-1, 3)])["c"] == ["2", "-1/3"]
 
 
 def test_hexagon_reduced_model_exact():
@@ -220,7 +237,8 @@ def test_hexagon_fiber_classification_exact():
     _, d1, d2 = divisor_pair([(0, 1), (1, 1), (1, 0)], 1, 2)
     roots = ConformalRoots(k=3, tail=(Fraction(1),))
     eqs = emit_reduced_model(d1, d2, roots, (1, 1))
-    classes = classify_fibers(eqs, roots)
+    classes = classify_fibers(d1.l_total, d2.l_total, roots)
+    assert (eqs.i, eqs.j) == (1, 2)
     assert [(c.location, c.kind, c.non_reduced, c.generic) for c in classes] == [
         (None, FOUR_PLANES, False, False),
         (Fraction(0), TWO_QUADRIC_CONES, False, False),
@@ -235,7 +253,8 @@ def test_classification_flags_non_reduced_members():
     assert d1.l_total == (1, 1, 1, 2, 1)
     roots = default_roots(5)  # labels 3,4,5 at 1,2,3
     eqs = emit_reduced_model(d1, d2, roots)
-    classes = classify_fibers(eqs, roots)
+    assert (eqs.i, eqs.j) == (1, 2)
+    classes = classify_fibers(d1.l_total, d2.l_total, roots)
     at_two = next(c for c in classes if c.location == Fraction(2))
     assert at_two.kind == FOUR_PLANES and at_two.non_reduced
     generic = [c for c in classes if c.generic]
@@ -250,11 +269,11 @@ def test_classification_complete_and_kind_matches_vanishing():
             data = [solve_divisor_data(s, a) for a in range(1, s.k + 1)]
             for i in range(1, s.k):
                 eqs = emit_reduced_model(data[i - 1], data[i], roots)
-                classes = classify_fibers(eqs, roots)
-                assert len(classes) == s.k + 1
-                assert sum(1 for c in classes if c.generic) == 1
                 di = next(d for d in data if d.alpha == eqs.i)
                 dj = next(d for d in data if d.alpha == eqs.j)
+                classes = classify_fibers(di.l_total, dj.l_total, roots)
+                assert len(classes) == s.k + 1
+                assert sum(1 for c in classes if c.generic) == 1
                 for idx, c in enumerate(c for c in classes if not c.generic):
                     assert (c.kind, c.non_reduced) == expected_class(di.l_total[idx], dj.l_total[idx])
 
@@ -283,7 +302,7 @@ def test_classification_matches_oracle_vanishing_orders():
                     orders2 = [root_multiplicity(eqs.p2, r) for r in roots.finite_roots]
                     assert orders1 == list(di.l_total[1:])
                     assert orders2 == list(dj.l_total[1:])
-                    classes = classify_fibers(eqs, roots)
+                    classes = classify_fibers(di.l_total, dj.l_total, roots)
                     assert [c.location for c in classes[1:-1]] == list(roots.finite_roots)
                     orders = zip([di.l_total[0]] + orders1, [dj.l_total[0]] + orders2)
                     for c, (o1, o2) in zip(classes[:-1], orders):
@@ -305,25 +324,89 @@ def test_deep_chain_models_follow_divisor_data(picks, rng):
         di, dj = data[eqs.i - 1], data[eqs.j - 1]
         assert degree(eqs.p1) == 2 * di.m - di.l_total[0]
         assert degree(eqs.p2) == 2 * dj.m - dj.l_total[0]
-        classes = classify_fibers(eqs, roots)
+        classes = classify_fibers(di.l_total, dj.l_total, roots)
         # infinity, then labels 2 .. k: the same order as l_total
         for c, li, lj in zip(classes[:-1], di.l_total, dj.l_total):
             assert (c.kind, c.non_reduced) == expected_class(li, lj)
 
 
+@settings(deadline=None, max_examples=30)
+@given(st.lists(st.integers(0, 10**6), max_size=12), st.randoms(use_true_random=False))
+@example([0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6], random.Random(0))  # k = 14 with m up to 233
+def test_reader_root_tests_agree_with_multiplicity_classes(picks, rng):
+    """The classes read from l_total survive the record reader, which recovers them by root tests on P.
+
+    Mediant chains up to k = 14, rational roots, rational constants: every adjacent
+    pair as a reduced model, and one pair as a full model.
+    """
+    s = build_surface(validate(grow_by_mediants(picks)))
+    roots = ConformalRoots(k=s.k, tail=rational_tail(rng, s.k))
+    data = [solve_divisor_data(s, a) for a in range(1, s.k + 1)]
+
+    def constant():
+        return Fraction(rng.choice((1, -1)) * rng.randint(1, 9), rng.randint(1, 5))
+
+    full_at = rng.randrange(1, s.k)
+    for i in range(1, s.k):
+        pairs = [(emit_reduced_model, 2)]
+        if i == full_at:
+            mu = abs(data[i - 1].m - data[i].m)
+            pairs.append((emit_full_model, mu + 2))
+        for emit, count in pairs:
+            eqs = emit(data[i - 1], data[i], roots, [constant() for _ in range(count)])
+            classes = tuple(classify_fibers(data[eqs.i - 1].l_total, data[eqs.j - 1].l_total, roots))
+            record = json.loads(json.dumps(model_record(eqs, classes)))
+            assert parse_model_record(record) == (eqs, classes)
+
+
+def counted(name: str, monkeypatch: pytest.MonkeyPatch) -> list:
+    """Count the calls of ratpoly.<name> through every twistoric module that binds it."""
+    original = getattr(ratpoly, name)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for info in pkgutil.iter_modules(twistoric.__path__):
+        module = importlib.import_module(f"twistoric.{info.name}")
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("picks", [[], [0], [0, 1, 1, 2], [3, 1, 4, 1, 5, 9, 2, 6], [0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6]])
+def test_each_pencil_product_is_expanded_once(picks, monkeypatch):
+    """A k-chain's report expands k label products and root-tests nothing; a single model tests no root either."""
+    seq = validate(grow_by_mediants(picks))
+    expanded, tested = counted("from_factors", monkeypatch), counted("vanishes", monkeypatch)
+    for constants in (None, (Fraction(3, 2), -5)):
+        del expanded[:]
+        analyze_sequence(seq, constants=constants)
+        assert len(expanded) == seq.k
+        assert tested == []
+    for full in (False, True):
+        run_model(seq.vectors, 1, seq.k, full=full)
+        assert tested == []
+
+
 def test_vanishing_at_generic_sample_is_a_value_error():
-    # hand-built: P_1 = lambda - 2 vanishes at the sample 2 for roots 0, 1
-    roots = ConformalRoots(k=3, tail=(Fraction(1),))
-    eqs = ModelEquations(
-        i=1,
-        j=2,
-        m_i=1,
-        m_j=1,
-        constants=(Fraction(1), Fraction(1)),
-        polys=((Fraction(-2), Fraction(1)), (Fraction(0), Fraction(1))),
-    )
+    # hand-built record: P_1 = lambda - 2 vanishes at the sample 2 for roots 0, 1; only the reader
+    # root-tests P, since the pipeline's constants are nonzero and its roots distinct
+    def at(location, kind, generic=False):
+        return {"at": location, "kind": kind, "nonReduced": False, "generic": generic}
+
+    record = {
+        "i": 1,
+        "j": 2,
+        "mu": 0,
+        "bundle": [1, 1, 1, 1],
+        "c": ["1", "1"],
+        "P": [["-2", "1"], ["0", "1"]],
+        "fibers": [at("inf", FOUR_PLANES), at("0", TWO_QUADRIC_CONES), at("1", GENERIC_FOUR_NODAL), at("2", GENERIC_FOUR_NODAL, True)],
+    }
     with pytest.raises(ValueError, match="generic sample 2"):
-        classify_fibers(eqs, roots)
+        parse_model_record(record)
 
 
 def library_trees():

@@ -234,7 +234,8 @@ def sweep_records() -> list[tuple]:
     for report in reports:
         for d_i, d_j in zip(report.divisors, report.divisors[1:]):
             full = emit_full_model(d_i, d_j, report.roots)
-            full_models.append((full, tuple(classify_fibers(full, report.roots))))
+            classes = classify_fibers(report.divisors[full.i - 1].l_total, report.divisors[full.j - 1].l_total, report.roots)
+            full_models.append((full, tuple(classes)))
     return [
         (AnalysisReport.from_json, AnalysisReport.to_json, reports),
         (parse_model_record, write_model, [model for report in reports for model in report.models]),
