@@ -71,6 +71,7 @@ from .report import (
     analyze_sequence,
     default_roots,
     run_analyze,
+    run_classify,
     run_enumerate,
     run_model,
 )

@@ -33,7 +33,7 @@ from .errors import (
     TwistoricError,
 )
 from .lattice import validate
-from .report import DEFAULT_CAP, run_analyze, run_enumerate, run_model
+from .report import DEFAULT_CAP, run_analyze, run_classify, run_enumerate, run_model
 
 
 class InputDataError(ValueError):
@@ -153,10 +153,9 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict | list, int]:
     constants = _parse_fractions(args.constants, "--constants")
     if args.command == "analyze":
         return run_analyze(vectors, roots_tail, constants), 0
-    record = run_model(vectors, args.i, args.j, roots_tail, constants, full=getattr(args, "full", False))
     if args.command == "classify":
-        return {"i": record["i"], "j": record["j"], "fibers": record["fibers"]}, 0
-    return record, 0
+        return run_classify(vectors, args.i, args.j, roots_tail, constants), 0
+    return run_model(vectors, args.i, args.j, roots_tail, constants, full=args.full), 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:

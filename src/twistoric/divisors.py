@@ -1,27 +1,15 @@
 """Divisor data of the twistor pencil members over the surface.
 
-For each index alpha the pencil member Y restricts on the surface to
-m * C - f + fbar, where C is the anticanonical cycle and (f, fbar) the
-invariant fibers for alpha.  That divisor decomposes uniquely over the 2k
-half-cycles: the plus half-cycle for beta covers the k components that
-follow position beta circularly, the minus half-cycle the complementary k.
-
-The weighted sum of the half-cycles is one running sum over the positions.
-Position 0 lies in every minus half-cycle and in no plus half-cycle, so it
-carries sum(l_minus).  Stepping from position r to r + 1 enters the plus
-half-cycle of label r + 1 (leaving its minus) while r < k, and leaves the
-plus half-cycle of label r + 1 - k from then on, so the steps are
-d_b = l_plus[b] - l_minus[b] for b < k followed by -d_0 .. -d_{k-2}.
-
-Solving reads those steps off the target g = fbar - f: the difference
-g[b + 1] - g[b] pins l_plus[b] - l_minus[b], and requiring one of each pair
-to vanish pins both.  Position 0 then gives m = sum(l_minus) - g[0], and the
-equations at positions 1 .. k hold by construction.  At position k + s the
-sum gives m + g[0] + g[k] - g[s] - g[k + s], so all 2k equations hold exactly
-when g[s] + g[k + s] is the same for every s < k.  That condition
-(InconsistentSystem) and m >= 1 (NegativeMultiplicity) guard arbitrary
-(f, fbar).  The half-cycle positions live in the test oracles, where they are
-the independent reference for the sum.
+For index alpha the pencil member restricts on the surface to m * C - f + fbar,
+with C the anticanonical cycle and f - fbar = row, pairing row alpha - 1.  It
+decomposes uniquely over the 2k half-cycles (the plus one for beta covers the k
+components after position beta circularly, the minus one the other k) as a sum
+that runs from sum(l_minus) at position 0 by the steps l_plus[b] - l_minus[b],
+b < k, then by the first k - 1 steps negated.  So l_plus and l_minus are the
+positive and negative parts of row[b] - row[b + 1], and m = row[0] + sum(l_minus).
+The positions past k hold exactly when row[s] + row[k + s] is one value for all
+s < k (InconsistentSystem), and m >= 1 (NegativeMultiplicity).  The half-cycles
+themselves live in the test oracles, the independent reference for the sum.
 """
 
 from __future__ import annotations
@@ -29,10 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .errors import InconsistentSystem, NegativeMultiplicity
+from .errors import BadIndices, InconsistentSystem, IndexMismatch, NegativeMultiplicity
 from .lattice import _read
 from .surface import Divisor, ToricSurface
-from .fibers import invariant_fibers
 
 __all__ = [
     "TwistorDivisorData",
@@ -60,7 +47,8 @@ class TwistorDivisorData:
 
     def build_divisor(self) -> Divisor:
         """The weighted half-cycle sum as one divisor (the running sum of the module docstring)."""
-        return _accumulate(self.l_plus, self.l_minus)
+        steps = [p - q for p, q in zip(self.l_plus, self.l_minus)]
+        return tuple([*accumulate(steps + [-d for d in steps[:-1]], initial=sum(self.l_minus))])
 
     def to_json(self) -> dict:
         return {
@@ -82,29 +70,31 @@ def _parse_divisor_data(data: dict) -> TwistorDivisorData:
     return TwistorDivisorData(alpha=int(data["alpha"]), m=int(data["m"]), l_plus=l_plus, l_minus=l_minus)
 
 
-def _accumulate(l_plus: tuple[int, ...], l_minus: tuple[int, ...]) -> Divisor:
-    steps = [p - q for p, q in zip(l_plus, l_minus)]
-    return tuple([*accumulate(steps + [-d for d in steps[:-1]], initial=sum(l_minus))])
-
-
-def solve_from_fibers(f: Divisor, fbar: Divisor, alpha: int) -> TwistorDivisorData:
-    """Decompose m * C - f + fbar over half-cycles; see module docstring."""
-    k = len(f) // 2
-    g = [fbar[r] - f[r] for r in range(2 * k)]
-    # crossing position b+1 (1-based) toggles exactly the beta = b+1 pair
-    steps = [g[b + 1] - g[b] for b in range(k)]
+def _from_row(row: Divisor, alpha: int) -> TwistorDivisorData:
+    """The divisor data whose m * C - f + fbar has f - fbar = row, read off its first difference."""
+    steps = [row[b] - row[b + 1] for b in range(len(row) // 2)]
     l_plus, l_minus = tuple([d if d > 0 else 0 for d in steps]), tuple([-d if d < 0 else 0 for d in steps])
-    if len({g[s] + g[k + s] for s in range(k)}) != 1:
-        built = _accumulate(l_plus, l_minus)
-        m_values = {built[r] - g[r] for r in range(2 * k)}
-        raise InconsistentSystem(f"component equations disagree for index {alpha}: {sorted(m_values)}")
-    m = sum(l_minus) - g[0]
+    m = row[0] + sum(l_minus)
     if m < 1:
         raise NegativeMultiplicity(f"pencil multiplicity m = {m} for index {alpha}")
     return TwistorDivisorData(alpha=alpha, m=m, l_plus=l_plus, l_minus=l_minus)
 
 
+def solve_from_fibers(f: Divisor, fbar: Divisor, alpha: int) -> TwistorDivisorData:
+    """The checked solver for free (f, fbar) of one even length 2k >= 2; see module docstring."""
+    if len(f) != len(fbar) or len(f) % 2 or len(f) < 2:
+        raise IndexMismatch(f"fibers must share one even length of at least 2, got {len(f)} and {len(fbar)}")
+    row, k = [x - y for x, y in zip(f, fbar)], len(f) // 2
+    sums = [row[s] + row[k + s] for s in range(k)]
+    if len(set(sums)) != 1:
+        # position k + s misses m = row[0] + sum(l_minus) by sums[s] - sums[0]
+        m = row[0] + sum([max(row[b + 1] - row[b], 0) for b in range(k)])
+        raise InconsistentSystem(f"component equations disagree for index {alpha}: {sorted({m + t - sums[0] for t in sums})}")
+    return _from_row(row, alpha)
+
+
 def solve_divisor_data(surface: ToricSurface, alpha: int) -> TwistorDivisorData:
-    """Divisor data of the pencil member for index alpha on this surface."""
-    f, fbar = invariant_fibers(surface, alpha)
-    return solve_from_fibers(f, fbar, alpha)
+    """Divisor data for index alpha, read off pairing row alpha - 1 unchecked: build_surface writes row[k + s] = -row[s]."""
+    if not 1 <= alpha <= surface.k:
+        raise BadIndices(f"index {alpha} out of range 1..{surface.k}")
+    return _from_row(surface.pairing[alpha - 1], alpha)

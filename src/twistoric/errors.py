@@ -57,7 +57,7 @@ class NonSmoothFan(TwistoricError):
 
 
 class IndexMismatch(TwistoricError):
-    """Divisor coefficient vector has the wrong length for the surface."""
+    """Divisor coefficient vectors have the wrong length for the surface, or for each other."""
 
 
 class BadIndices(TwistoricError):
@@ -65,11 +65,7 @@ class BadIndices(TwistoricError):
 
 
 class InconsistentSystem(TwistoricError):
-    """Half-cycle decomposition consistency checks failed.
-
-    Indicates an implementation bug or an orientation mismatch; cannot occur
-    for surfaces built from validated action sequences.
-    """
+    """Free (f, fbar) given to solve_from_fibers admit no half-cycle decomposition; a pairing row always does."""
 
 
 class NegativeMultiplicity(TwistoricError):

@@ -7,13 +7,13 @@ collects the curves whose ray pairs positively against v_a, with the pairing
 value as multiplicity; the fiber over the other end is its conjugate.
 
 The pairing is phi_a(u) = det(u, v_a), stored once by build_surface as the
-matrix ToricSurface.pairing: row a - 1 holds phi_a on all 2k rays.  This
-module is its only reader past build_surface.  Both signs occur over a
-complete fan, so the fibers, the positive and negative parts of a row, are
-nonzero effective divisors.  The degree of the map for a pair (i, j) is
-f_i . f_j = |det(v_i, v_j)|, the entry |pairing[j-1][i-1]|; degree_matrix lists
-them all, and bimeromorphic_pairs reads the pairs of degree 1 off that matrix.
-The intersection-form sum (surface.intersect) is the test oracle for the degrees.
+matrix ToricSurface.pairing: row a - 1 holds phi_a on all 2k rays, read here
+and by divisors.  Both signs occur over a complete fan, so the fibers, the
+positive and negative parts of a row, are nonzero effective divisors.  The
+degree of the map for a pair (i, j) is f_i . f_j = |det(v_i, v_j)|, the entry
+|pairing[j-1][i-1]|; degree_matrix lists them all, and bimeromorphic_pairs
+reads the pairs of degree 1 off that matrix.  The intersection-form sum
+(surface.intersect) is the test oracle for the degrees.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 A report holds what analyze_sequence derives, once each, from one action
 sequence: the surface, its invariant fibers and their degree matrix, the
-divisor data solved from those fibers, adjacent-pair models with their fiber
+divisor data read off its pairing rows, adjacent-pair models with their fiber
 classes, and warnings.  to_json only writes them, rationals as 'p/q' strings.
 Each reader accepts exactly what its writer emits; a report is read from its
 input, roots and first constants, then analyzed again.
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .divisors import TwistorDivisorData, solve_divisor_data, solve_from_fibers
+from .divisors import TwistorDivisorData, solve_divisor_data
 from .errors import CapExceeded
 from .fibers import bimeromorphic_pairs, degree_matrix, invariant_fibers, model_degree
 from .lattice import ActionSequence, _read, enumerate_sequences, validate
@@ -23,9 +23,11 @@ from .models import (
     FiberClass,
     ModelEquations,
     _chain,
+    _check_constants,
     _fiber_class,
     _generic_class,
     _models,
+    _ordered,
     classify_fibers,
     emit_full_model,
     emit_reduced_model,
@@ -43,6 +45,7 @@ __all__ = [
     "model_record",
     "parse_model_record",
     "run_analyze",
+    "run_classify",
     "run_enumerate",
     "run_model",
 ]
@@ -150,7 +153,7 @@ def analyze_sequence(
     if roots is None:
         roots = default_roots(k)
     fibers = tuple([invariant_fibers(surface, a) for a in range(1, k + 1)])
-    divisors = tuple([solve_from_fibers(f, fbar, a) for a, (f, fbar) in enumerate(fibers, start=1)])
+    divisors = tuple([solve_divisor_data(surface, a) for a in range(1, k + 1)])
     degrees = degree_matrix(surface)
     models = [
         (eqs, tuple(classify_fibers(divisors[eqs.i - 1].l_total, divisors[eqs.j - 1].l_total, roots)))
@@ -214,6 +217,14 @@ def run_enumerate(n: int, count_only: bool = False, cap: int = DEFAULT_CAP) -> d
     return out
 
 
+def _pair(pairs: Sequence[Sequence[int]], i: int, j: int, roots_tail: Sequence[Fraction] | None) -> tuple:
+    """The roots, then the divisor data of i and j with the larger m first: run_model's and run_classify's prologue."""
+    surface = build_surface(validate(pairs))
+    model_degree(surface, i, j)  # validates the index pair
+    roots = default_roots(surface.k) if roots_tail is None else ConformalRoots(k=surface.k, tail=tuple(roots_tail))
+    return (roots, *_ordered(solve_divisor_data(surface, i), solve_divisor_data(surface, j)))
+
+
 def run_model(
     pairs: Sequence[Sequence[int]],
     i: int,
@@ -223,15 +234,19 @@ def run_model(
     full: bool = False,
 ) -> dict:
     """Emit the model for one index pair of the given sequence, as JSON data."""
-    seq = validate(pairs)
-    surface = build_surface(seq)
-    model_degree(surface, i, j)  # validates the index pair
-    roots = (
-        default_roots(surface.k)
-        if roots_tail is None
-        else ConformalRoots(k=surface.k, tail=tuple(roots_tail))
-    )
-    data = {a: solve_divisor_data(surface, a) for a in (i, j)}
-    emit = emit_full_model if full else emit_reduced_model
-    eqs = emit(data[i], data[j], roots, constants)
-    return model_record(eqs, classify_fibers(data[eqs.i].l_total, data[eqs.j].l_total, roots))
+    roots, d_i, d_j = _pair(pairs, i, j, roots_tail)
+    eqs = (emit_full_model if full else emit_reduced_model)(d_i, d_j, roots, constants)
+    return model_record(eqs, classify_fibers(d_i.l_total, d_j.l_total, roots))
+
+
+def run_classify(
+    pairs: Sequence[Sequence[int]],
+    i: int,
+    j: int,
+    roots_tail: Sequence[Fraction] | None = None,
+    constants: Sequence[Fraction | int] | None = None,
+) -> dict:
+    """The i, j and fibers of run_model's record, from the two l_total: checks the constants, expands nothing."""
+    roots, d_i, d_j = _pair(pairs, i, j, roots_tail)
+    _check_constants(constants, 2)
+    return {"i": d_i.alpha, "j": d_j.alpha, "fibers": [fc.to_json() for fc in classify_fibers(d_i.l_total, d_j.l_total, roots)]}

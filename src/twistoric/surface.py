@@ -7,7 +7,7 @@ the invariant curves C_1 .. C_k and indices k .. 2k-1 their conjugates
 curves are plain integer coefficient tuples of length 2k.
 
 All of the fan's combinatorics comes from one table, ToricSurface.pairing:
-the fan check and the self-intersections read it here, the fibers module the rest.
+the fan check and the self-intersections read it here, the fibers and divisors modules the rest.
 """
 
 from __future__ import annotations

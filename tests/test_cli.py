@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
+from twistoric import enumerate_sequences, run_model
 from twistoric.cli import main
 
 HEXAGON = {"n": 1, "vectors": [[0, 1], [1, 1], [1, 0]]}
@@ -160,17 +162,18 @@ def test_duplicate_roots_rejected(tmp_path, capsys):
 
 def test_zero_constant_rejected(tmp_path, capsys):
     path = write_input(tmp_path, HEXAGON)
-    code, _, _ = run(
-        capsys,
-        ["model", "--input", path, "--i", "1", "--j", "2", "--constants", "0,1"],
-    )
-    assert code == 2
+    for command in ("model", "classify"):  # classify expands nothing, but checks the constants all the same
+        code, _, _ = run(
+            capsys,
+            [command, "--input", path, "--i", "1", "--j", "2", "--constants", "0,1"],
+        )
+        assert code == 2
 
 
 @pytest.mark.parametrize(
     "command",
-    [["analyze"], ["model", "--i", "1", "--j", "2"], ["model", "--i", "1", "--j", "2", "--full"]],
-    ids=["analyze", "model", "model-full"],
+    [["analyze"], ["model", "--i", "1", "--j", "2"], ["model", "--i", "1", "--j", "2", "--full"], ["classify", "--i", "1", "--j", "2"]],
+    ids=["analyze", "model", "model-full", "classify"],
 )
 def test_empty_constants_is_a_usage_error(tmp_path, capsys, command):
     # only an absent --constants means the default; an empty list is too short
@@ -203,6 +206,22 @@ def test_classify_shape(tmp_path, capsys):
     payload = json.loads(out)
     assert sorted(payload) == ["fibers", "i", "j"]
     assert len(payload["fibers"]) == 4
+
+
+def test_classify_matches_model_record(tmp_path, capsys):
+    """classify reads the classes from the divisor data alone; they are the i, j and fibers of run_model's record."""
+    for n in range(5):
+        for seq in enumerate_sequences(n):
+            path = write_input(tmp_path, {"vectors": [list(v) for v in seq.vectors]})
+            roots = [Fraction(2 * t + 1, 3) for t in range(1, seq.k - 1)]
+            rational = ["--roots", ",".join(map(str, roots)), "--constants", "3/2,-5"]
+            for flags, kwargs in [([], {}), (rational, {"roots_tail": roots, "constants": [Fraction(3, 2), -5]})]:
+                for i in range(1, seq.k + 1):
+                    for j in range(i + 1, seq.k + 1):
+                        code, out, err = run(capsys, ["classify", "--input", path, "--i", str(i), "--j", str(j)] + flags)
+                        record = run_model(seq.vectors, i, j, **kwargs)
+                        assert (code, err) == (0, "")
+                        assert out == json.dumps({key: record[key] for key in ("i", "j", "fibers")}, indent=2) + "\n"
 
 
 def test_analyze_stdout_is_deterministic(tmp_path, capsys):

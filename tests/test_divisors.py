@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from twistoric import (
     InconsistentSystem,
+    IndexMismatch,
     NegativeMultiplicity,
     anticanonical_cycle,
     bimeromorphic_pairs,
@@ -160,6 +161,8 @@ def test_deep_chain_invariants(picks):
         # under reversal the fiber f of index a becomes the dual's fbar, reflected
         assert invariant_fibers(sd, k + 1 - a)[1] == tuple([f[(k - 1 - r) % (2 * k)] for r in range(2 * k)])
         data = solve_divisor_data(s, a)
+        # the unchecked row reading agrees with the checked solver on the row's two fibers
+        assert data == solve_from_fibers(f, fbar, a)
         assert half_cycle_sum(data.l_plus, data.l_minus) == [data.m - x + y for x, y in zip(f, fbar)]
         assert sum(data.l_total) == 2 * data.m
         assert all(p * q == 0 for p, q in zip(data.l_plus, data.l_minus))
@@ -198,6 +201,17 @@ def test_inconsistent_fibers_rejected():
     # not antipodally antisymmetric, so the component equations disagree
     with pytest.raises(InconsistentSystem):
         solve_from_fibers((0, 1, 0, 0), (0, 0, 0, 2), 1)
+
+
+@pytest.mark.parametrize(
+    "f, fbar",
+    [((0, 1, 0, 0), (0, 0)), ((0, 1, 0), (0, 0, 1)), ((), ()), ((0, 1, 0, 0), (0, 0, 0, 1, 0, 0))],
+    ids=["unequal", "odd", "empty", "half-length"],
+)
+def test_fiber_lengths_checked(f, fbar):
+    # one even length 2k >= 2 for both, else nothing is read (no IndexError, no dropped entry)
+    with pytest.raises(IndexMismatch, match=f"got {len(f)} and {len(fbar)}"):
+        solve_from_fibers(f, fbar, 1)
 
 
 def test_degenerate_fibers_rejected():

@@ -14,6 +14,7 @@ from twistoric import (
     intersect,
     invariant_fibers,
     model_degree,
+    solve_divisor_data,
     validate,
 )
 from twistoric.lattice import det2
@@ -135,3 +136,7 @@ def test_bad_indices_rejected():
         model_degree(s, 1, 4)
     with pytest.raises(BadIndices):
         invariant_fibers(s, 7)
+    # the divisor data read the pairing row directly, so they check the index themselves
+    for alpha in (0, s.k + 1):
+        with pytest.raises(BadIndices, match=f"index {alpha} out of range 1..3"):
+            solve_divisor_data(s, alpha)

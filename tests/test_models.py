@@ -31,10 +31,10 @@ from twistoric import (
     system_meta,
     validate,
 )
-from twistoric import ratpoly
+from twistoric import divisors, fibers, ratpoly
 from twistoric.models import FOUR_PLANES, GENERIC_FOUR_NODAL, TWO_QUADRIC_CONES, FiberClass
 from twistoric.ratpoly import degree, evaluate
-from twistoric.report import analyze_sequence, default_roots, model_record, parse_model_record, run_model
+from twistoric.report import analyze_sequence, default_roots, model_record, parse_model_record, run_classify, run_enumerate, run_model
 
 from oracles import grow_by_mediants, root_multiplicity
 
@@ -359,9 +359,9 @@ def test_reader_root_tests_agree_with_multiplicity_classes(picks, rng):
             assert parse_model_record(record) == (eqs, classes)
 
 
-def counted(name: str, monkeypatch: pytest.MonkeyPatch) -> list:
-    """Count the calls of ratpoly.<name> through every twistoric module that binds it."""
-    original = getattr(ratpoly, name)
+def counted(name: str, monkeypatch: pytest.MonkeyPatch, source=ratpoly) -> list:
+    """Count the calls of source.<name> through every twistoric module that binds it."""
+    original = getattr(source, name)
     calls = []
 
     def counting(*args):
@@ -377,9 +377,14 @@ def counted(name: str, monkeypatch: pytest.MonkeyPatch) -> list:
 
 @pytest.mark.parametrize("picks", [[], [0], [0, 1, 1, 2], [3, 1, 4, 1, 5, 9, 2, 6], [0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6]])
 def test_each_pencil_product_is_expanded_once(picks, monkeypatch):
-    """A k-chain's report expands k label products and root-tests nothing; a single model tests no root either."""
+    """A k-chain's report expands k label products and root-tests nothing; a single model tests no root either.
+
+    classify expands nothing, and the report and the listing read their divisor data off the pairing rows,
+    not through the checked solver for free fibers.
+    """
     seq = validate(grow_by_mediants(picks))
     expanded, tested = counted("from_factors", monkeypatch), counted("vanishes", monkeypatch)
+    checked = counted("solve_from_fibers", monkeypatch, divisors)
     for constants in (None, (Fraction(3, 2), -5)):
         del expanded[:]
         analyze_sequence(seq, constants=constants)
@@ -388,6 +393,13 @@ def test_each_pencil_product_is_expanded_once(picks, monkeypatch):
     for full in (False, True):
         run_model(seq.vectors, 1, seq.k, full=full)
         assert tested == []
+    del expanded[:]
+    for constants in (None, (Fraction(3, 2), -5)):
+        run_classify(seq.vectors, 1, seq.k, constants=constants)
+    assert expanded == []
+    split = counted("invariant_fibers", monkeypatch, fibers)
+    run_enumerate(4)
+    assert checked == [] and split == []
 
 
 def test_vanishing_at_generic_sample_is_a_value_error():
