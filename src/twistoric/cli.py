@@ -142,7 +142,7 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict | list, int]:
                 ],
             }
             return payload, 1
-        return {"valid": True, "n": seq.n, "vectors": [list(v) for v in seq.vectors]}, 0
+        return {"valid": True, **seq.to_json()}, 0
 
     if args.command == "enumerate":
         return run_enumerate(args.n, count_only=args.count_only, cap=args.cap), 0

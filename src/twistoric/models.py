@@ -9,12 +9,13 @@ O(m_i)^2 + O(m_j)^2 over the projective line,
 
 where P_1 = c_1 prod (lambda - r_b)^{l_ib} over the finite root labels and
 P_2 likewise with the l_jb.  The full chain of models adds one equation per
-step between m_j and m_i, each picking up a factor lambda^2.
+step between m_j and m_i, member a being c_a lambda^{2(a-2)} P_2 / c_2, so a
+model stores only P_1, P_2 and its constants.
 
 Roots are labelled 2 .. k; label 1 sits at infinity, label 2 at zero.  P_1
 vanishes at label b to order l_ib, so a fiber's kind is read from the two
-multiplicities at its label; only the model-record reader and the test
-oracles root-test P.
+multiplicities at its label; only the model-record reader (parse_model_record)
+and the test oracles root-test P.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Sequence
 from .divisors import TwistorDivisorData
 from .errors import DegenerateConstants, RootCollision, RootOrderViolation
 from .lattice import _read
-from .ratpoly import Poly, from_factors, render
+from .ratpoly import Poly, cleared, degree, derivative, from_factors, poly_from_strings, poly_to_strings, render, vanishes
 
 GENERIC_FOUR_NODAL = "GenericFourNodal"
 TWO_QUADRIC_CONES = "TwoQuadricCones"
@@ -46,6 +47,8 @@ __all__ = [
     "emit_full_model",
     "emit_open_model_description",
     "emit_reduced_model",
+    "model_record",
+    "parse_model_record",
     "system_meta",
 ]
 
@@ -64,6 +67,8 @@ class ConformalRoots:
     tail: tuple[Fraction, ...] = ()
 
     def __post_init__(self) -> None:
+        if isinstance(self.k, bool) or not isinstance(self.k, int):
+            raise ValueError(f"'k' must be an int, got {self.k!r}")
         if self.k < 2:
             raise RootOrderViolation("need k >= 2")
         if len(self.tail) != self.k - 2:
@@ -113,8 +118,8 @@ class ModelEquations:
 
     Indices i, j are the pencil labels and m_i >= m_j their pencil
     multiplicities; mu = m_i - m_j and the four line-bundle degrees
-    bundle = (m_i, m_i, m_j, m_j) are derived from them.  polys holds P_1,
-    P_2 and, for a full chain, the remaining members up to P_{mu+2}.
+    bundle = (m_i, m_i, m_j, m_j) are derived from them.  It stores P_1, P_2
+    and c_1, c_2, plus c_3 .. c_{mu+2} for a full chain, which polys derives.
     """
 
     i: int
@@ -122,15 +127,12 @@ class ModelEquations:
     m_i: int
     m_j: int
     constants: tuple[Fraction, ...]
-    polys: tuple[Poly, ...]
+    p1: Poly
+    p2: Poly
 
     @property
-    def p1(self) -> Poly:
-        return self.polys[0]
-
-    @property
-    def p2(self) -> Poly:
-        return self.polys[1]
+    def polys(self) -> tuple[Poly, ...]:
+        return _chain(self.p1, self.p2, self.constants)
 
     @property
     def mu(self) -> int:
@@ -167,20 +169,20 @@ def _models(
     constants: Sequence[Fraction | int] | None,
     full: bool,
 ) -> list[ModelEquations]:
-    """The model of each adjacent pair in data: the chain's first two members, or all mu + 2 when full.
+    """The model of each adjacent pair in data: P_1, P_2 and two constants, or all mu + 2 when full.
 
-    Each label's product of (lambda - r_b)^{l_b} over labels b = 2 .. k is expanded
-    once, and a model only rescales it; None constants are ones.
+    Each label's monic product of (lambda - r_b)^{l_b} over labels b = 2 .. k is
+    expanded once, and a model only rescales it; None constants are ones.
     """
     pairs = [_ordered(d_i, d_j) for d_i, d_j in zip(data, data[1:])]
     if roots.k != data[0].k:
         raise ValueError(f"roots are for k = {roots.k}, divisor data for k = {data[0].k}")
     css = [_check_constants(constants, di.m - dj.m + 2 if full else 2) for di, dj in pairs]
-    products = {d.alpha: from_factors(Fraction(1), zip(roots.finite_roots, d.l_total[1:])) for d in data}
+    products = {d.alpha: from_factors(zip(roots.finite_roots, d.l_total[1:])) for d in data}
     out = []
     for (di, dj), cs in zip(pairs, css):
-        polys = _chain(_scaled(products[di.alpha], cs[0]), _scaled(products[dj.alpha], cs[1]), cs)
-        out.append(ModelEquations(i=di.alpha, j=dj.alpha, m_i=di.m, m_j=dj.m, constants=cs, polys=polys))
+        p1, p2 = _scaled(products[di.alpha], cs[0]), _scaled(products[dj.alpha], cs[1])
+        out.append(ModelEquations(i=di.alpha, j=dj.alpha, m_i=di.m, m_j=dj.m, constants=cs, p1=p1, p2=p2))
     return out
 
 
@@ -282,6 +284,51 @@ def classify_fibers(l_i: Sequence[int], l_j: Sequence[int], roots: ConformalRoot
     out = [_fiber_class(r, a, b) for r, a, b in zip((None,) + roots.finite_roots, l_i, l_j)]
     out.append(_generic_class(roots))
     return out
+
+
+def model_record(eqs: ModelEquations, classes: Sequence[FiberClass]) -> dict:
+    """JSON form of one model: equations plus fiber classification."""
+    return {
+        "i": eqs.i,
+        "j": eqs.j,
+        "mu": eqs.mu,
+        "bundle": list(eqs.bundle),
+        "c": [str(c) for c in eqs.constants],
+        "P": [poly_to_strings(p) for p in eqs.polys],
+        "fibers": [fc.to_json() for fc in classes],
+    }
+
+
+def parse_model_record(data: dict) -> tuple[ModelEquations, tuple[FiberClass, ...]]:
+    """The inverse of model_record; ValueError naming the field for anything model_record does not emit."""
+    return _read(data, _parse_model, lambda model: model_record(*model), "models")
+
+
+def _parse_model(data: dict) -> tuple[ModelEquations, tuple[FiberClass, ...]]:
+    # c is the leading coefficients of P, the rows past P_2 are checked when the model is
+    # written back, and the fibers are classified again at their locations, from the
+    # orders of P_1 and P_2 there
+    m_i, m_j = _read(data["bundle"], lambda b: (int(b[0]), int(b[2])), lambda m: [m[0], m[0], m[1], m[1]], "bundle")
+    rows = [poly_from_strings(row) for row in data["P"]]
+    constants = tuple([p[-1] for p in rows])
+    eqs = ModelEquations(i=int(data["i"]), j=int(data["j"]), m_i=m_i, m_j=m_j, constants=constants, p1=rows[0], p2=rows[1])
+    if eqs.mu < 0 or len(rows) not in (2, eqs.mu + 2):
+        raise ValueError(f"'P' and 'bundle' disagree: {len(rows)} polynomials with mu = {eqs.mu}, not 2 or mu + 2 with mu >= 0")
+    classes = [FiberClass.from_json(fc) for fc in data["fibers"]]
+    finite = tuple([fc.location for fc in classes[1:-1]])
+    roots = ConformalRoots(k=len(finite) + 1, tail=finite[1:])
+    generic = _generic_class(roots)
+    cs = [cleared(eqs.p1), cleared(eqs.p2)]
+    if vanishes(cs[0], generic.location) or vanishes(cs[1], generic.location):
+        raise ValueError(f"P_1 or P_2 vanishes at the generic sample {generic.location}")
+    out = [_fiber_class(None, 2 * m_i - degree(eqs.p1), 2 * m_j - degree(eqs.p2))]
+    out += [_fiber_class(r, _order(cs[0], r), _order(cs[1], r)) for r in roots.finite_roots]
+    return eqs, tuple(out + [generic])
+
+
+def _order(coeffs: list[int], r: Fraction) -> int:
+    """The vanishing order at r, capped at 2, by integer Horner on the polynomial and its derivative."""
+    return 0 if not vanishes(coeffs, r) else 1 if not vanishes(derivative(coeffs), r) else 2
 
 
 @dataclass(frozen=True)

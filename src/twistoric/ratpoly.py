@@ -4,12 +4,13 @@ Polynomials are tuples of Fractions in ascending degree order with no
 trailing zeros; the zero polynomial is the empty tuple.  Only the handful
 of operations the model emitter and the model-record reader need live here.
 
-The arithmetic runs on ints: from_factors expands with the denominators
-cleared and makes one Fraction per coefficient at the end.  The root test,
-vanishes, is integer homogeneous Horner on the cleared coefficients; only
-the model-record reader runs it, where P is free data.  evaluate is the
-exact Fraction evaluator the tests check the integer kernel against.  There
-is no general multiplication; the tests hold that as an oracle.
+The arithmetic runs on ints: from_factors expands the monic product with the
+denominators cleared and makes one Fraction per coefficient at the end; the
+models scale it by their constants.  The root test, vanishes, is integer
+homogeneous Horner on the cleared coefficients; only the model-record reader
+runs it, where P is free data.  evaluate is the exact Fraction evaluator the
+tests check the integer kernel against.  There is no general multiplication;
+the tests hold that as an oracle.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ def degree(p: Poly) -> int:
     return len(p) - 1
 
 
-def from_factors(scale: Fraction, factors: Iterable[tuple[Fraction, int]]) -> Poly:
-    """scale times the product of (x - root)^mult over the given factors.
+def from_factors(factors: Iterable[tuple[Fraction, int]]) -> Poly:
+    """The monic product of (x - root)^mult over the given factors.
 
     Expands on ints: root a/q contributes (q x - a) and a factor q to the
     common denominator, so the coefficients are Fractions only at the end.
@@ -66,8 +67,7 @@ def from_factors(scale: Fraction, factors: Iterable[tuple[Fraction, int]]) -> Po
             # times (q x - a), one shift-and-subtract: new[t] = q * p[t-1] - a * p[t]
             p = [q * hi - a * lo for hi, lo in zip([0] + p, p + [0])]
         den *= q**mult
-    num, den = scale.numerator, scale.denominator * den
-    return tuple([Fraction(num * c, den) for c in p]) if num else ()
+    return tuple([Fraction(c, den) for c in p])
 
 
 def evaluate(p: Poly, x: Fraction) -> Fraction:

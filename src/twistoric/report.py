@@ -5,7 +5,8 @@ sequence: the surface, its invariant fibers and their degree matrix, the
 divisor data read off its pairing rows, adjacent-pair models with their fiber
 classes, and warnings.  to_json only writes them, rationals as 'p/q' strings.
 Each reader accepts exactly what its writer emits; a report is read from its
-input, roots and first constants, then analyzed again.
+input, roots and first constants, then analyzed again.  The model record
+(model_record, parse_model_record) lives in models and is re-exported here.
 """
 
 from __future__ import annotations
@@ -22,17 +23,15 @@ from .models import (
     ConformalRoots,
     FiberClass,
     ModelEquations,
-    _chain,
     _check_constants,
-    _fiber_class,
-    _generic_class,
     _models,
     _ordered,
     classify_fibers,
     emit_full_model,
     emit_reduced_model,
+    model_record,
+    parse_model_record,
 )
-from .ratpoly import cleared, degree, derivative, poly_from_strings, poly_to_strings, vanishes
 from .surface import Divisor, ToricSurface, build_surface
 
 DEFAULT_CAP = 8
@@ -54,51 +53,6 @@ __all__ = [
 def default_roots(k: int) -> ConformalRoots:
     """Deterministic root choice 1, 2, ... for labels 3 .. k."""
     return ConformalRoots(k=k, tail=tuple([Fraction(t) for t in range(1, k - 1)]))
-
-
-def model_record(eqs: ModelEquations, classes: Sequence[FiberClass]) -> dict:
-    """JSON form of one model: equations plus fiber classification."""
-    return {
-        "i": eqs.i,
-        "j": eqs.j,
-        "mu": eqs.mu,
-        "bundle": list(eqs.bundle),
-        "c": [str(c) for c in eqs.constants],
-        "P": [poly_to_strings(p) for p in eqs.polys],
-        "fibers": [fc.to_json() for fc in classes],
-    }
-
-
-def parse_model_record(data: dict) -> tuple[ModelEquations, tuple[FiberClass, ...]]:
-    """The inverse of model_record; ValueError naming the field for anything model_record does not emit."""
-    return _read(data, _parse_model, lambda model: model_record(*model), "models")
-
-
-def _parse_model(data: dict) -> tuple[ModelEquations, tuple[FiberClass, ...]]:
-    # c is the leading coefficients of P, the rows past P_2 follow from P_2 and c, and the
-    # fibers are classified again at their locations, from the orders of P_1 and P_2 there
-    m_i, m_j = _read(data["bundle"], lambda b: (int(b[0]), int(b[2])), lambda m: [m[0], m[0], m[1], m[1]], "bundle")
-    rows = [poly_from_strings(row) for row in data["P"]]
-    constants = tuple([p[-1] for p in rows])
-    polys = _chain(rows[0], rows[1], constants)
-    eqs = ModelEquations(i=int(data["i"]), j=int(data["j"]), m_i=m_i, m_j=m_j, constants=constants, polys=polys)
-    if eqs.mu < 0 or len(polys) not in (2, eqs.mu + 2):
-        raise ValueError(f"'P' and 'bundle' disagree: {len(polys)} polynomials with mu = {eqs.mu}, not 2 or mu + 2 with mu >= 0")
-    classes = [FiberClass.from_json(fc) for fc in data["fibers"]]
-    finite = tuple([fc.location for fc in classes[1:-1]])
-    roots = ConformalRoots(k=len(finite) + 1, tail=finite[1:])
-    generic = _generic_class(roots)
-    cs = [cleared(p) for p in polys[:2]]
-    if vanishes(cs[0], generic.location) or vanishes(cs[1], generic.location):
-        raise ValueError(f"P_1 or P_2 vanishes at the generic sample {generic.location}")
-    out = [_fiber_class(None, 2 * m_i - degree(polys[0]), 2 * m_j - degree(polys[1]))]
-    out += [_fiber_class(r, _order(cs[0], r), _order(cs[1], r)) for r in roots.finite_roots]
-    return eqs, tuple(out + [generic])
-
-
-def _order(coeffs: list[int], r: Fraction) -> int:
-    """The vanishing order at r, capped at 2, by integer Horner on the polynomial and its derivative."""
-    return 0 if not vanishes(coeffs, r) else 1 if not vanishes(derivative(coeffs), r) else 2
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from twistoric import (
 from twistoric import divisors, fibers, ratpoly
 from twistoric.models import FOUR_PLANES, GENERIC_FOUR_NODAL, TWO_QUADRIC_CONES, FiberClass
 from twistoric.ratpoly import degree, evaluate
-from twistoric.report import analyze_sequence, default_roots, model_record, parse_model_record, run_classify, run_enumerate, run_model
+from twistoric.report import AnalysisReport, analyze_sequence, default_roots, model_record, parse_model_record, run_classify, run_enumerate, run_model
 
 from oracles import grow_by_mediants, root_multiplicity
 
@@ -126,6 +126,14 @@ def test_float_and_bool_roots_and_constants_are_refused():
             run_model([(0, 1), (1, 1), (1, 0)], 1, 2, constants=[Fraction(1, 2), bad])
         with pytest.raises(ValueError, match="'constants'"):
             analyze_sequence(validate([(0, 1), (1, 1), (1, 0)]), constants=[bad, 1])
+    # k as well: a report with k = 3.0 would be written and then refused by its own reader
+    for bad_k, tail in ((3.0, (Fraction(1),)), (True, ())):
+        with pytest.raises(ValueError, match="'k'"):
+            ConformalRoots(k=bad_k, tail=tail)
+    with pytest.raises(ValueError, match="'k'"):
+        analyze_sequence(validate([(0, 1), (1, 1), (1, 0)]), ConformalRoots(k=3.0, tail=(Fraction(1),)))
+    report = analyze_sequence(validate([(0, 1), (1, 1), (1, 0)]), ConformalRoots(k=3, tail=(Fraction(1),)))
+    assert AnalysisReport.from_json(json.loads(json.dumps(report.to_json()))) == report
     # ints and Fractions as before
     assert ConformalRoots(k=4, tail=(1, Fraction(5, 2))).tail == (Fraction(1), Fraction(5, 2))
     assert run_model([(0, 1), (1, 1), (1, 0)], 1, 2, constants=[2, Fraction(-1, 3)])["c"] == ["2", "-1/3"]
@@ -448,24 +456,31 @@ def test_library_code_builds_no_tuple_from_a_generator():
 
 
 def test_emitted_polynomials_factor_exactly():
+    """Every member of reduced and full models is c_a lambda^(2(a-2)) prod (lambda - r_b)^(l_b), checked in sympy.
+
+    P_1 takes c_1 and the l_total of i, every later member the l_total of j (lambda^0 at a = 2).  The roots and
+    the constants are rationals, none of the constants one, so this is the check on how the models scale.
+    """
     x = sympy.Symbol("x")
+    rational = lambda q: sympy.Rational(q.numerator, q.denominator)
     for n in range(4):
         for seq in enumerate_sequences(n):
             s = build_surface(seq)
-            roots = default_roots(s.k)
+            roots = ConformalRoots(k=s.k, tail=tuple([Fraction(2 * t + 1, 3) for t in range(1, s.k - 1)]))
             data = [solve_divisor_data(s, a) for a in range(1, s.k + 1)]
             for i in range(1, s.k):
-                eqs = emit_reduced_model(data[i - 1], data[i], roots)
-                di = next(d for d in data if d.alpha == eqs.i)
-                expected = sympy.Integer(1)
-                for b in range(2, s.k + 1):
-                    r = roots.finite_roots[b - 2]
-                    expected *= (x - sympy.Rational(r.numerator, r.denominator)) ** di.l_total[b - 1]
-                got = sum(
-                    sympy.Rational(c.numerator, c.denominator) * x**e
-                    for e, c in enumerate(eqs.p1)
-                )
-                assert sympy.expand(got - expected) == 0
+                mu = abs(data[i - 1].m - data[i].m)
+                for emit, count in ((emit_reduced_model, 2), (emit_full_model, mu + 2)):
+                    cs = [Fraction((-1) ** a * (a + 2), a + 1) for a in range(1, count + 1)]
+                    eqs = emit(data[i - 1], data[i], roots, cs)
+                    assert len(eqs.polys) == count and eqs.constants == tuple(cs)
+                    for a, p in enumerate(eqs.polys, start=1):
+                        l_total = data[(eqs.i if a == 1 else eqs.j) - 1].l_total
+                        expected = rational(cs[a - 1]) * x ** (2 * max(a - 2, 0))
+                        for r, l in zip(roots.finite_roots, l_total[1:]):
+                            expected *= (x - rational(r)) ** l
+                        got = sum(rational(c) * x**e for e, c in enumerate(p))
+                        assert sympy.expand(got - expected) == 0, (seq.vectors, eqs.i, eqs.j, a)
 
 
 def test_system_meta_frozen_values():

@@ -33,8 +33,13 @@ def test_normalized_strips_trailing_zeros():
 
 
 def test_from_factors_hexagon_polynomials():
-    assert from_factors(Fraction(1), [(Fraction(1), 1)]) == (Fraction(-1), Fraction(1))
-    assert from_factors(Fraction(1), [(Fraction(0), 1)]) == (Fraction(0), Fraction(1))
+    assert from_factors([(Fraction(1), 1)]) == (Fraction(-1), Fraction(1))
+    assert from_factors([(Fraction(0), 1)]) == (Fraction(0), Fraction(1))
+
+
+def scaled(c, factors):
+    """c times the monic product from_factors expands; the models scale with their own constants."""
+    return tuple([c * x for x in from_factors(factors)])
 
 
 def _to_sympy(p):
@@ -50,7 +55,8 @@ small_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
     st.lists(st.tuples(small_fracs, st.integers(0, 3)), min_size=0, max_size=3),
 )
 def test_from_factors_matches_sympy_expansion(scale, factors):
-    p = from_factors(scale, factors)
+    assert from_factors(factors)[-1] == 1
+    p = scaled(scale, factors)
     x = sympy.Symbol("x")
     expected = sympy.Rational(scale.numerator, scale.denominator)
     for root, mult in factors:
@@ -60,7 +66,7 @@ def test_from_factors_matches_sympy_expansion(scale, factors):
 
 @given(small_fracs, st.lists(st.tuples(small_fracs, st.integers(0, 3)), min_size=1, max_size=3))
 def test_root_multiplicity_agrees_with_construction(probe, factors):
-    p = from_factors(Fraction(2, 3), factors)
+    p = scaled(Fraction(2, 3), factors)
     expected = sum(mult for root, mult in factors if root == probe)
     assert root_multiplicity(p, probe) == expected
     if expected == 0:
@@ -69,7 +75,7 @@ def test_root_multiplicity_agrees_with_construction(probe, factors):
 
 @given(small_fracs, st.lists(st.tuples(small_fracs, st.integers(0, 3)), min_size=1, max_size=3))
 def test_double_root_iff_value_and_derivative_vanish(probe, factors):
-    p = from_factors(Fraction(2, 3), factors)
+    p = scaled(Fraction(2, 3), factors)
     double = evaluate(p, probe) == 0 and evaluate(derivative(p), probe) == 0
     assert double == (root_multiplicity(p, probe) >= 2)
 
@@ -98,7 +104,7 @@ def test_cleared_scales_by_the_common_denominator():
 )
 def test_integer_root_test_matches_fraction_evaluation(coeffs, scale, factors, probe):
     """vanishes on the cleared coefficients agrees with evaluate, at random points and at the roots."""
-    for p in (normalized(coeffs), from_factors(scale, factors)):
+    for p in (normalized(coeffs), scaled(scale, factors)):
         c, d = cleared(p), derivative(cleared(p))
         assert all(type(x) is int for x in c + list(d))
         for x in [probe, Fraction(0)] + [root for root, _ in factors]:
@@ -120,7 +126,7 @@ def test_render_readable():
 
 
 def test_string_round_trip():
-    p = from_factors(Fraction(-5, 7), [(Fraction(2, 3), 2), (Fraction(-1), 1)])
+    p = scaled(Fraction(-5, 7), [(Fraction(2, 3), 2), (Fraction(-1), 1)])
     assert poly_from_strings(poly_to_strings(p)) == p
     for bad in (["1/2", 0.5], ["1", True], "1/2", ["1/0"]):
         with pytest.raises(ValueError, match="'P'"):
