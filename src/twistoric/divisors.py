@@ -14,7 +14,7 @@ themselves live in the test oracles, the independent reference for the sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
 
 from .errors import BadIndices, InconsistentSystem, IndexMismatch, NegativeMultiplicity
@@ -28,14 +28,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TwistorDivisorData:
-    """Pencil multiplicity m and half-cycle multiplicities for one index."""
+class TwistorDivisorData(namedtuple("TwistorDivisorData", "alpha m l_plus l_minus")):
+    """Pencil multiplicity m and the k half-cycle multiplicities l_plus, l_minus for index alpha."""
 
-    alpha: int
-    m: int
-    l_plus: tuple[int, ...]
-    l_minus: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def k(self) -> int:

@@ -9,7 +9,7 @@ SequenceValidationError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class TwistoricError(Exception):
@@ -24,8 +24,7 @@ DETERMINANT_VIOLATION = "DeterminantViolation"
 EMPTY_SEQUENCE = "EmptySequence"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(namedtuple("Violation", "code index message")):
     """One failed validity condition.
 
     code is one of the module-level constants above; index is the 1-based
@@ -34,9 +33,7 @@ class Violation:
     not tied to a position.
     """
 
-    code: str
-    index: int | None
-    message: str
+    __slots__ = ()
 
 
 class SequenceValidationError(TwistoricError):

@@ -17,9 +17,9 @@ form by a unimodular change of lattice coordinates when one exists
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from math import gcd
-from typing import Sequence
 
 from .errors import (
     DETERMINANT_VIOLATION,
@@ -99,12 +99,10 @@ def _read(data: object, parse, write, field: str):
     return obj
 
 
-@dataclass(frozen=True)
-class ActionSequence:
-    """Normalized integer data of a torus action; k = n + 2 vectors."""
+class ActionSequence(namedtuple("ActionSequence", "n vectors")):
+    """Normalized integer data of a torus action: n and the tuple of its k = n + 2 vectors."""
 
-    n: int
-    vectors: tuple[Vector, ...]
+    __slots__ = ()
 
     @property
     def k(self) -> int:

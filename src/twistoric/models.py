@@ -20,9 +20,9 @@ and the test oracles root-test P.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .divisors import TwistorDivisorData
 from .errors import DegenerateConstants, RootCollision, RootOrderViolation
@@ -53,8 +53,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ConformalRoots:
+def _checked_make(cls, iterable):
+    """namedtuple's _make, which _replace calls, through the validating __new__ of cls."""
+    return cls(*iterable)
+
+
+class ConformalRoots(namedtuple("ConformalRoots", "k tail")):
     """Pencil root locations for a surface with k sequence vectors.
 
     tail holds the roots for labels 3 .. k; label 2 is pinned at zero and
@@ -63,27 +67,28 @@ class ConformalRoots:
     negative, which in particular keeps all k root locations distinct.
     """
 
-    k: int
-    tail: tuple[Fraction, ...] = ()
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self) -> None:
-        if isinstance(self.k, bool) or not isinstance(self.k, int):
-            raise ValueError(f"'k' must be an int, got {self.k!r}")
-        if self.k < 2:
+    def __new__(cls, k: int, tail: Sequence[Fraction | int] = ()) -> ConformalRoots:
+        if isinstance(k, bool) or not isinstance(k, int):
+            raise ValueError(f"'k' must be an int, got {k!r}")
+        if k < 2:
             raise RootOrderViolation("need k >= 2")
-        if len(self.tail) != self.k - 2:
-            raise RootOrderViolation(f"expected {self.k - 2} roots for labels 3..{self.k}, got {len(self.tail)}")
-        object.__setattr__(self, "tail", _exact(self.tail, "roots"))
+        if len(tail) != k - 2:
+            raise RootOrderViolation(f"expected {k - 2} roots for labels 3..{k}, got {len(tail)}")
+        tail = _exact(tail, "roots")
         seen: set[Fraction] = set()
-        for r in self.tail:
+        for r in tail:
             if r in seen or r == 0:
                 raise RootCollision(f"root {r} collides with an earlier root")
             seen.add(r)
-        for a, b in zip(self.tail, self.tail[1:]):
+        for a, b in zip(tail, tail[1:]):
             if a > 0 and not b > a:
                 raise RootOrderViolation(f"positive roots must increase strictly: {a} then {b}")
             if a < 0 and not b < a:
                 raise RootOrderViolation(f"negative roots must decrease strictly: {a} then {b}")
+        return super().__new__(cls, k, tail)
 
     @property
     def finite_roots(self) -> tuple[Fraction, ...]:
@@ -112,23 +117,24 @@ def _parse_roots(data: dict) -> ConformalRoots:
     return ConformalRoots(k=_read(data["k"], int, int, "k"), tail=tail)
 
 
-@dataclass(frozen=True)
-class ModelEquations:
+class ModelEquations(namedtuple("ModelEquations", "i j m_i m_j constants p1 p2")):
     """Equations xi_{2a-1} xi_{2a} = P_a(lambda) of one projective model.
 
     Indices i, j are the pencil labels and m_i >= m_j their pencil
     multiplicities; mu = m_i - m_j and the four line-bundle degrees
     bundle = (m_i, m_i, m_j, m_j) are derived from them.  It stores P_1, P_2
     and c_1, c_2, plus c_3 .. c_{mu+2} for a full chain, which polys derives.
+    c_1 and c_2 are the leading coefficients of P_1 and P_2, else ValueError.
     """
 
-    i: int
-    j: int
-    m_i: int
-    m_j: int
-    constants: tuple[Fraction, ...]
-    p1: Poly
-    p2: Poly
+    __slots__ = ()
+    _make = classmethod(_checked_make)
+
+    def __new__(cls, i: int, j: int, m_i: int, m_j: int, constants: tuple[Fraction, ...], p1: Poly, p2: Poly) -> ModelEquations:
+        lead = p1[-1:] + p2[-1:]
+        if tuple(constants[:2]) != lead:
+            raise ValueError(f"'constants' must begin with {[str(c) for c in lead]}, the leading coefficients of P_1 and P_2, got {[str(c) for c in constants[:2]]}")
+        return super().__new__(cls, i, j, m_i, m_j, constants, p1, p2)
 
     @property
     def polys(self) -> tuple[Poly, ...]:
@@ -227,18 +233,14 @@ def emit_full_model(
     return _models((data_i, data_j), roots, constants, full=True)[0]
 
 
-@dataclass(frozen=True)
-class FiberClass:
+class FiberClass(namedtuple("FiberClass", "location kind non_reduced generic", defaults=(False,))):
     """Singularity type of the model fiber over one pencil location.
 
-    location None means the point at infinity; generic marks the sample
-    point standing in for every unlisted location.
+    location None means the point at infinity; generic, False unless given, marks
+    the sample point standing in for every unlisted location.
     """
 
-    location: Fraction | None
-    kind: str
-    non_reduced: bool
-    generic: bool = False
+    __slots__ = ()
 
     def to_json(self) -> dict:
         at = "inf" if self.location is None else str(self.location)
@@ -310,10 +312,10 @@ def _parse_model(data: dict) -> tuple[ModelEquations, tuple[FiberClass, ...]]:
     # orders of P_1 and P_2 there
     m_i, m_j = _read(data["bundle"], lambda b: (int(b[0]), int(b[2])), lambda m: [m[0], m[0], m[1], m[1]], "bundle")
     rows = [poly_from_strings(row) for row in data["P"]]
+    if m_i < m_j or len(rows) not in (2, m_i - m_j + 2) or not all(rows):
+        raise ValueError(f"'P' must be 2 or mu + 2 polynomials, none zero, with mu = bundle[0] - bundle[2] >= 0: got {len(rows)} with mu = {m_i - m_j}")
     constants = tuple([p[-1] for p in rows])
     eqs = ModelEquations(i=int(data["i"]), j=int(data["j"]), m_i=m_i, m_j=m_j, constants=constants, p1=rows[0], p2=rows[1])
-    if eqs.mu < 0 or len(rows) not in (2, eqs.mu + 2):
-        raise ValueError(f"'P' and 'bundle' disagree: {len(rows)} polynomials with mu = {eqs.mu}, not 2 or mu + 2 with mu >= 0")
     classes = [FiberClass.from_json(fc) for fc in data["fibers"]]
     finite = tuple([fc.location for fc in classes[1:-1]])
     roots = ConformalRoots(k=len(finite) + 1, tail=finite[1:])
@@ -331,14 +333,10 @@ def _order(coeffs: list[int], r: Fraction) -> int:
     return 0 if not vanishes(coeffs, r) else 1 if not vanishes(derivative(coeffs), r) else 2
 
 
-@dataclass(frozen=True)
-class LinearSystemMeta:
+class LinearSystemMeta(namedtuple("LinearSystemMeta", "mu dim_w_i dim_w_j dim_combined")):
     """Dimension counts for the linear systems behind one model."""
 
-    mu: int
-    dim_w_i: int
-    dim_w_j: int
-    dim_combined: int
+    __slots__ = ()
 
     @property
     def num_coords(self) -> int:

@@ -15,9 +15,9 @@ the tests hold that as an oracle.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
 
 from .lattice import _read
 

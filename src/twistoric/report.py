@@ -4,6 +4,8 @@ A report holds what analyze_sequence derives, once each, from one action
 sequence: the surface, its invariant fibers and their degree matrix, the
 divisor data read off its pairing rows, adjacent-pair models with their fiber
 classes, and warnings.  to_json only writes them, rationals as 'p/q' strings.
+Like every record of the package, a report is an immutable namedtuple whose
+_replace and _make go through the same checks as its constructor.
 Each reader accepts exactly what its writer emits; a report is read from its
 input, roots and first constants, then analyzed again.  The model record
 (model_record, parse_model_record) lives in models and is re-exported here.
@@ -11,18 +13,16 @@ input, roots and first constants, then analyzed again.  The model record
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
-from .divisors import TwistorDivisorData, solve_divisor_data
+from .divisors import solve_divisor_data
 from .errors import CapExceeded
 from .fibers import bimeromorphic_pairs, degree_matrix, invariant_fibers, model_degree
 from .lattice import ActionSequence, _read, enumerate_sequences, validate
 from .models import (
     ConformalRoots,
-    FiberClass,
-    ModelEquations,
     _check_constants,
     _models,
     _ordered,
@@ -32,7 +32,7 @@ from .models import (
     model_record,
     parse_model_record,
 )
-from .surface import Divisor, ToricSurface, build_surface
+from .surface import build_surface
 
 DEFAULT_CAP = 8
 
@@ -55,19 +55,10 @@ def default_roots(k: int) -> ConformalRoots:
     return ConformalRoots(k=k, tail=tuple([Fraction(t) for t in range(1, k - 1)]))
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(namedtuple("AnalysisReport", "sequence surface roots fibers degrees bimeromorphic divisors models warnings")):
     """Everything derived from one action sequence, ready to serialize."""
 
-    sequence: ActionSequence
-    surface: ToricSurface
-    roots: ConformalRoots
-    fibers: tuple[tuple[Divisor, Divisor], ...]
-    degrees: tuple[tuple[int, ...], ...]
-    bimeromorphic: tuple[tuple[int, int], ...]
-    divisors: tuple[TwistorDivisorData, ...]
-    models: tuple[tuple[ModelEquations, tuple[FiberClass, ...]], ...]
-    warnings: tuple[dict, ...]
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

@@ -12,11 +12,11 @@ the fan check and the self-intersections read it here, the fibers and divisors m
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .errors import IndexMismatch, NonSmoothFan
-from .lattice import ActionSequence, Vector
+from .lattice import ActionSequence
 
 Divisor = tuple[int, ...]
 
@@ -30,16 +30,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ToricSurface:
+class ToricSurface(namedtuple("ToricSurface", "rays self_int pairing")):
     """Rays, self-intersections of the invariant curves, and the pairing matrix they are read from.
 
     pairing[a][r] = det(rays[r], rays[a]) for a < k; each row's second half negates its first.
     """
 
-    rays: tuple[Vector, ...]
-    self_int: tuple[int, ...]
-    pairing: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @property
     def k(self) -> int:

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import twistoric
 from twistoric import enumerate_sequences, run_model
 from twistoric.cli import main
 
@@ -268,3 +272,19 @@ def test_unknown_flag_exits_via_argparse(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["enumerate", "--n", "2", "--frobnicate"])
     assert excinfo.value.code == 2
+
+
+def test_cold_import_loads_no_dataclasses_inspect_or_typing():
+    """The modules `import twistoric.cli` adds to a fresh `python -S` beyond the stdlib ones the
+    command line needs anyway; the baseline is taken in that interpreter, so it holds on every version."""
+    code = (
+        "import sys, argparse, json, fractions, collections.abc\n"
+        "before = set(sys.modules)\n"
+        "import twistoric.cli\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(twistoric.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60)
+    added = json.loads(proc.stdout)
+    assert "twistoric.cli" in added
+    assert not {"dataclasses", "inspect", "typing"} & set(added), added

@@ -122,6 +122,9 @@ def test_model_record_reader_is_strict():
         (no_mu, "'mu'"),
         (three_rows, "'P'"),
         (third_row_off, "'P'"),
+        ({**data, "P": data["P"][:1]}, "'P'"),  # P_1 alone
+        ({**data, "P": []}, "'P'"),
+        ({**data, "P": [[], data["P"][1]]}, "'P'"),  # P_1 zero
         ({**data, "bundle": [1]}, "'bundle'"),
         ({**data, "bundle": 4}, "'bundle'"),
         (list(data.values()), "'models'"),
