@@ -135,13 +135,7 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict | list, int]:
         try:
             seq = validate(vectors)
         except SequenceValidationError as exc:
-            payload = {
-                "valid": False,
-                "violations": [
-                    {"code": v.code, "index": v.index, "message": v.message} for v in exc.violations
-                ],
-            }
-            return payload, 1
+            return {"valid": False, "violations": [v._asdict() for v in exc.violations]}, 1
         return {"valid": True, **seq.to_json()}, 0
 
     if args.command == "enumerate":

@@ -63,7 +63,13 @@ def _parse_divisor_data(data: dict) -> TwistorDivisorData:
     l_plus, l_minus = [_read(data[key], lambda xs: tuple([int(x) for x in xs]), list, key) for key in ("lPlus", "lMinus")]
     if len(l_plus) != len(l_minus):
         raise ValueError(f"'lPlus' and 'lMinus' must have one entry per label, got {len(l_plus)} and {len(l_minus)}")
-    return TwistorDivisorData(alpha=int(data["alpha"]), m=int(data["m"]), l_plus=l_plus, l_minus=l_minus)
+    # the solvers emit the positive and negative parts of each step, and m >= 1
+    if min(l_plus + l_minus, default=0) < 0 or any(p and q for p, q in zip(l_plus, l_minus)):
+        raise ValueError(f"'lPlus' and 'lMinus' must be nonnegative and not both positive at one label, got {list(l_plus)} and {list(l_minus)}")
+    m = int(data["m"])
+    if m < 1:
+        raise ValueError(f"'m' must be at least 1, got {m}")
+    return TwistorDivisorData(alpha=int(data["alpha"]), m=m, l_plus=l_plus, l_minus=l_minus)
 
 
 def _from_row(row: Divisor, alpha: int) -> TwistorDivisorData:

@@ -13,9 +13,9 @@ step between m_j and m_i, member a being c_a lambda^{2(a-2)} P_2 / c_2, so a
 model stores only P_1, P_2 and its constants.
 
 Roots are labelled 2 .. k; label 1 sits at infinity, label 2 at zero.  P_1
-vanishes at label b to order l_ib, so a fiber's kind is read from the two
-multiplicities at its label; only the model-record reader (parse_model_record)
-and the test oracles root-test P.
+vanishes at label b to order l_ib, so classify_fibers reads a fiber's kind from
+the two multiplicities at its label.  Only the model-record reader and the test
+oracles root-test P: parse_model_record divides P by each location's factor.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from fractions import Fraction
 from .divisors import TwistorDivisorData
 from .errors import DegenerateConstants, RootCollision, RootOrderViolation
 from .lattice import _read
-from .ratpoly import Poly, cleared, degree, derivative, from_factors, poly_from_strings, poly_to_strings, render, vanishes
+from .ratpoly import Poly, cleared, degree, divided, from_factors, poly_from_strings, poly_to_strings, render
 
 GENERIC_FOUR_NODAL = "GenericFourNodal"
 TWO_QUADRIC_CONES = "TwoQuadricCones"
@@ -258,11 +258,6 @@ def _parse_fiber_class(data: dict) -> FiberClass:
     return FiberClass(location=at, kind=data["kind"], non_reduced=bool(data["nonReduced"]), generic=bool(data["generic"]))
 
 
-def _fiber_class(location: Fraction | None, order_1: int, order_2: int) -> FiberClass:
-    """The class where P_1, P_2 vanish to these orders: the kind counts the positive ones, and two or more is non-reduced."""
-    return FiberClass(location=location, kind=_KINDS[(order_1 > 0) + (order_2 > 0)], non_reduced=order_1 >= 2 or order_2 >= 2)
-
-
 def _generic_class(roots: ConformalRoots) -> FiberClass:
     """The sample standing in for every unlisted location: the smallest positive integer that is no root."""
     taken = {r.numerator for r in roots.finite_roots if r.denominator == 1}
@@ -283,7 +278,10 @@ def classify_fibers(l_i: Sequence[int], l_j: Sequence[int], roots: ConformalRoot
     """
     if not len(l_i) == len(l_j) == roots.k:
         raise ValueError(f"need one multiplicity per label 1 .. {roots.k}, got {len(l_i)} and {len(l_j)}")
-    out = [_fiber_class(r, a, b) for r, a, b in zip((None,) + roots.finite_roots, l_i, l_j)]
+    out = [
+        FiberClass(location=r, kind=_KINDS[(a > 0) + (b > 0)], non_reduced=a >= 2 or b >= 2)
+        for r, a, b in zip((None,) + roots.finite_roots, l_i, l_j)
+    ]
     out.append(_generic_class(roots))
     return out
 
@@ -309,28 +307,32 @@ def parse_model_record(data: dict) -> tuple[ModelEquations, tuple[FiberClass, ..
 def _parse_model(data: dict) -> tuple[ModelEquations, tuple[FiberClass, ...]]:
     # c is the leading coefficients of P, the rows past P_2 are checked when the model is
     # written back, and the fibers are classified again at their locations, from the
-    # orders of P_1 and P_2 there
+    # multiplicities of P_1 and P_2 there
     m_i, m_j = _read(data["bundle"], lambda b: (int(b[0]), int(b[2])), lambda m: [m[0], m[0], m[1], m[1]], "bundle")
     rows = [poly_from_strings(row) for row in data["P"]]
     if m_i < m_j or len(rows) not in (2, m_i - m_j + 2) or not all(rows):
         raise ValueError(f"'P' must be 2 or mu + 2 polynomials, none zero, with mu = bundle[0] - bundle[2] >= 0: got {len(rows)} with mu = {m_i - m_j}")
     constants = tuple([p[-1] for p in rows])
     eqs = ModelEquations(i=int(data["i"]), j=int(data["j"]), m_i=m_i, m_j=m_j, constants=constants, p1=rows[0], p2=rows[1])
-    classes = [FiberClass.from_json(fc) for fc in data["fibers"]]
-    finite = tuple([fc.location for fc in classes[1:-1]])
-    roots = ConformalRoots(k=len(finite) + 1, tail=finite[1:])
-    generic = _generic_class(roots)
-    cs = [cleared(eqs.p1), cleared(eqs.p2)]
-    if vanishes(cs[0], generic.location) or vanishes(cs[1], generic.location):
-        raise ValueError(f"P_1 or P_2 vanishes at the generic sample {generic.location}")
-    out = [_fiber_class(None, 2 * m_i - degree(eqs.p1), 2 * m_j - degree(eqs.p2))]
-    out += [_fiber_class(r, _order(cs[0], r), _order(cs[1], r)) for r in roots.finite_roots]
-    return eqs, tuple(out + [generic])
+    # infinity, zero, the tail, then the generic sample
+    locations = [FiberClass.from_json(fc).location for fc in data["fibers"]]
+    roots = ConformalRoots(k=len(locations) - 1, tail=locations[2:-1])
+    if eqs.i == eqs.j or not 1 <= min(eqs.i, eqs.j) <= max(eqs.i, eqs.j) <= roots.k:
+        raise ValueError(f"'i' and 'j' must be two labels 1 .. {roots.k} of the listed fibers, got {eqs.i} and {eqs.j}")
+    l_i, l_j = _multiplicities(eqs.p1, 2 * m_i, roots), _multiplicities(eqs.p2, 2 * m_j, roots)
+    return eqs, tuple(classify_fibers(l_i, l_j, roots))
 
 
-def _order(coeffs: list[int], r: Fraction) -> int:
-    """The vanishing order at r, capped at 2, by integer Horner on the polynomial and its derivative."""
-    return 0 if not vanishes(coeffs, r) else 1 if not vanishes(derivative(coeffs), r) else 2
+def _multiplicities(p: Poly, two_m: int, roots: ConformalRoots) -> list[int]:
+    """2m - deg p, then at each finite root a/b how often (b lambda - a) divides p exactly; ValueError naming 'P' unless those account for p."""
+    coeffs, orders = cleared(p), [two_m - degree(p)]
+    for r in roots.finite_roots:
+        orders.append(0)
+        while (quotient := divided(coeffs, r)) is not None:
+            coeffs, orders[-1] = quotient, orders[-1] + 1
+    if len(coeffs) != 1 or orders[0] < 0:
+        raise ValueError(f"'P' must be c * prod (lambda - r)^l over the listed fiber locations r, of degree at most 2m = {two_m}, got degree {degree(p)}")
+    return orders
 
 
 class LinearSystemMeta(namedtuple("LinearSystemMeta", "mu dim_w_i dim_w_j dim_combined")):

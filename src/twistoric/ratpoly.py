@@ -6,10 +6,11 @@ of operations the model emitter and the model-record reader need live here.
 
 The arithmetic runs on ints: from_factors expands the monic product with the
 denominators cleared and makes one Fraction per coefficient at the end; the
-models scale it by their constants.  The root test, vanishes, is integer
-homogeneous Horner on the cleared coefficients; only the model-record reader
-runs it, where P is free data.  evaluate is the exact Fraction evaluator the
-tests check the integer kernel against.  There is no general multiplication;
+models scale it by their constants.  The root test, divided, is synthetic
+division of the cleared coefficients by (b lambda - a); only the model-record
+reader runs it, where P is free data, and counts a root's multiplicity as the
+number of exact divisions.  evaluate is the exact Fraction evaluator the tests
+check the integer kernel against.  There is no general multiplication;
 the tests hold that as an oracle.
 """
 
@@ -27,25 +28,21 @@ __all__ = [
     "Poly",
     "cleared",
     "degree",
-    "derivative",
+    "divided",
     "evaluate",
     "from_factors",
     "normalized",
     "poly_from_strings",
     "poly_to_strings",
     "render",
-    "vanishes",
 ]
 
 
-def _stripped(coeffs: list) -> tuple:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
 def normalized(coeffs: Iterable[Fraction | int]) -> Poly:
-    return _stripped([Fraction(c) for c in coeffs])
+    p = [Fraction(c) for c in coeffs]
+    while p and p[-1] == 0:
+        p.pop()
+    return tuple(p)
 
 
 def degree(p: Poly) -> int:
@@ -77,31 +74,25 @@ def evaluate(p: Poly, x: Fraction) -> Fraction:
     return acc
 
 
-def derivative(p: Sequence) -> tuple:
-    """Coefficients of p' with no trailing zeros, in the coefficient type of p.
-
-    A Poly gives a Poly, and the ints of cleared(p) give ints.
-    """
-    return _stripped([t * c for t, c in enumerate(p)][1:])
-
-
 def cleared(p: Poly) -> list[int]:
     """The coefficients of p times their least common denominator."""
     den = lcm(*[c.denominator for c in p])
     return [c.numerator * (den // c.denominator) for c in p]
 
 
-def vanishes(coeffs: Sequence[int], x: Fraction) -> bool:
-    """Whether the integer polynomial is zero at x = a/b.
+def divided(coeffs: Sequence[int], x: Fraction) -> list[int] | None:
+    """The integer polynomial divided by (b lambda - a) for x = a/b, or None when x is no root.
 
-    Homogeneous Horner: acc ends as b^d P(a/b), all on ints.
+    Gauss's lemma keeps an exact quotient integral, so synthetic division from the top stays on ints.
     """
     a, b = x.numerator, x.denominator
-    acc, power = 0, 1
-    for c in reversed(coeffs):
-        acc = acc * a + c * power
-        power *= b
-    return acc == 0
+    quotient, carry = [], 0
+    for c in reversed(coeffs[1:]):
+        carry, rest = divmod(c + a * carry, b)
+        if rest:
+            return None
+        quotient.append(carry)
+    return None if coeffs and coeffs[0] + a * carry else quotient[::-1]
 
 
 def poly_to_strings(p: Poly) -> list[str]:

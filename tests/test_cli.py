@@ -47,6 +47,8 @@ def test_validate_reports_every_violation(tmp_path, capsys):
     assert [(v["code"], v["index"]) for v in payload["violations"]] == [
         ("DeterminantViolation", 2)
     ]
+    # stdout is byte-deterministic: each violation's keys come in the Violation field order
+    assert [list(v) for v in payload["violations"]] == [["code", "index", "message"]]
 
 
 def test_malformed_json_is_an_input_error(tmp_path, capsys):

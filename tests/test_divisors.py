@@ -235,3 +235,16 @@ def test_divisor_json_reader_is_strict():
     for bad, field in [(no_m, "'m'"), ({**good, "lPlus": 5}, "'lPlus'"), ({**good, "lPlus": [0, 0, 0]}, "'lPlus'")]:
         with pytest.raises(ValueError, match=field):
             TwistorDivisorData.from_json(bad)
+    # no solver emits a negative entry, a label positive in both parts, or m < 1
+    never_emitted = [
+        ({"alpha": 1, "m": 1, "lPlus": [-1, 3], "lMinus": [0, 0]}, "'lPlus' and 'lMinus' must be nonnegative"),
+        ({"alpha": 1, "m": 1, "lPlus": [0, 0], "lMinus": [2, -2]}, "'lPlus' and 'lMinus' must be nonnegative"),
+        ({"alpha": 1, "m": 1, "lPlus": [1, 1], "lMinus": [1, 0]}, "'lPlus' and 'lMinus' must be nonnegative"),
+        ({"alpha": 1, "m": 0, "lPlus": [1, 1], "lMinus": [0, 0]}, "'m'"),
+        ({"alpha": 1, "m": -2, "lPlus": [0, 0], "lMinus": [0, 0]}, "'m'"),
+    ]
+    for bad, field in never_emitted:
+        with pytest.raises(ValueError, match=field):
+            TwistorDivisorData.from_json(bad)
+    flat = solve_from_fibers((5, 5, 5, 5), (0, 0, 0, 0), 1)
+    assert TwistorDivisorData.from_json({"alpha": 1, "m": 5, "lPlus": [0, 0], "lMinus": [0, 0]}) == flat

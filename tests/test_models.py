@@ -342,7 +342,7 @@ def test_deep_chain_models_follow_divisor_data(picks, rng):
 @given(st.lists(st.integers(0, 10**6), max_size=12), st.randoms(use_true_random=False))
 @example([0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6], random.Random(0))  # k = 14 with m up to 233
 def test_reader_root_tests_agree_with_multiplicity_classes(picks, rng):
-    """The classes read from l_total survive the record reader, which recovers them by root tests on P.
+    """The classes read from l_total survive the record reader, which recovers l_total by dividing P.
 
     Mediant chains up to k = 14, rational roots, rational constants: every adjacent
     pair as a reduced model, and one pair as a full model.
@@ -385,13 +385,13 @@ def counted(name: str, monkeypatch: pytest.MonkeyPatch, source=ratpoly) -> list:
 
 @pytest.mark.parametrize("picks", [[], [0], [0, 1, 1, 2], [3, 1, 4, 1, 5, 9, 2, 6], [0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6]])
 def test_each_pencil_product_is_expanded_once(picks, monkeypatch):
-    """A k-chain's report expands k label products and root-tests nothing; a single model tests no root either.
+    """A k-chain's report expands k label products and divides by no root; a single model divides by none either.
 
     classify expands nothing, and the report and the listing read their divisor data off the pairing rows,
     not through the checked solver for free fibers.
     """
     seq = validate(grow_by_mediants(picks))
-    expanded, tested = counted("from_factors", monkeypatch), counted("vanishes", monkeypatch)
+    expanded, tested = counted("from_factors", monkeypatch), counted("divided", monkeypatch)
     checked = counted("solve_from_fibers", monkeypatch, divisors)
     for constants in (None, (Fraction(3, 2), -5)):
         del expanded[:]
@@ -411,8 +411,9 @@ def test_each_pencil_product_is_expanded_once(picks, monkeypatch):
 
 
 def test_vanishing_at_generic_sample_is_a_value_error():
-    # hand-built record: P_1 = lambda - 2 vanishes at the sample 2 for roots 0, 1; only the reader
-    # root-tests P, since the pipeline's constants are nonzero and its roots distinct
+    # hand-built record: P_1 = lambda - 2 vanishes at the sample 2 for roots 0, 1, so it is no
+    # constant times factors at the listed locations; only the reader root-tests P, since the
+    # pipeline's constants are nonzero and its roots distinct
     def at(location, kind, generic=False):
         return {"at": location, "kind": kind, "nonReduced": False, "generic": generic}
 
@@ -425,7 +426,7 @@ def test_vanishing_at_generic_sample_is_a_value_error():
         "P": [["-2", "1"], ["0", "1"]],
         "fibers": [at("inf", FOUR_PLANES), at("0", TWO_QUADRIC_CONES), at("1", GENERIC_FOUR_NODAL), at("2", GENERIC_FOUR_NODAL, True)],
     }
-    with pytest.raises(ValueError, match="generic sample 2"):
+    with pytest.raises(ValueError, match="'P' must be c \\* prod"):
         parse_model_record(record)
 
 

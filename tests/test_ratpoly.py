@@ -12,14 +12,13 @@ from hypothesis import given, strategies as st
 from twistoric.ratpoly import (
     cleared,
     degree,
-    derivative,
+    divided,
     evaluate,
     from_factors,
     normalized,
     poly_from_strings,
     poly_to_strings,
     render,
-    vanishes,
 )
 
 from oracles import root_multiplicity
@@ -74,19 +73,23 @@ def test_root_multiplicity_agrees_with_construction(probe, factors):
 
 
 @given(small_fracs, st.lists(st.tuples(small_fracs, st.integers(0, 3)), min_size=1, max_size=3))
-def test_double_root_iff_value_and_derivative_vanish(probe, factors):
+def test_repeated_division_counts_the_constructed_multiplicity(probe, factors):
     p = scaled(Fraction(2, 3), factors)
-    double = evaluate(p, probe) == 0 and evaluate(derivative(p), probe) == 0
-    assert double == (root_multiplicity(p, probe) >= 2)
+    coeffs, count = cleared(p), 0
+    while (quotient := divided(coeffs, probe)) is not None:
+        coeffs, count = quotient, count + 1
+    assert count == sum(mult for root, mult in factors if root == probe) == root_multiplicity(p, probe)
 
 
-def test_derivative_exact():
-    assert derivative(normalized([Fraction(1, 2), 3, 0, Fraction(-2, 3)])) == (3, 0, -2)
-    assert derivative(normalized([5])) == ()
-    assert derivative(()) == ()
-    ints = derivative([7, 3, 0, -2])
-    assert ints == (3, 0, -6) and all(type(c) is int for c in ints)
-    assert derivative([1, 2, 0]) == (2,) and derivative([4, 0]) == ()
+def test_divided_exact():
+    assert divided([-6, 1, 1], Fraction(2)) == [3, 1]  # (x - 2)(x + 3)
+    assert divided([-1, 0, 4], Fraction(1, 2)) == [1, 2]  # (2x - 1)(2x + 1)
+    assert divided([0, 0, 3], Fraction(0)) == [0, 3]
+    assert divided([1, 0, 4], Fraction(1, 2)) is None
+    assert divided([1, 2], Fraction(1, 2)) is None  # 2 * (1/2) + 1 != 0
+    assert divided([-1, 3], Fraction(1, 2)) is None  # 3x - 1 vanishes at 1/3, and 2 does not divide 3
+    assert divided([5], Fraction(0)) is None
+    assert divided([], Fraction(7)) == []
 
 
 def test_cleared_scales_by_the_common_denominator():
@@ -103,13 +106,17 @@ def test_cleared_scales_by_the_common_denominator():
     small_fracs,
 )
 def test_integer_root_test_matches_fraction_evaluation(coeffs, scale, factors, probe):
-    """vanishes on the cleared coefficients agrees with evaluate, at random points and at the roots."""
+    """divided on the cleared coefficients is None exactly where evaluate is nonzero, at random
+    points and at the roots; otherwise its quotient times (b x - a), for x = a/b, gives them back."""
     for p in (normalized(coeffs), scaled(scale, factors)):
-        c, d = cleared(p), derivative(cleared(p))
-        assert all(type(x) is int for x in c + list(d))
+        c = cleared(p)
         for x in [probe, Fraction(0)] + [root for root, _ in factors]:
-            assert vanishes(c, x) == (evaluate(p, x) == 0)
-            assert vanishes(d, x) == (evaluate(derivative(p), x) == 0)
+            q = divided(c, x)
+            assert (q is None) == (evaluate(p, x) != 0)
+            if q is not None:
+                a, b = x.numerator, x.denominator
+                assert all(type(t) is int for t in q)
+                assert ([b * hi - a * lo for hi, lo in zip([0] + q, q + [0])] if q else []) == c
 
 
 def test_evaluate_exact():

@@ -30,6 +30,7 @@ from twistoric import (
     solve_divisor_data,
     validate,
 )
+from twistoric.models import FOUR_PLANES, GENERIC_FOUR_NODAL, TWO_QUADRIC_CONES
 from twistoric.report import model_record, parse_model_record
 
 from oracles import grow_by_mediants
@@ -110,6 +111,7 @@ def test_model_record_reader_is_strict():
         ("mu", 1),  # not bundle[0] - bundle[2]
         ("bundle", [1, 2, 1, 1]),
         ("c", ["1", "1", "1"]),  # not one constant per row of P
+        ("i", 99),  # no label of the three listed locations
     ]
     for field, bad in bad_values:
         with pytest.raises(ValueError, match=f"'{field}'"):
@@ -118,10 +120,28 @@ def test_model_record_reader_is_strict():
     three_rows = {**data, "P": data["P"] + [data["P"][1]], "c": ["1", "1", "1"]}  # mu = 0 takes two
     full = run_model([(0, 1), (1, 1), (2, 1), (1, 0)], 1, 2, full=True)
     third_row_off = {**full, "P": full["P"][:2] + [["1"] + full["P"][2][1:]]}  # not lambda^2 * P_2
+    # P_1 times (lambda - 100): a fiber over 100 that no listed location stands for
+    cones = run_model([(0, 1), (1, 1), (3, 2), (5, 3), (2, 1), (1, 0)], 3, 4)
+    p1 = [Fraction(c) for c in cones["P"][0]]
+    cones["P"][0] = [str(hi - 100 * lo) for hi, lo in zip([0] + p1, p1 + [0])]
+
+    def at(location, kind, non_reduced=False, generic=False):
+        return {"at": location, "kind": kind, "nonReduced": non_reduced, "generic": generic}
+
+    # P_1 = lambda^2 (lambda - 1) has degree 3 > 2m = 2; the fibers are those of its roots, with order 0 at infinity
+    cubic = {
+        **data,
+        "P": [["0", "0", "-1", "1"], data["P"][1]],
+        "fibers": [at("inf", TWO_QUADRIC_CONES), at("0", FOUR_PLANES, True), at("1", TWO_QUADRIC_CONES), at("2", GENERIC_FOUR_NODAL, generic=True)],
+    }
     bad_records = [
         (no_mu, "'mu'"),
         (three_rows, "'P'"),
         (third_row_off, "'P'"),
+        (cones, "'P' must be c \\* prod"),
+        (cubic, "'P' must be c \\* prod"),
+        ({**data, "i": 2, "j": 2}, "'i' and 'j' must be two labels"),
+        ({**data, "i": 0, "j": -3}, "'i' and 'j' must be two labels"),
         ({**data, "P": data["P"][:1]}, "'P'"),  # P_1 alone
         ({**data, "P": []}, "'P'"),
         ({**data, "P": [[], data["P"][1]]}, "'P'"),  # P_1 zero
