@@ -12,7 +12,7 @@ whose n, a and b are JSON integers (n optional).  Every command writes one
 JSON document to stdout (or --output) and the same input always produces
 byte-identical output.  Exit codes: 0 on success, 1 when the input fails
 validation or cannot be read or the --output file cannot be written, 2 on
-usage errors.
+usage errors: a bad flag value (USAGE_ERRORS) or what argparse refuses.
 """
 
 from __future__ import annotations
@@ -36,18 +36,12 @@ from .lattice import validate
 from .report import DEFAULT_CAP, run_analyze, run_classify, run_enumerate, run_model
 
 
-class InputDataError(ValueError):
+class InputDataError(TwistoricError):
     """The content of an input file is unusable (distinct from bad flags)."""
 
 
-# Error class to exit code, checked in order: the first entry the error is an
-# instance of wins, so InputDataError comes before its base ValueError.
-EXIT_CODES: tuple[tuple[tuple[type[Exception], ...], int], ...] = (
-    ((BadIndices, CapExceeded, DegenerateConstants, RootCollision, RootOrderViolation), 2),
-    ((InputDataError, OSError, SequenceValidationError), 1),
-    ((ValueError,), 2),
-    ((TwistoricError,), 1),
-)
+# what main catches exits 2 if it is one of these, a bad flag value, and 1 otherwise
+USAGE_ERRORS = (ValueError, BadIndices, CapExceeded, DegenerateConstants, RootCollision, RootOrderViolation)
 
 
 def _parse_fractions(text: str | None, flag: str) -> tuple[Fraction, ...] | None:
@@ -158,9 +152,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         payload, code = _dispatch(args)
         _emit(payload, args.output)
-    except tuple([kind for kinds, _ in EXIT_CODES for kind in kinds]) as exc:
+    except (TwistoricError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds))
+        return 2 if isinstance(exc, USAGE_ERRORS) else 1
     return code
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import accumulate
 
-from .errors import BadIndices, InconsistentSystem, IndexMismatch, NegativeMultiplicity
+from .errors import InconsistentSystem, IndexMismatch, NegativeMultiplicity
 from .lattice import _read
 from .surface import Divisor, ToricSurface
 
@@ -97,6 +97,4 @@ def solve_from_fibers(f: Divisor, fbar: Divisor, alpha: int) -> TwistorDivisorDa
 
 def solve_divisor_data(surface: ToricSurface, alpha: int) -> TwistorDivisorData:
     """Divisor data for index alpha, read off pairing row alpha - 1 unchecked: build_surface writes row[k + s] = -row[s]."""
-    if not 1 <= alpha <= surface.k:
-        raise BadIndices(f"index {alpha} out of range 1..{surface.k}")
-    return _from_row(surface.pairing[alpha - 1], alpha)
+    return _from_row(surface.row(alpha), alpha)

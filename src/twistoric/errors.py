@@ -4,12 +4,29 @@ Every domain error derives from TwistoricError so callers (in particular the
 command line driver) can catch the whole family at once.  Validation of an
 action sequence reports all problems together rather than stopping at the
 first one; the individual findings are Violation records carried by
-SequenceValidationError.
+SequenceValidationError.  __all__ names the classes, which the package
+re-exports; the violation codes below are lattice's, imported by name.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+
+__all__ = [
+    "BadIndices",
+    "CapExceeded",
+    "DegenerateConstants",
+    "InconsistentSystem",
+    "IndexMismatch",
+    "NegativeMultiplicity",
+    "NonSmoothFan",
+    "NotNormalizable",
+    "RootCollision",
+    "RootOrderViolation",
+    "SequenceValidationError",
+    "TwistoricError",
+    "Violation",
+]
 
 
 class TwistoricError(Exception):

@@ -35,9 +35,7 @@ def invariant_fibers(surface: ToricSurface, alpha: int) -> tuple[Divisor, Diviso
     Returns (f, fbar); f holds the components with positive pairing, fbar
     those with negative pairing, and fbar is the conjugate of f.
     """
-    if not 1 <= alpha <= surface.k:
-        raise BadIndices(f"index {alpha} out of range 1..{surface.k}")
-    row = surface.pairing[alpha - 1]
+    row = surface.row(alpha)
     return tuple([x if x > 0 else 0 for x in row]), tuple([-x if x < 0 else 0 for x in row])
 
 
@@ -47,9 +45,10 @@ def model_degree(surface: ToricSurface, i: int, j: int) -> int:
     This is the degree of the rational map attached to the pair (i, j);
     the map is bimeromorphic exactly when the degree is 1.
     """
-    if not 1 <= i < j <= surface.k:
+    if type(i) is type(j) is int and not 1 <= i < j <= surface.k:
         raise BadIndices(f"need 1 <= i < j <= {surface.k}, got ({i}, {j})")
-    return abs(surface.pairing[j - 1][i - 1])
+    surface.row(i)  # refuses a bool or non-int i; row j refuses j
+    return abs(surface.row(j)[i - 1])
 
 
 def degree_matrix(surface: ToricSurface) -> tuple[tuple[int, ...], ...]:

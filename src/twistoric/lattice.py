@@ -200,6 +200,8 @@ def enumerate_sequences(n: int) -> list[ActionSequence]:
     a vector of maximal coordinate sum in the interior always equals the sum
     of its neighbours, so chains blow down step by step to the base chain.
     """
+    if type(n) is not int:  # range() would take a bool as 0 or 1 and refuse a float with a TypeError
+        raise ValueError(f"'n' must be an int, got {n!r}")
     if n < 0:
         raise ValueError("n must be >= 0")
     chains: set[tuple[Vector, ...]] = {((0, 1), (1, 0))}

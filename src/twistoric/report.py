@@ -140,7 +140,7 @@ def run_analyze(
 
 def run_enumerate(n: int, count_only: bool = False, cap: int = DEFAULT_CAP) -> dict:
     """Enumerate all sequences for n and summarize each one."""
-    if n > cap:
+    if type(n) is int and n > cap:  # enumerate_sequences refuses any other n, naming it
         raise CapExceeded(f"n = {n} exceeds the enumeration cap {cap}")
     seqs = enumerate_sequences(n)
     out: dict = {"n": n, "count": len(seqs)}

@@ -8,6 +8,7 @@ curves are plain integer coefficient tuples of length 2k.
 
 All of the fan's combinatorics comes from one table, ToricSurface.pairing:
 the fan check and the self-intersections read it here, the fibers and divisors modules the rest.
+ToricSurface.row reads the row of one pencil index, and is where that index is checked.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .errors import IndexMismatch, NonSmoothFan
+from .errors import BadIndices, IndexMismatch, NonSmoothFan
 from .lattice import ActionSequence
 
 Divisor = tuple[int, ...]
@@ -41,6 +42,14 @@ class ToricSurface(namedtuple("ToricSurface", "rays self_int pairing")):
     @property
     def k(self) -> int:
         return len(self.rays) // 2
+
+    def row(self, alpha: int) -> Divisor:
+        """Pairing row alpha - 1, phi_alpha on all 2k rays: the one check of a pencil index."""
+        if type(alpha) is not int:  # a bool would pass for 0 or 1, a float would fail at the lookup
+            raise BadIndices(f"index must be an int, got {alpha!r}")
+        if not 1 <= alpha <= self.k:
+            raise BadIndices(f"index {alpha} out of range 1..{self.k}")
+        return self.pairing[alpha - 1]
 
     def to_json(self) -> dict:
         return {

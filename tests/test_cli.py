@@ -13,7 +13,7 @@ import pytest
 
 import twistoric
 from twistoric import enumerate_sequences, run_model
-from twistoric.cli import main
+from twistoric.cli import InputDataError, main
 
 HEXAGON = {"n": 1, "vectors": [[0, 1], [1, 1], [1, 0]]}
 
@@ -262,6 +262,49 @@ def test_unwritable_output_exits_1(tmp_path, capsys, target):
     code, out, err = run(capsys, ["analyze", "--input", path, "--output", str(tmp_path / target)])
     assert code == 1 and out == ""
     assert err.startswith("error: ")
+
+
+ERRORS = [
+    (twistoric.TwistoricError("base"), 1),
+    (twistoric.SequenceValidationError([]), 1),
+    (twistoric.NotNormalizable("no unimodular change"), 1),
+    (twistoric.NonSmoothFan("rays 0 and 1"), 1),
+    (twistoric.IndexMismatch("divisor length"), 1),
+    (twistoric.InconsistentSystem("component equations"), 1),
+    (twistoric.NegativeMultiplicity("m = 0"), 1),
+    (twistoric.BadIndices("index 0"), 2),
+    (twistoric.CapExceeded("n = 9"), 2),
+    (twistoric.DegenerateConstants("c = 0"), 2),
+    (twistoric.RootCollision("r = 1"), 2),
+    (twistoric.RootOrderViolation("not monotone"), 2),
+    (InputDataError("input.json: expected an object"), 1),
+    (ValueError("--roots: cannot parse"), 2),
+    (json.JSONDecodeError("Expecting value", "{", 1), 2),
+    (OSError("disk"), 1),
+    (FileNotFoundError("missing.json"), 1),
+    (IsADirectoryError("."), 1),
+    (PermissionError("read-only"), 1),
+]
+
+
+@pytest.mark.parametrize("error, code", ERRORS, ids=[type(error).__name__ for error, _ in ERRORS])
+def test_exit_code_of_each_error(monkeypatch, capsys, error, code):
+    """Every error main catches, whether or not a command line reaches it today: usage errors exit 2, the rest 1."""
+
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(twistoric.cli, "_dispatch", fail)
+    assert run(capsys, ["enumerate", "--n", "1"]) == (code, "", f"error: {error}\n")
+
+
+def test_other_errors_are_not_caught(monkeypatch):
+    def fail(args):
+        raise TypeError("a bug, not an input")
+
+    monkeypatch.setattr(twistoric.cli, "_dispatch", fail)
+    with pytest.raises(TypeError):
+        main(["enumerate", "--n", "1"])
 
 
 def test_missing_subcommand_exits_via_argparse(capsys):

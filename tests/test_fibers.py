@@ -14,6 +14,8 @@ from twistoric import (
     intersect,
     invariant_fibers,
     model_degree,
+    run_classify,
+    run_model,
     solve_divisor_data,
     validate,
 )
@@ -136,7 +138,19 @@ def test_bad_indices_rejected():
         model_degree(s, 1, 4)
     with pytest.raises(BadIndices):
         invariant_fibers(s, 7)
-    # the divisor data read the pairing row directly, so they check the index themselves
+    # all three read the pairing row through ToricSurface.row, the one index check
     for alpha in (0, s.k + 1):
-        with pytest.raises(BadIndices, match=f"index {alpha} out of range 1..3"):
-            solve_divisor_data(s, alpha)
+        for read in (invariant_fibers, solve_divisor_data):
+            with pytest.raises(BadIndices, match=f"index {alpha} out of range 1..3"):
+                read(s, alpha)
+    # a bool would index as 0 or 1, a float would fail the tuple lookup with a TypeError
+    vectors = [list(v) for v in s.rays[: s.k]]
+    for bad in (True, 1.0, 2.0):
+        for read in (invariant_fibers, solve_divisor_data):
+            with pytest.raises(BadIndices, match=f"index must be an int, got {bad!r}"):
+                read(s, bad)
+    for i, j in ((True, 3), (1.0, 3), (2.0, 3), (1, 2.0)):  # each pair in order, as ints
+        bad = j if type(i) is int else i
+        for pick in (model_degree, run_model, run_classify):
+            with pytest.raises(BadIndices, match=f"index must be an int, got {bad!r}"):
+                pick(s if pick is model_degree else vectors, i, j)

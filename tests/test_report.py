@@ -240,6 +240,13 @@ def test_run_enumerate_cap():
     assert run_enumerate(3, count_only=True, cap=3) == {"n": 3, "count": 5}
 
 
+@pytest.mark.parametrize("n, message", [(True, "'n' must be an int, got True"), (2.0, "'n' must be an int, got 2.0"), (9.0, "'n' must be an int, got 9.0"), ("3", "'n' must be an int, got '3'"), (-1, "n must be >= 0")])
+def test_run_enumerate_refuses_a_bad_n(n, message):
+    # range() would count a bool as n = 1 and refuse a float with a bare TypeError; the cap check would compare a str
+    with pytest.raises(ValueError, match=message):
+        run_enumerate(n)
+
+
 def test_run_model_reduced_and_full():
     reduced = run_model([(0, 1), (1, 1), (2, 1), (1, 0)], 1, 2)
     assert len(reduced["P"]) == 2
