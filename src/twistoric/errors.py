@@ -99,4 +99,4 @@ class RootOrderViolation(TwistoricError):
 
 
 class CapExceeded(TwistoricError):
-    """Requested enumeration size exceeds the configured cap."""
+    """A requested enumeration exceeds its cap, or a model's coefficients the bits Python prints."""

@@ -10,7 +10,8 @@ O(m_i)^2 + O(m_j)^2 over the projective line,
 where P_1 = c_1 prod (lambda - r_b)^{l_ib} over the finite root labels and
 P_2 likewise with the l_jb.  The full chain of models adds one equation per
 step between m_j and m_i, member a being c_a lambda^{2(a-2)} P_2 / c_2, so a
-model stores only P_1, P_2 and its constants.
+model stores only P_1, P_2 and its constants, and its writer formats each
+distinct member once, behind the zeros of its power of lambda.
 
 Roots are labelled 2 .. k; label 1 sits at infinity, label 2 at zero.  P_1
 vanishes at label b to order l_ib, so classify_fibers reads a fiber's kind from
@@ -20,12 +21,14 @@ oracles root-test P: parse_model_record divides P by each location's factor.
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from fractions import Fraction
+from math import log2
 
 from .divisors import TwistorDivisorData
-from .errors import DegenerateConstants, RootCollision, RootOrderViolation
+from .errors import CapExceeded, DegenerateConstants, RootCollision, RootOrderViolation
 from .lattice import _read
 from .ratpoly import Poly, cleared, degree, divided, from_factors, poly_from_strings, poly_to_strings, render
 
@@ -48,6 +51,7 @@ __all__ = [
     "emit_open_model_description",
     "emit_reduced_model",
     "model_record",
+    "model_size",
     "parse_model_record",
     "system_meta",
 ]
@@ -138,7 +142,7 @@ class ModelEquations(namedtuple("ModelEquations", "i j m_i m_j constants p1 p2")
 
     @property
     def polys(self) -> tuple[Poly, ...]:
-        return _chain(self.p1, self.p2, self.constants)
+        return tuple(_chain(self, tuple, (Fraction(0),)))
 
     @property
     def mu(self) -> int:
@@ -178,29 +182,54 @@ def _models(
     """The model of each adjacent pair in data: P_1, P_2 and two constants, or all mu + 2 when full.
 
     Each label's monic product of (lambda - r_b)^{l_b} over labels b = 2 .. k is
-    expanded once, and a model only rescales it; None constants are ones.
+    expanded once, and a model only rescales it; None constants are ones.  Before
+    any expansion, a polynomial that model_size puts over the bit budget is CapExceeded.
     """
     pairs = [_ordered(d_i, d_j) for d_i, d_j in zip(data, data[1:])]
     if roots.k != data[0].k:
         raise ValueError(f"roots are for k = {roots.k}, divisor data for k = {data[0].k}")
     css = [_check_constants(constants, di.m - dj.m + 2 if full else 2) for di, dj in pairs]
-    products = {d.alpha: from_factors(zip(roots.finite_roots, d.l_total[1:])) for d in data}
-    out = []
-    for (di, dj), cs in zip(pairs, css):
-        p1, p2 = _scaled(products[di.alpha], cs[0]), _scaled(products[dj.alpha], cs[1])
-        out.append(ModelEquations(i=di.alpha, j=dj.alpha, m_i=di.m, m_j=dj.m, constants=cs, p1=p1, p2=p2))
-    return out
+    # sys.get_int_max_str_digits() in bits, the most any written number can have; 0 where Python has no limit
+    budget = int(getattr(sys, "get_int_max_str_digits", lambda: 0)() * log2(10))
+    # every model takes the same constants, so the widest one bounds each label's polynomials
+    widest = max(css[0], key=_bits) if constants else Fraction(1)
+    for d in data:
+        deg, bits = model_size(d.l_total, roots, widest)
+        if budget and bits > budget:
+            raise CapExceeded(f"a model polynomial of degree {deg} may need {bits} bits per coefficient, over the budget of {budget} bits that sys.get_int_max_str_digits() lets the writer print")
+    # label 2's root is zero, so its factor lambda^{l_2} only shifts the product over the tail
+    products = {d.alpha: (Fraction(0),) * d.l_total[1] + from_factors(zip(roots.tail, d.l_total[2:])) for d in data}
+    return [
+        ModelEquations(i=di.alpha, j=dj.alpha, m_i=di.m, m_j=dj.m, constants=cs, p1=_scaled(products[di.alpha], cs[0]), p2=_scaled(products[dj.alpha], cs[1]))
+        for (di, dj), cs in zip(pairs, css)
+    ]
+
+
+def model_size(l_total: Sequence[int], roots: ConformalRoots, constant: Fraction) -> tuple[int, int]:
+    """The degree of constant * prod (lambda - r_b)^{l_b} over labels b = 2 .. k, and a bound on its coefficients' bits.
+
+    The factor (q lambda - a) of r = a/q has coefficients of absolute sum |a| + q; the product of those sums
+    bounds every cleared coefficient and the common denominator, and the constant adds its larger part's bits.
+    """
+    bits = _bits(constant)
+    for r, l in zip(roots.finite_roots, l_total[1:]):
+        bits += l * (abs(r.numerator) + r.denominator).bit_length()
+    return sum(l_total[1:]), bits
+
+
+def _bits(c: Fraction) -> int:
+    return max(c.numerator.bit_length(), c.denominator.bit_length())
 
 
 def _scaled(p: Poly, c: Fraction) -> Poly:
     return p if c == 1 else tuple([c * x for x in p])
 
 
-def _chain(p1: Poly, p2: Poly, cs: tuple[Fraction, ...]) -> tuple[Poly, ...]:
-    """P_1, P_2, then c_a / c_2 * lambda^(2(a-2)) * P_2 for a = 3 .. len(cs), P_2 having the constant c_2."""
-    # P_2 is rescaled once per distinct constant
-    scaled = {c: _scaled(p2, c / cs[1]) for c in set(cs[1:])}
-    return (p1,) + tuple([(Fraction(0),) * (2 * (a - 2)) + scaled[cs[a - 1]] for a in range(2, len(cs) + 1)])
+def _chain(eqs: ModelEquations, form: Callable[[Poly], Sequence], zero: Sequence) -> list:
+    """P_1, then c_a / c_2 * lambda^(2(a-2)) * P_2 for a = 2 .. mu + 2: each distinct polynomial put in form once, zero the form of a 0."""
+    cs = eqs.constants
+    shared = {c: form(_scaled(eqs.p2, c / cs[1])) for c in set(cs[1:])}
+    return [form(eqs.p1)] + [zero * (2 * (a - 2)) + shared[c] for a, c in enumerate(cs[1:], start=2)]
 
 
 def emit_reduced_model(
@@ -294,7 +323,7 @@ def model_record(eqs: ModelEquations, classes: Sequence[FiberClass]) -> dict:
         "mu": eqs.mu,
         "bundle": list(eqs.bundle),
         "c": [str(c) for c in eqs.constants],
-        "P": [poly_to_strings(p) for p in eqs.polys],
+        "P": _chain(eqs, poly_to_strings, ["0"]),
         "fibers": [fc.to_json() for fc in classes],
     }
 
@@ -366,9 +395,7 @@ def emit_open_model_description(eqs: ModelEquations, map_degree: int = 1) -> dic
     open piece of the twistor space the model covers; when the attached map
     has degree above one a warning marks the model as non-bimeromorphic.
     """
-    equations = []
-    for a, p in enumerate(eqs.polys, start=1):
-        equations.append(f"xi{2 * a - 1}*xi{2 * a} = {render(p)}")
+    equations = [f"xi{2 * a - 1}*xi{2 * a} = {render(p)}" for a, p in enumerate(eqs.polys, start=1)]
     record = {
         "totalSpace": {
             "base": "CP1",

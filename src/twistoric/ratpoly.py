@@ -1,17 +1,14 @@
 """Exact polynomial arithmetic over the rationals.
 
-Polynomials are tuples of Fractions in ascending degree order with no
-trailing zeros; the zero polynomial is the empty tuple.  Only the handful
-of operations the model emitter and the model-record reader need live here.
-
-The arithmetic runs on ints: from_factors expands the monic product with the
-denominators cleared and makes one Fraction per coefficient at the end; the
-models scale it by their constants.  The root test, divided, is synthetic
-division of the cleared coefficients by (b lambda - a); only the model-record
-reader runs it, where P is free data, and counts a root's multiplicity as the
-number of exact divisions.  evaluate is the exact Fraction evaluator the tests
-check the integer kernel against.  There is no general multiplication;
-the tests hold that as an oracle.
+Polynomials are tuples of Fractions in ascending degree order with no trailing
+zeros; the zero polynomial is the empty tuple.  Only what the model emitter and
+the model-record reader need lives here, and it runs on ints: from_factors
+multiplies one list in place by each linear factor (q lambda - a), with the
+denominators cleared, and makes one Fraction per coefficient at the end.
+divided is synthetic division by (b lambda - a); only the model-record reader
+runs it, where P is free data, and counts a root's multiplicity as the number
+of exact divisions.  The tests check both against sympy and evaluate, the exact
+Fraction evaluator, and keep the expander from_factors replaced as an oracle.
 """
 
 from __future__ import annotations
@@ -53,18 +50,21 @@ def degree(p: Poly) -> int:
 def from_factors(factors: Iterable[tuple[Fraction, int]]) -> Poly:
     """The monic product of (x - root)^mult over the given factors.
 
-    Expands on ints: root a/q contributes (q x - a) and a factor q to the
-    common denominator, so the coefficients are Fractions only at the end.
+    Expands on ints, in place: root a/q multiplies the list by (q x - a), from the bottom up,
+    and the common denominator by q, so the coefficients are Fractions only at the end.
     """
-    p = [1]
-    den = 1
+    p, den = [1], 1
     for root, mult in factors:
         a, q = root.numerator, root.denominator
         for _ in range(mult):
-            # times (q x - a), one shift-and-subtract: new[t] = q * p[t-1] - a * p[t]
-            p = [q * hi - a * lo for hi, lo in zip([0] + p, p + [0])]
+            # times (q x - a): p[t] becomes q * p[t-1] - a * p[t], carrying the old p[t-1]; q = 1 copies no big int
+            prev = 0
+            for t, c in enumerate(p):
+                p[t] = (prev if q == 1 else q * prev) - a * c
+                prev = c
+            p.append(q * prev)
         den *= q**mult
-    return tuple([Fraction(c, den) for c in p])
+    return tuple([Fraction(c) for c in p] if den == 1 else [Fraction(c, den) for c in p])
 
 
 def evaluate(p: Poly, x: Fraction) -> Fraction:

@@ -5,8 +5,10 @@ package: enumeration by bounded brute-force search instead of mediant
 closure, half-cycle decomposition by exhaustive search over bounded
 complementary multiplicity vectors instead of the difference solve, the
 weighted half-cycle sum position by position over explicit half-cycles
-instead of the running sum, and exact vanishing orders by repeated
-synthetic division instead of the P(r) = P'(r) = 0 test.
+instead of the running sum, exact vanishing orders by repeated synthetic
+division of Fractions instead of the integer division of cleared
+coefficients, and label products by building a new list per linear factor
+instead of rewriting one list in place.
 """
 
 from __future__ import annotations
@@ -178,3 +180,19 @@ def root_multiplicity(p: Poly, r: Fraction) -> int:
         p = normalized(q)
         mult += 1
     return mult
+
+
+def shift_and_subtract_product(factors) -> Poly:
+    """The monic product of (x - root)^mult, one new list per linear factor.
+
+    Root a/q multiplies by (q x - a) as new[t] = q * p[t-1] - a * p[t] over the
+    list padded with a zero at each end, on ints with the denominators cleared.
+    """
+    p = [1]
+    den = 1
+    for root, mult in factors:
+        a, q = root.numerator, root.denominator
+        for _ in range(mult):
+            p = [q * hi - a * lo for hi, lo in zip([0] + p, p + [0])]
+        den *= q**mult
+    return tuple([Fraction(c, den) for c in p])

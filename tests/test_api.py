@@ -41,7 +41,7 @@ def test_top_level_publishes_nothing_else():
     public = {attr for attr, obj in vars(twistoric).items() if not attr.startswith("_") and not isinstance(obj, ModuleType)}
     assert public == listed | {"annotations"}
     assert not set(twistoric.ratpoly.__all__) & public  # ratpoly stays a submodule only
-    assert listed - set(PUBLISHED) == {"Matrix", "Vector", "Divisor", "DEFAULT_CAP", "model_record", "parse_model_record"}
+    assert listed - set(PUBLISHED) == {"Matrix", "Vector", "Divisor", "DEFAULT_CAP", "model_record", "model_size", "parse_model_record"}
 
 
 def test_every_earlier_name_is_still_published():

@@ -3,17 +3,22 @@
 from __future__ import annotations
 
 import json
+import math
 import os
+import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import twistoric
-from twistoric import enumerate_sequences, run_model
+from twistoric import enumerate_sequences, models, run_model
 from twistoric.cli import InputDataError, main
+
+from oracles import grow_by_mediants
 
 HEXAGON = {"n": 1, "vectors": [[0, 1], [1, 1], [1, 0]]}
 
@@ -203,6 +208,43 @@ def test_unparsable_roots_rejected(tmp_path, capsys):
         code, out, err = run(capsys, argv)
         assert code == 2 and out == ""
         assert flag in err
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int-to-str digit limit, so no bit budget")
+@pytest.mark.parametrize(
+    "vectors, flags",
+    [
+        # k = 20 zig-zag chain: each mediant next to the one before, m up to 4181 and deg P up to 8361
+        (grow_by_mediants([0] + [t for t in range(1, 10) for _ in (0, 1)][:17]), []),
+        ([[0, 1], [1, 1], [2, 1], [3, 1], [1, 0]], ["--roots", "1e2500,2e2500,3e2500"]),
+    ],
+)
+def test_models_over_the_bit_budget_are_refused_before_expanding(tmp_path, capsys, monkeypatch, vectors, flags):
+    """A model whose coefficients may have more digits than Python prints is a usage error before any expansion,
+    and the message names the degree, the bit estimate and the budget."""
+    expanded = []
+    monkeypatch.setattr(models, "from_factors", lambda factors: expanded.append(factors))
+    path = write_input(tmp_path, {"vectors": [list(v) for v in vectors]})
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["analyze", "--input", path] + flags)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and expanded == []
+    budget = int(sys.get_int_max_str_digits() * math.log2(10))
+    assert re.search(rf"degree \d+ may need \d+ bits per coefficient, over the budget of {budget} bits", err), err
+
+
+def test_no_digit_limit_means_no_bit_budget(tmp_path, capsys):
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("no int-to-str digit limit to lift")
+    path = write_input(tmp_path, {"vectors": [[0, 1], [1, 1], [2, 1], [3, 1], [1, 0]]})
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        code, out, _ = run(capsys, ["analyze", "--input", path, "--roots", "1e2500,2e2500,3e2500"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0
+    assert max(len(c) for model in json.loads(out)["models"] for row in model["P"] for c in row) > limit
 
 
 def test_classify_shape(tmp_path, capsys):

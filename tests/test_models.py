@@ -410,6 +410,24 @@ def test_each_pencil_product_is_expanded_once(picks, monkeypatch):
     assert checked == [] and split == []
 
 
+@pytest.mark.parametrize("distinct", [1, 2, 3, 5, 9])
+def test_the_writer_formats_each_distinct_polynomial_once(distinct, monkeypatch):
+    """model_record formats P_1 once and P_2 once per distinct constant among c_2 .. c_{mu+2}.
+
+    With all constants equal, or none given, it formats two polynomials for the mu + 2 rows; with m distinct
+    trailing constants, 1 + m.
+    """
+    _, d1, d2 = divisor_pair(grow_by_mediants([0, 1, 1, 2, 2, 3]), 5, 6)
+    mu = d1.m - d2.m
+    assert mu == 8
+    trailing = [Fraction(-1, 3)] + [Fraction(t % distinct + 2, 3) for t in range(mu + 1)]
+    formatted = counted("poly_to_strings", monkeypatch)
+    for constants, calls in [(None, 2), ([Fraction(5, 7)] * (mu + 2), 2), (trailing, 1 + distinct)]:
+        del formatted[:]
+        rows = model_record(emit_full_model(d1, d2, default_roots(8), constants), ())["P"]
+        assert len(rows) == mu + 2 and len(formatted) == calls
+
+
 def test_vanishing_at_generic_sample_is_a_value_error():
     # hand-built record: P_1 = lambda - 2 vanishes at the sample 2 for roots 0, 1, so it is no
     # constant times factors at the listed locations; only the reader root-tests P, since the
@@ -460,7 +478,8 @@ def test_emitted_polynomials_factor_exactly():
     """Every member of reduced and full models is c_a lambda^(2(a-2)) prod (lambda - r_b)^(l_b), checked in sympy.
 
     P_1 takes c_1 and the l_total of i, every later member the l_total of j (lambda^0 at a = 2).  The roots and
-    the constants are rationals, none of the constants one, so this is the check on how the models scale.
+    the constants are rationals, none of the constants one and no two equal, so this is the check on how the
+    models scale.  It checks both polys and the rows model_record writes, which share P_2's strings.
     """
     x = sympy.Symbol("x")
     rational = lambda q: sympy.Rational(q.numerator, q.denominator)
@@ -474,14 +493,35 @@ def test_emitted_polynomials_factor_exactly():
                 for emit, count in ((emit_reduced_model, 2), (emit_full_model, mu + 2)):
                     cs = [Fraction((-1) ** a * (a + 2), a + 1) for a in range(1, count + 1)]
                     eqs = emit(data[i - 1], data[i], roots, cs)
-                    assert len(eqs.polys) == count and eqs.constants == tuple(cs)
-                    for a, p in enumerate(eqs.polys, start=1):
+                    rows = model_record(eqs, ())["P"]
+                    assert len(eqs.polys) == len(rows) == count and eqs.constants == tuple(cs)
+                    for a, (p, row) in enumerate(zip(eqs.polys, rows), start=1):
                         l_total = data[(eqs.i if a == 1 else eqs.j) - 1].l_total
                         expected = rational(cs[a - 1]) * x ** (2 * max(a - 2, 0))
                         for r, l in zip(roots.finite_roots, l_total[1:]):
                             expected *= (x - rational(r)) ** l
-                        got = sum(rational(c) * x**e for e, c in enumerate(p))
-                        assert sympy.expand(got - expected) == 0, (seq.vectors, eqs.i, eqs.j, a)
+                        for got in (p, [Fraction(c) for c in row]):
+                            got = sum(rational(c) * x**e for e, c in enumerate(got))
+                            assert sympy.expand(got - expected) == 0, (seq.vectors, eqs.i, eqs.j, a)
+
+
+@given(
+    st.lists(st.fractions(min_value=Fraction(1, 7), max_value=50, max_denominator=7), max_size=5),
+    st.booleans(),
+    st.lists(st.integers(0, 9), min_size=7, max_size=7),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=1000).filter(lambda c: c != 0),
+)
+@example([Fraction(1, 7), Fraction(2, 7), Fraction(3, 7)], False, [0, 9, 9, 9, 9, 0, 0], Fraction(1))
+@example([Fraction(49, 1), Fraction(50, 1)], True, [3, 0, 0, 9, 0, 0, 0], Fraction(-1000, 999))
+def test_model_size_bounds_every_coefficient(steps, negative, mults, constant):
+    """model_size gives the exact degree and at least as many bits as any numerator or denominator of the polynomial."""
+    tail = tuple([-r if negative else r for r in accumulate(steps)])
+    roots = ConformalRoots(k=len(tail) + 2, tail=tail)
+    l_total = tuple(mults[: roots.k])
+    p = [constant * c for c in ratpoly.from_factors(zip(roots.finite_roots, l_total[1:]))]
+    deg, bits = twistoric.model_size(l_total, roots, constant)
+    assert deg == len(p) - 1
+    assert bits >= max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in p)
 
 
 def test_system_meta_frozen_values():

@@ -1,5 +1,6 @@
 """Exact rational polynomial helpers, cross-checked against sympy, the
-synthetic-division oracle and the Fraction evaluator."""
+shift-and-subtract expander, the synthetic-division oracle and the Fraction
+evaluator."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from twistoric.ratpoly import (
     cleared,
@@ -21,7 +22,7 @@ from twistoric.ratpoly import (
     render,
 )
 
-from oracles import root_multiplicity
+from oracles import root_multiplicity, shift_and_subtract_product
 
 
 def test_normalized_strips_trailing_zeros():
@@ -61,6 +62,17 @@ def test_from_factors_matches_sympy_expansion(scale, factors):
     for root, mult in factors:
         expected *= (x - sympy.Rational(root.numerator, root.denominator)) ** mult
     assert sympy.expand(_to_sympy(p) - expected) == 0
+
+
+@given(st.lists(st.tuples(st.fractions(min_value=-40, max_value=40, max_denominator=7), st.integers(0, 12)), max_size=5))
+@example([(Fraction(0), 12), (Fraction(-33, 7), 12), (Fraction(5, 6), 11), (Fraction(40), 12)])
+@example([(Fraction(3, 7), 1), (Fraction(0), 3), (Fraction(-1), 12), (Fraction(0), 2)])
+def test_from_factors_matches_the_shift_and_subtract_oracle(factors):
+    """The in-place kernel against the expander it replaced: roots of both signs and zero, denominators up to 7,
+    multiplicities up to 12, where the sympy check above stops at 3."""
+    p = from_factors(factors)
+    assert p == shift_and_subtract_product(factors)
+    assert all(type(c) is Fraction for c in p) and p[-1] == 1
 
 
 @given(small_fracs, st.lists(st.tuples(small_fracs, st.integers(0, 3)), min_size=1, max_size=3))
