@@ -10,8 +10,8 @@ in normalized form:
 
 Any sequence satisfying only the determinant chain can be brought to this
 form by a unimodular change of lattice coordinates when one exists
-(normalize); the normalized representatives for fixed n form a finite set
-(enumerate_sequences).
+(normalize); the normalized representatives for fixed n form a finite set,
+which enumerate_sequences builds valid and does not check again.
 """
 
 from __future__ import annotations
@@ -192,7 +192,7 @@ def reversal_dual(seq: ActionSequence) -> ActionSequence:
 
 
 def enumerate_sequences(n: int) -> list[ActionSequence]:
-    """All normalized sequences for n, in lexicographic order.
+    """All normalized sequences for n, in lexicographic order, valid as built and so not checked again.
 
     Works by closing { ((0,1), (1,0)) } under insertion of the mediant
     v_i + v_{i+1} between consecutive entries, n times.  Inserting a mediant
@@ -212,4 +212,4 @@ def enumerate_sequences(n: int) -> list[ActionSequence]:
                 med = (ch[i][0] + ch[i + 1][0], ch[i][1] + ch[i + 1][1])
                 grown.add(ch[: i + 1] + (med,) + ch[i + 1 :])
         chains = grown
-    return [validate(ch) for ch in sorted(chains)]
+    return [ActionSequence(n=n, vectors=ch) for ch in sorted(chains)]

@@ -65,10 +65,10 @@ def _checked_make(cls, iterable):
 class ConformalRoots(namedtuple("ConformalRoots", "k tail")):
     """Pencil root locations for a surface with k sequence vectors.
 
-    tail holds the roots for labels 3 .. k; label 2 is pinned at zero and
-    label 1 at infinity.  The tail must consist of nonzero rationals of one
-    sign, strictly increasing when positive and strictly decreasing when
-    negative, which in particular keeps all k root locations distinct.
+    tail holds the roots for labels 3 .. k; label 2 is pinned at zero and label 1 at infinity.  The
+    tail must consist of nonzero rationals of one sign, strictly increasing when positive and strictly
+    decreasing when negative, so all k locations are distinct.  Each root is checked against its left
+    neighbour only: equal to it or zero is a RootCollision, any other repeat a RootOrderViolation.
     """
 
     __slots__ = ()
@@ -82,12 +82,11 @@ class ConformalRoots(namedtuple("ConformalRoots", "k tail")):
         if len(tail) != k - 2:
             raise RootOrderViolation(f"expected {k - 2} roots for labels 3..{k}, got {len(tail)}")
         tail = _exact(tail, "roots")
-        seen: set[Fraction] = set()
-        for r in tail:
-            if r in seen or r == 0:
-                raise RootCollision(f"root {r} collides with an earlier root")
-            seen.add(r)
-        for a, b in zip(tail, tail[1:]):
+        # each root b after its left neighbour a, from label 2's zero; a collision anywhere outranks a break in the order
+        for a, b in zip((0,) + tail, tail):
+            if b == a or b == 0:
+                raise RootCollision(f"root {b} collides with an earlier root")
+        for a, b in zip((0,) + tail, tail):
             if a > 0 and not b > a:
                 raise RootOrderViolation(f"positive roots must increase strictly: {a} then {b}")
             if a < 0 and not b < a:
@@ -189,8 +188,7 @@ def _models(
     if roots.k != data[0].k:
         raise ValueError(f"roots are for k = {roots.k}, divisor data for k = {data[0].k}")
     css = [_check_constants(constants, di.m - dj.m + 2 if full else 2) for di, dj in pairs]
-    # sys.get_int_max_str_digits() in bits, the most any written number can have; 0 where Python has no limit
-    budget = int(getattr(sys, "get_int_max_str_digits", lambda: 0)() * log2(10))
+    budget = _bit_budget()
     # every model takes the same constants, so the widest one bounds each label's polynomials
     widest = max(css[0], key=_bits) if constants else Fraction(1)
     for d in data:
@@ -217,6 +215,14 @@ def model_size(l_total: Sequence[int], roots: ConformalRoots, constant: Fraction
     return sum(l_total[1:]), bits
 
 
+def _bit_budget() -> int:
+    """sys.get_int_max_str_digits() in bits, the most any written number can have; 0 where Python has no limit.
+
+    The writer refuses a polynomial whose model_size bits exceed it, and the reader one whose degree does.
+    """
+    return int(getattr(sys, "get_int_max_str_digits", lambda: 0)() * log2(10))
+
+
 def _bits(c: Fraction) -> int:
     return max(c.numerator.bit_length(), c.denominator.bit_length())
 
@@ -228,8 +234,10 @@ def _scaled(p: Poly, c: Fraction) -> Poly:
 def _chain(eqs: ModelEquations, form: Callable[[Poly], Sequence], zero: Sequence) -> list:
     """P_1, then c_a / c_2 * lambda^(2(a-2)) * P_2 for a = 2 .. mu + 2: each distinct polynomial put in form once, zero the form of a 0."""
     cs = eqs.constants
-    shared = {c: form(_scaled(eqs.p2, c / cs[1])) for c in set(cs[1:])}
-    return [form(eqs.p1)] + [zero * (2 * (a - 2)) + shared[c] for a, c in enumerate(cs[1:], start=2)]
+    # keyed by ints: Fraction.__hash__ takes a modular inverse on every call
+    keys = [(c.numerator, c.denominator) for c in cs[1:]]
+    shared = {key: form(_scaled(eqs.p2, c / cs[1])) for key, c in dict(zip(keys, cs[1:])).items()}
+    return [form(eqs.p1)] + [zero * (2 * a) + shared[key] for a, key in enumerate(keys)]
 
 
 def emit_reduced_model(
@@ -288,11 +296,11 @@ def _parse_fiber_class(data: dict) -> FiberClass:
 
 
 def _generic_class(roots: ConformalRoots) -> FiberClass:
-    """The sample standing in for every unlisted location: the smallest positive integer that is no root."""
-    taken = {r.numerator for r in roots.finite_roots if r.denominator == 1}
+    """The sample for every unlisted location, the least positive integer that is no root: a positive tail's integers come in order."""
     n = 1
-    while n in taken:
-        n += 1
+    for r in roots.tail:
+        if r == n:
+            n += 1
     return FiberClass(location=Fraction(n), kind=GENERIC_FOUR_NODAL, non_reduced=False, generic=True)
 
 
@@ -353,14 +361,23 @@ def _parse_model(data: dict) -> tuple[ModelEquations, tuple[FiberClass, ...]]:
 
 
 def _multiplicities(p: Poly, two_m: int, roots: ConformalRoots) -> list[int]:
-    """2m - deg p, then at each finite root a/b how often (b lambda - a) divides p exactly; ValueError naming 'P' unless those account for p."""
-    coeffs, orders = cleared(p), [two_m - degree(p)]
+    """2m - deg p, then at each finite root a/b how often (b lambda - a) divides p exactly; ValueError naming 'P' unless those account for p.
+
+    Dividing is quadratic in deg p, so a degree over 2m or over the writer's bit budget is refused before any division.
+    """
+    deg, budget = degree(p), _bit_budget()
+    refused = f"'P' must be c * prod (lambda - r)^l over the listed fiber locations r, of degree at most 2m = {two_m}, got degree {deg}"
+    if deg > two_m:
+        raise ValueError(refused)
+    if budget and deg > budget:
+        raise ValueError(f"'P' has degree {deg}, over the budget of {budget} bits that sys.get_int_max_str_digits() lets the writer print, at least one bit per degree")
+    coeffs, orders = cleared(p), [two_m - deg]
     for r in roots.finite_roots:
         orders.append(0)
         while (quotient := divided(coeffs, r)) is not None:
             coeffs, orders[-1] = quotient, orders[-1] + 1
-    if len(coeffs) != 1 or orders[0] < 0:
-        raise ValueError(f"'P' must be c * prod (lambda - r)^l over the listed fiber locations r, of degree at most 2m = {two_m}, got degree {degree(p)}")
+    if len(coeffs) != 1:
+        raise ValueError(refused)
     return orders
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
+from functools import lru_cache
 
 from .divisors import solve_divisor_data
 from .errors import CapExceeded
@@ -50,9 +51,10 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=None, typed=True)  # typed: a float or bool k is never served the roots of an equal int k
 def default_roots(k: int) -> ConformalRoots:
-    """Deterministic root choice 1, 2, ... for labels 3 .. k."""
-    return ConformalRoots(k=k, tail=tuple([Fraction(t) for t in range(1, k - 1)]))
+    """Deterministic root choice 1, 2, ... for labels 3 .. k, built and checked once per k."""
+    return ConformalRoots(k=k, tail=range(1, k - 1))
 
 
 class AnalysisReport(namedtuple("AnalysisReport", "sequence surface roots fibers degrees bimeromorphic divisors models warnings")):
@@ -95,8 +97,7 @@ def analyze_sequence(
     """Full analysis of one sequence; models for every adjacent index pair, each label's product expanded once."""
     surface = build_surface(seq)
     k = surface.k
-    if roots is None:
-        roots = default_roots(k)
+    roots = default_roots(k) if roots is None else roots
     fibers = tuple([invariant_fibers(surface, a) for a in range(1, k + 1)])
     divisors = tuple([solve_divisor_data(surface, a) for a in range(1, k + 1)])
     degrees = degree_matrix(surface)

@@ -7,8 +7,10 @@ complementary multiplicity vectors instead of the difference solve, the
 weighted half-cycle sum position by position over explicit half-cycles
 instead of the running sum, exact vanishing orders by repeated synthetic
 division of Fractions instead of the integer division of cleared
-coefficients, and label products by building a new list per linear factor
-instead of rewriting one list in place.
+coefficients, label products by building a new list per linear factor
+instead of rewriting one list in place, the pencil-root check by a hashed set
+of every earlier root instead of left neighbours, and the generic sample by a
+set of integer roots instead of a scan of the ordered tail.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from math import gcd
 
 import numpy as np
 
+from twistoric.errors import RootCollision, RootOrderViolation
 from twistoric.ratpoly import Poly, evaluate, normalized
 
 Vec = tuple[int, int]
@@ -196,3 +199,26 @@ def shift_and_subtract_product(factors) -> Poly:
             p = [q * hi - a * lo for hi, lo in zip([0] + p, p + [0])]
         den *= q**mult
     return tuple([Fraction(c, den) for c in p])
+
+
+def check_root_tail(tail: tuple[Fraction, ...]) -> None:
+    """Raise as the pencil-root check does: first any root that is zero or seen before, then any break in the order."""
+    seen: set[Fraction] = set()
+    for r in tail:
+        if r in seen or r == 0:
+            raise RootCollision(f"root {r} collides with an earlier root")
+        seen.add(r)
+    for a, b in zip(tail, tail[1:]):
+        if a > 0 and not b > a:
+            raise RootOrderViolation(f"positive roots must increase strictly: {a} then {b}")
+        if a < 0 and not b < a:
+            raise RootOrderViolation(f"negative roots must decrease strictly: {a} then {b}")
+
+
+def generic_sample(finite_roots: tuple[Fraction, ...]) -> Fraction:
+    """The least positive integer that is no finite root, found by counting up past a set of the integer roots."""
+    taken = {r.numerator for r in finite_roots if r.denominator == 1}
+    n = 1
+    while n in taken:
+        n += 1
+    return Fraction(n)

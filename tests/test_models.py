@@ -32,11 +32,11 @@ from twistoric import (
     validate,
 )
 from twistoric import divisors, fibers, ratpoly
-from twistoric.models import FOUR_PLANES, GENERIC_FOUR_NODAL, TWO_QUADRIC_CONES, FiberClass
+from twistoric.models import FOUR_PLANES, GENERIC_FOUR_NODAL, TWO_QUADRIC_CONES, FiberClass, _generic_class
 from twistoric.ratpoly import degree, evaluate
 from twistoric.report import AnalysisReport, analyze_sequence, default_roots, model_record, parse_model_record, run_classify, run_enumerate, run_model
 
-from oracles import grow_by_mediants, root_multiplicity
+from oracles import check_root_tail, generic_sample, grow_by_mediants, root_multiplicity
 
 
 def divisor_pair(vectors, i, j):
@@ -116,6 +116,86 @@ def test_conformal_roots_validation():
     with pytest.raises(RootOrderViolation):
         ConformalRoots(k=4, tail=(Fraction(1),))  # wrong count
     assert ConformalRoots(k=3, tail=(Fraction(1),)).finite_roots == (Fraction(0), Fraction(1))
+
+
+def raised(call) -> tuple[type, str] | None:
+    try:
+        call()
+    except (RootCollision, RootOrderViolation) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+small_roots = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+# one-signed runs of nonnegative steps: mostly valid, with a zero first root or a zero step now and then
+monotone_tails = st.tuples(st.sampled_from((1, -1)), st.lists(st.fractions(min_value=0, max_value=2, max_denominator=2), max_size=7)).map(
+    lambda signed: tuple([signed[0] * r for r in accumulate(signed[1])])
+)
+
+
+def with_repeat(tail: tuple, at: int, to: int) -> tuple:
+    """tail with a copy of its entry at (at mod len) inserted at (to mod len + 1)."""
+    if not tail:
+        return tail
+    at, to = at % len(tail), to % (len(tail) + 1)
+    return tail[:to] + (tail[at],) + tail[to:]
+
+
+root_tails = st.one_of(
+    st.lists(small_roots, max_size=6).map(tuple),
+    monotone_tails,
+    st.builds(with_repeat, monotone_tails, st.integers(0, 6), st.integers(0, 7)),
+)
+
+
+@settings(max_examples=300)
+@given(root_tails)
+@example((Fraction(1), Fraction(2), Fraction(1)))
+@example((Fraction(2), Fraction(1), Fraction(1)))
+@example((Fraction(-1), Fraction(2), Fraction(0)))
+def test_root_check_matches_the_two_loop_oracle(tail):
+    """The neighbour check accepts exactly what the hashed-set oracle accepts, and refuses the rest with the
+    oracle's class and message, except a tail with a repeat not next to its twin: the oracle names that root
+    as a collision, where the neighbour check may name another root, or a break in the order."""
+    got = raised(lambda: ConformalRoots(k=len(tail) + 2, tail=tail))
+    expected = raised(lambda: check_root_tail(tail))
+    if any(tail[a] in tail[a + 2 :] for a in range(len(tail))):
+        assert expected[0] is RootCollision and got is not None, (expected, got)
+    else:
+        assert got == expected
+
+
+def test_a_distant_repeat_breaks_the_order():
+    with pytest.raises(RootOrderViolation, match="positive roots must increase strictly: 2 then 1"):
+        ConformalRoots(k=5, tail=(1, 2, 1))
+    with pytest.raises(RootCollision, match="root 1 collides with an earlier root"):
+        ConformalRoots(k=5, tail=(2, 1, 1))  # an adjacent repeat still outranks the break before it
+
+
+@settings(max_examples=300)
+@given(monotone_tails)
+@example((Fraction(1, 2), Fraction(1), Fraction(2), Fraction(7, 2), Fraction(4)))
+def test_generic_sample_matches_the_set_and_while_oracle(tail):
+    """The scan of the ordered tail finds the sample that counting up past a set of the integer roots finds."""
+    try:
+        roots = ConformalRoots(k=len(tail) + 2, tail=tail)
+    except (RootCollision, RootOrderViolation):
+        return
+    assert _generic_class(roots).location == generic_sample(roots.finite_roots)
+
+
+def test_default_roots_are_built_once_per_k():
+    for k in range(2, 12):
+        assert default_roots(k) is default_roots(k)
+        assert default_roots(k) == ConformalRoots(k, tail=tuple(range(1, k - 1)))
+    # the cached int k serves no equal float or bool k: each still raises as it did uncached.  CPython keys a
+    # lone int argument by itself and any other by a tuple, so only typed makes that a documented guarantee
+    assert default_roots.cache_parameters()["typed"] is True
+    default_roots(3)
+    with pytest.raises(TypeError):
+        default_roots(3.0)
+    with pytest.raises(ValueError, match="'k' must be an int"):
+        default_roots(True)
 
 
 def test_float_and_bool_roots_and_constants_are_refused():

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import math
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -30,10 +33,11 @@ from twistoric import (
     solve_divisor_data,
     validate,
 )
-from twistoric.models import FOUR_PLANES, GENERIC_FOUR_NODAL, TWO_QUADRIC_CONES
+from twistoric.models import FOUR_PLANES, GENERIC_FOUR_NODAL, TWO_QUADRIC_CONES, ModelEquations
 from twistoric.report import model_record, parse_model_record
 
 from oracles import grow_by_mediants
+from test_models import counted
 
 HEXAGON = [(0, 1), (1, 1), (1, 0)]
 
@@ -152,6 +156,57 @@ def test_model_record_reader_is_strict():
     for bad, field in bad_records:
         with pytest.raises(ValueError, match=field):
             parse_model_record(bad)
+
+
+def power_record(d: int, m: int) -> dict:
+    """The record the writer emits for P_1 = lambda^d, P_2 = 1 and bundle (m, m, m, m), over the hexagon's labels."""
+    eqs = ModelEquations(i=1, j=2, m_i=m, m_j=m, constants=(Fraction(1), Fraction(1)), p1=(Fraction(0),) * d + (Fraction(1),), p2=(Fraction(1),))
+    return json.loads(json.dumps(model_record(eqs, classify_fibers((2 * m - d, d, 0), (2 * m, 0, 0), default_roots(3)))))
+
+
+def cubic_record() -> dict:
+    """The hexagon's (1, 2) record with P_1 = lambda^2 (lambda - 1): degree 3 > 2m = 2."""
+    data = json.loads(json.dumps(model_record(*analyze_sequence(validate(HEXAGON)).models[0])))
+    at = [("inf", TWO_QUADRIC_CONES, False, False), ("0", FOUR_PLANES, True, False), ("1", TWO_QUADRIC_CONES, False, False), ("2", GENERIC_FOUR_NODAL, False, True)]
+    fibers = [{"at": a, "kind": kind, "nonReduced": nr, "generic": g} for a, kind, nr, g in at]
+    return {**data, "P": [["0", "0", "-1", "1"], data["P"][1]], "fibers": fibers}
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int-to-str digit limit, so no bit budget")
+def test_oversized_records_are_refused_before_dividing(monkeypatch):
+    """A P over 2m, or of more degrees than the writer's bit budget has bits, is refused before the first division."""
+    budget = int(sys.get_int_max_str_digits() * math.log2(10))
+    tested = counted("divided", monkeypatch)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=rf"'P' has degree {budget + 1}, over the budget of {budget} bits"):
+        parse_model_record(power_record(budget + 1, budget))
+    with pytest.raises(ValueError, match="'P' must be c \\* prod .* of degree at most 2m = 2, got degree 3"):
+        parse_model_record(cubic_record())
+    assert time.perf_counter() - start < 1.0
+    assert tested == []
+    # within 2m and the budget, a record is read back
+    record = power_record(40, 30)
+    assert model_record(*parse_model_record(record)) == record
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit to lift")
+def test_no_digit_limit_leaves_only_the_degree_rule(monkeypatch):
+    """With no digit limit there is no budget: a record over the least one Python allows is read, and 2m still holds."""
+    limit = sys.get_int_max_str_digits()
+    record = power_record(2127, 1064)
+    tested = counted("divided", monkeypatch)
+    try:
+        sys.set_int_max_str_digits(640)  # the least limit, a budget of 2126 bits
+        with pytest.raises(ValueError, match="'P' has degree 2127, over the budget of 2126 bits"):
+            parse_model_record(record)
+        assert tested == []
+        sys.set_int_max_str_digits(0)
+        assert model_record(*parse_model_record(record)) == record
+        assert tested
+        with pytest.raises(ValueError, match="of degree at most 2m = 2, got degree 3"):
+            parse_model_record(cubic_record())
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_model_record_reader_takes_rationals_as_strings_only():
