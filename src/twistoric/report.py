@@ -54,7 +54,8 @@ __all__ = [
 @lru_cache(maxsize=None, typed=True)  # typed: a float or bool k is never served the roots of an equal int k
 def default_roots(k: int) -> ConformalRoots:
     """Deterministic root choice 1, 2, ... for labels 3 .. k, built and checked once per k."""
-    return ConformalRoots(k=k, tail=range(1, k - 1))
+    # range() would refuse a float or str k with a bare TypeError, where ConformalRoots names 'k'
+    return ConformalRoots(k=k, tail=range(1, k - 1) if isinstance(k, int) else ())
 
 
 class AnalysisReport(namedtuple("AnalysisReport", "sequence surface roots fibers degrees bimeromorphic divisors models warnings")):

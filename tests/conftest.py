@@ -1,15 +1,26 @@
 """Shared pytest wiring.
 
-After a run that touched the acceptance suite, print one PASS/FAIL line per
+Every run prints the counted lines of src/twistoric/*.py: lines that are
+neither blank nor only a comment, docstrings included.  After a run that
+touched the acceptance suite, it also prints one PASS/FAIL line per
 criterion so the verdict is readable without scrolling through the full log.
 """
 
 import re
+from pathlib import Path
 
 CRITERION = re.compile(r"test_c(\d+)_(\w+)")
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "twistoric"
 
 
 def pytest_terminal_summary(terminalreporter):
+    counted = sum(
+        1
+        for path in PACKAGE.glob("*.py")
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if line.strip() and not line.strip().startswith("#")
+    )
+    terminalreporter.write_line(f"src/twistoric: {counted} counted lines")
     verdicts: dict[int, tuple[str, bool]] = {}
     for outcome in ("passed", "failed", "error"):
         for report in terminalreporter.stats.get(outcome, []):

@@ -59,8 +59,8 @@ MUTANTS = [
     Mutant(
         "default-roots-from-two",
         "report.py",
-        "tail=range(1, k - 1))",
-        "tail=range(2, k))",
+        "range(1, k - 1)",
+        "range(2, k)",
         ("tests/test_report.py::test_default_roots", "tests/test_models.py::test_default_roots_are_built_once_per_k"),
     ),
     Mutant(
@@ -92,6 +92,38 @@ MUTANTS = [
         ("tests/test_report.py::test_oversized_records_are_refused_before_dividing", "tests/test_report.py::test_no_digit_limit_leaves_only_the_degree_rule"),
     ),
     Mutant(
+        "reader-stops-one-division-early",
+        "models.py",
+        "orders.append(0)",
+        "orders.append(-1)",
+        ("tests/test_report.py::test_model_record_round_trip", "tests/test_models.py::test_reader_root_tests_agree_with_multiplicity_classes"),
+    ),
+    Mutant(
+        "models-expand-each-label-per-model",
+        "models.py",
+        "    products = {d.alpha: (Fraction(0),) * d.l_total[1] + from_factors(zip(roots.tail, d.l_total[2:])) for d in data}\n"
+        "    return [\n"
+        "        ModelEquations(i=di.alpha, j=dj.alpha, m_i=di.m, m_j=dj.m, constants=cs, p1=_scaled(products[di.alpha], cs[0]), p2=_scaled(products[dj.alpha], cs[1]))\n",
+        "    product = lambda d: (Fraction(0),) * d.l_total[1] + from_factors(zip(roots.tail, d.l_total[2:]))\n"
+        "    return [\n"
+        "        ModelEquations(i=di.alpha, j=dj.alpha, m_i=di.m, m_j=dj.m, constants=cs, p1=_scaled(product(di), cs[0]), p2=_scaled(product(dj), cs[1]))\n",
+        ("tests/test_models.py::test_each_pencil_product_is_expanded_once",),
+    ),
+    Mutant(
+        "smoothness-guard-skips-row-0",
+        "surface.py",
+        "for r in range(k):",
+        "for r in range(k - 1):",
+        ("tests/test_surface.py::test_build_surface_guards_against_corrupt_input",),
+    ),
+    Mutant(
+        "self-intersections-unrotated",
+        "surface.py",
+        "tuple(c[1:] + c[:1]) * 2",
+        "tuple(c) * 2",
+        ("tests/test_surface.py::test_n2_self_intersections", "tests/test_surface.py::test_ray_relation_everywhere", "tests/test_acceptance.py::test_c02_fan_correctness"),
+    ),
+    Mutant(
         "half-cycles-swapped",
         "divisors.py",
         "alpha=alpha, m=m, l_plus=l_plus, l_minus=l_minus",
@@ -110,7 +142,11 @@ MUTANTS = [
         "ratpoly.py",
         "for c in reversed(coeffs[1:]):",
         "for c in reversed(coeffs[1:-1]):",
-        ("tests/test_ratpoly.py::test_divided_exact", "tests/test_ratpoly.py::test_integer_root_test_matches_fraction_evaluation"),
+        (
+            "tests/test_ratpoly.py::test_divided_exact",
+            "tests/test_ratpoly.py::test_integer_root_test_matches_fraction_evaluation",
+            "tests/test_ratpoly.py::test_repeated_division_counts_the_constructed_multiplicity",
+        ),
     ),
     Mutant(
         "classify-one-label-off",

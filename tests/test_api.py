@@ -10,6 +10,8 @@ import pytest
 
 import twistoric
 
+from mutants import MUTANTS, stale
+
 MODULES = ("errors", "lattice", "surface", "fibers", "divisors", "models", "report")
 
 # Everything importable from twistoric when __init__ still listed the names one by one:
@@ -41,6 +43,8 @@ def test_top_level_publishes_nothing_else():
     public = {attr for attr, obj in vars(twistoric).items() if not attr.startswith("_") and not isinstance(obj, ModuleType)}
     assert public == listed | {"annotations"}
     assert not set(twistoric.ratpoly.__all__) & public  # ratpoly stays a submodule only
+    # so the test above reads none of its names, but bench/tracer.py reads each with getattr
+    assert [attr for attr in twistoric.ratpoly.__all__ if not hasattr(twistoric.ratpoly, attr)] == []
     assert listed - set(PUBLISHED) == {"Matrix", "Vector", "Divisor", "DEFAULT_CAP", "model_record", "model_size", "parse_model_record"}
 
 
@@ -54,3 +58,8 @@ def test_every_earlier_name_is_still_published():
             assert obj is __future__.annotations
         else:
             assert any(obj is getattr(importlib.import_module(f"twistoric.{name}"), attr, None) for name in MODULES), attr
+
+
+def test_every_planted_bug_still_applies():
+    """Each snippet of tests/mutants.py occurs once in src/, so an edit that orphans one fails here, in seconds."""
+    assert [reason for reason in map(stale, MUTANTS) if reason] == []

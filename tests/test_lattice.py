@@ -17,6 +17,7 @@ from twistoric import (
 )
 from twistoric.errors import (
     DETERMINANT_VIOLATION,
+    EMPTY_SEQUENCE,
     ENDPOINT_MISMATCH,
     NON_PRIMITIVE_VECTOR,
     POSITIVITY_VIOLATION,
@@ -44,6 +45,7 @@ def test_validate_reports_determinant_violation_with_position():
 
 
 def test_validate_reports_every_violation():
+    assert [(v.code, v.index) for v in check([])] == [(EMPTY_SEQUENCE, None)]
     violations = check([(1, 1), (-2, 4), (1, 0)])
     codes = {(v.code, v.index) for v in violations}
     assert (ENDPOINT_MISMATCH, 1) in codes
@@ -91,6 +93,11 @@ def test_normalize_absorbs_global_sign():
 def test_normalize_rejects_mixed_determinants():
     with pytest.raises(NotNormalizable):
         normalize([(0, 1), (-1, 1), (1, 0)])
+    for pairs in ([], [(0, 1)], [(0, 1), (1.0, 0)]):
+        with pytest.raises(NotNormalizable, match="need at least two integer pairs"):
+            normalize(pairs)
+    with pytest.raises(NotNormalizable, match="det\\(v_1, v_k\\) = -2, no unimodular matrix fixes the endpoints"):
+        normalize([(0, 1), (1, 1), (2, 1)])
 
 
 def test_normalize_matrix_maps_input_to_output():

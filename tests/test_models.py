@@ -103,6 +103,8 @@ def test_conformal_roots_validation():
     ConformalRoots(k=4, tail=(Fraction(1, 2), Fraction(3)))
     ConformalRoots(k=4, tail=(Fraction(-1), Fraction(-2)))
     ConformalRoots(k=2)
+    with pytest.raises(RootOrderViolation, match="need k >= 2"):
+        ConformalRoots(k=1)
     with pytest.raises(RootCollision):
         ConformalRoots(k=4, tail=(Fraction(1), Fraction(1)))
     with pytest.raises(RootCollision):
@@ -192,10 +194,9 @@ def test_default_roots_are_built_once_per_k():
     # lone int argument by itself and any other by a tuple, so only typed makes that a documented guarantee
     assert default_roots.cache_parameters()["typed"] is True
     default_roots(3)
-    with pytest.raises(TypeError):
-        default_roots(3.0)
-    with pytest.raises(ValueError, match="'k' must be an int"):
-        default_roots(True)
+    for k in (3.0, True, "3"):
+        with pytest.raises(ValueError, match="'k' must be an int"):
+            default_roots(k)
 
 
 def test_float_and_bool_roots_and_constants_are_refused():
@@ -255,6 +256,24 @@ def test_constants_validated():
         emit_reduced_model(d1, d2, roots, (1, 1, 1))
     with pytest.raises(ValueError):
         emit_full_model(d1, d2, roots, (1,))  # mu = 0 needs two
+
+
+def test_a_model_takes_two_labels_of_one_surface_and_roots_for_it():
+    _, d1, d2 = divisor_pair([(0, 1), (1, 1), (1, 0)], 1, 2)
+    _, _, e2 = divisor_pair([(0, 1), (1, 1), (2, 1), (1, 0)], 1, 2)
+    roots = default_roots(3)
+    with pytest.raises(ValueError, match="need two distinct pencil indices"):
+        emit_reduced_model(d1, d1, roots)
+    with pytest.raises(ValueError, match="divisor data come from different surfaces"):
+        emit_reduced_model(d1, e2, roots)
+    with pytest.raises(ValueError, match="need one multiplicity per label 1 .. 3, got 2 and 3"):
+        classify_fibers(d1.l_total[:2], d2.l_total, roots)
+    seq = validate([(0, 1), (1, 1), (2, 1), (1, 0)])
+    with pytest.raises(ValueError, match="roots are for k = 3, divisor data for k = 4"):
+        analyze_sequence(seq, roots=roots)
+    data = json.loads(json.dumps(analyze_sequence(seq).to_json()))
+    with pytest.raises(ValueError, match="'report': roots are for k = 3, divisor data for k = 4"):
+        AnalysisReport.from_json({**data, "roots": roots.to_json()})
 
 
 def test_constants_scale_the_polynomials():
