@@ -8,10 +8,11 @@ O(m_i)^2 + O(m_j)^2 over the projective line,
     xi_1 xi_2 = P_1(lambda),   xi_3 xi_4 = P_2(lambda),
 
 where P_1 = c_1 prod (lambda - r_b)^{l_ib} over the finite root labels and
-P_2 likewise with the l_jb.  The full chain of models adds one equation per
-step between m_j and m_i, member a being c_a lambda^{2(a-2)} P_2 / c_2, so a
-model stores only P_1, P_2 and its constants, and its writer formats each
-distinct member once, behind the zeros of its power of lambda.
+P_2 likewise with the l_jb.  The full chain adds one equation per step from m_j
+to m_i, member a being c_a lambda^{2(a-2)} P_2 / c_2.  A model stores P_1, P_2
+and its constants.  Every member is a constant times one label's product, so
+the writer formats each (label, constant) once, behind the zeros of its power
+of lambda, and one report's models share those rows and their fiber locations.
 
 Roots are labelled 2 .. k; label 1 sits at infinity, label 2 at zero.  P_1
 vanishes at label b to order l_ib, so classify_fibers reads a fiber's kind from
@@ -134,6 +135,8 @@ class ModelEquations(namedtuple("ModelEquations", "i j m_i m_j constants p1 p2")
     _make = classmethod(_checked_make)
 
     def __new__(cls, i: int, j: int, m_i: int, m_j: int, constants: tuple[Fraction, ...], p1: Poly, p2: Poly) -> ModelEquations:
+        if i == j:  # the writer keys each row by its label
+            raise ValueError(f"'i' and 'j' must be two labels, got {i} and {j}")
         lead = p1[-1:] + p2[-1:]
         if tuple(constants[:2]) != lead:
             raise ValueError(f"'constants' must begin with {[str(c) for c in lead]}, the leading coefficients of P_1 and P_2, got {[str(c) for c in constants[:2]]}")
@@ -141,7 +144,7 @@ class ModelEquations(namedtuple("ModelEquations", "i j m_i m_j constants p1 p2")
 
     @property
     def polys(self) -> tuple[Poly, ...]:
-        return tuple(_chain(self, tuple, (Fraction(0),)))
+        return tuple(_chain(self, tuple, (Fraction(0),), {}))
 
     @property
     def mu(self) -> int:
@@ -174,14 +177,15 @@ def _check_constants(constants: Sequence[Fraction | int] | None, count: int) -> 
 
 def _models(
     data: Sequence[TwistorDivisorData],
+    l_totals: Sequence[Sequence[int]],
     roots: ConformalRoots,
     constants: Sequence[Fraction | int] | None,
     full: bool,
 ) -> list[ModelEquations]:
     """The model of each adjacent pair in data: P_1, P_2 and two constants, or all mu + 2 when full.
 
-    Each label's monic product of (lambda - r_b)^{l_b} over labels b = 2 .. k is
-    expanded once, and a model only rescales it; None constants are ones.  Before
+    Each label's monic product of (lambda - r_b)^{l_b} over labels b = 2 .. k, its l_total given in l_totals
+    in the order of data, is expanded once, and a model only rescales it; None constants are ones.  Before
     any expansion, a polynomial that model_size puts over the bit budget is CapExceeded.
     """
     pairs = [_ordered(d_i, d_j) for d_i, d_j in zip(data, data[1:])]
@@ -190,13 +194,11 @@ def _models(
     css = [_check_constants(constants, di.m - dj.m + 2 if full else 2) for di, dj in pairs]
     budget = _bit_budget()
     # every model takes the same constants, so the widest one bounds each label's polynomials
-    widest = max(css[0], key=_bits) if constants else Fraction(1)
-    for d in data:
-        deg, bits = model_size(d.l_total, roots, widest)
+    for deg, bits in map(_sizer(roots, _bits(max(css[0], key=_bits)) if constants else 1), l_totals):
         if budget and bits > budget:
             raise CapExceeded(f"a model polynomial of degree {deg} may need {bits} bits per coefficient, over the budget of {budget} bits that sys.get_int_max_str_digits() lets the writer print")
     # label 2's root is zero, so its factor lambda^{l_2} only shifts the product over the tail
-    products = {d.alpha: (Fraction(0),) * d.l_total[1] + from_factors(zip(roots.tail, d.l_total[2:])) for d in data}
+    products = {d.alpha: (Fraction(0),) * l[1] + from_factors(zip(roots.tail, l[2:])) for d, l in zip(data, l_totals)}
     return [
         ModelEquations(i=di.alpha, j=dj.alpha, m_i=di.m, m_j=dj.m, constants=cs, p1=_scaled(products[di.alpha], cs[0]), p2=_scaled(products[dj.alpha], cs[1]))
         for (di, dj), cs in zip(pairs, css)
@@ -209,10 +211,13 @@ def model_size(l_total: Sequence[int], roots: ConformalRoots, constant: Fraction
     The factor (q lambda - a) of r = a/q has coefficients of absolute sum |a| + q; the product of those sums
     bounds every cleared coefficient and the common denominator, and the constant adds its larger part's bits.
     """
-    bits = _bits(constant)
-    for r, l in zip(roots.finite_roots, l_total[1:]):
-        bits += l * (abs(r.numerator) + r.denominator).bit_length()
-    return sum(l_total[1:]), bits
+    return _sizer(roots, _bits(constant))(l_total)
+
+
+def _sizer(roots: ConformalRoots, bits: int) -> Callable[[Sequence[int]], tuple[int, int]]:
+    """model_size for these roots and a constant of these bits, each root's weight bitlen(|a| + q) taken once."""
+    weights = (1,) + tuple([(abs(r.numerator) + r.denominator).bit_length() for r in roots.tail])  # label 2's zero: one bit
+    return lambda l_total: (sum(l_total[1:]), bits + sum([l * w for l, w in zip(l_total[1:], weights)]))
 
 
 def _bit_budget() -> int:
@@ -231,13 +236,16 @@ def _scaled(p: Poly, c: Fraction) -> Poly:
     return p if c == 1 else tuple([c * x for x in p])
 
 
-def _chain(eqs: ModelEquations, form: Callable[[Poly], Sequence], zero: Sequence) -> list:
-    """P_1, then c_a / c_2 * lambda^(2(a-2)) * P_2 for a = 2 .. mu + 2: each distinct polynomial put in form once, zero the form of a 0."""
+def _chain(eqs: ModelEquations, form: Callable[[Poly], Sequence], zero: Sequence, memo: dict) -> list:
+    """P_1, then c_a / c_2 * lambda^(2(a-2)) * P_2 for a = 2 .. mu + 2, zero the form of a 0, each row a new sequence."""
     cs = eqs.constants
-    # keyed by ints: Fraction.__hash__ takes a modular inverse on every call
-    keys = [(c.numerator, c.denominator) for c in cs[1:]]
-    shared = {key: form(_scaled(eqs.p2, c / cs[1])) for key, c in dict(zip(keys, cs[1:])).items()}
-    return [form(eqs.p1)] + [zero * (2 * a) + shared[key] for a, key in enumerate(keys)]
+    # row a is c_a times the product of its label, i or j, so memo keeps its form by (label, c_a) and one report's
+    # models can share it; keyed by ints, as Fraction.__hash__ takes a modular inverse on every call
+    keys = [(eqs.j if a else eqs.i, c.numerator, c.denominator) for a, c in enumerate(cs)]
+    for a, (key, c) in enumerate(zip(keys, cs)):
+        if key not in memo:
+            memo[key] = form(_scaled(eqs.p2, c / cs[1]) if a else eqs.p1)
+    return [zero * max(2 * a - 2, 0) + memo[key] for a, key in enumerate(keys)]
 
 
 def emit_reduced_model(
@@ -251,7 +259,7 @@ def emit_reduced_model(
     Swaps the roles of i and j internally when m_i < m_j so the recorded
     bundle degrees never decrease.  Takes two scale constants, both ones when omitted.
     """
-    return _models((data_i, data_j), roots, constants, full=False)[0]
+    return _models((data_i, data_j), (data_i.l_total, data_j.l_total), roots, constants, full=False)[0]
 
 
 def emit_full_model(
@@ -267,7 +275,7 @@ def emit_full_model(
     chain starts at the reduced second equation and gains lambda^2 each step.
     Takes mu + 2 scale constants, all ones when omitted.
     """
-    return _models((data_i, data_j), roots, constants, full=True)[0]
+    return _models((data_i, data_j), (data_i.l_total, data_j.l_total), roots, constants, full=True)[0]
 
 
 class FiberClass(namedtuple("FiberClass", "location kind non_reduced generic", defaults=(False,))):
@@ -280,8 +288,7 @@ class FiberClass(namedtuple("FiberClass", "location kind non_reduced generic", d
     __slots__ = ()
 
     def to_json(self) -> dict:
-        at = "inf" if self.location is None else str(self.location)
-        return {"at": at, "kind": self.kind, "nonReduced": self.non_reduced, "generic": self.generic}
+        return _fiber(self, {})
 
     @staticmethod
     def from_json(data: dict) -> "FiberClass":
@@ -315,25 +322,41 @@ def classify_fibers(l_i: Sequence[int], l_j: Sequence[int], roots: ConformalRoot
     """
     if not len(l_i) == len(l_j) == roots.k:
         raise ValueError(f"need one multiplicity per label 1 .. {roots.k}, got {len(l_i)} and {len(l_j)}")
-    out = [
-        FiberClass(location=r, kind=_KINDS[(a > 0) + (b > 0)], non_reduced=a >= 2 or b >= 2)
-        for r, a, b in zip((None,) + roots.finite_roots, l_i, l_j)
-    ]
-    out.append(_generic_class(roots))
-    return out
+    return _classifier(roots)(l_i, l_j)
+
+
+def _classifier(roots: ConformalRoots) -> Callable[[Sequence[int], Sequence[int]], list[FiberClass]]:
+    """classify_fibers for these roots, unchecked: the locations and the generic sample are built once, and every list shares them."""
+    locations, generic = (None,) + roots.finite_roots, _generic_class(roots)
+    return lambda l_i, l_j: [
+        FiberClass(location=r, kind=_KINDS[(a > 0) + (b > 0)], non_reduced=a >= 2 or b >= 2) for r, a, b in zip(locations, l_i, l_j)
+    ] + [generic]
 
 
 def model_record(eqs: ModelEquations, classes: Sequence[FiberClass]) -> dict:
     """JSON form of one model: equations plus fiber classification."""
+    return _record(eqs, classes, {})
+
+
+def _record(eqs: ModelEquations, classes: Sequence[FiberClass], memo: dict) -> dict:
+    # model_record, with the strings of the rows and locations kept in memo: one report's models share them
     return {
         "i": eqs.i,
         "j": eqs.j,
         "mu": eqs.mu,
         "bundle": list(eqs.bundle),
         "c": [str(c) for c in eqs.constants],
-        "P": _chain(eqs, poly_to_strings, ["0"]),
-        "fibers": [fc.to_json() for fc in classes],
+        "P": _chain(eqs, poly_to_strings, ["0"], memo),
+        "fibers": [_fiber(fc, memo) for fc in classes],
     }
+
+
+def _fiber(fc: FiberClass, memo: dict) -> dict:
+    # a new dict each time; memo keeps the location's string by the location's id, sound while the caller holds
+    # the class, and a hit wherever a report's classifier shared the location
+    if id(fc.location) not in memo:
+        memo[id(fc.location)] = "inf" if fc.location is None else str(fc.location)
+    return {"at": memo[id(fc.location)], "kind": fc.kind, "nonReduced": fc.non_reduced, "generic": fc.generic}
 
 
 def parse_model_record(data: dict) -> tuple[ModelEquations, tuple[FiberClass, ...]]:
@@ -354,7 +377,7 @@ def _parse_model(data: dict) -> tuple[ModelEquations, tuple[FiberClass, ...]]:
     # infinity, zero, the tail, then the generic sample
     locations = [FiberClass.from_json(fc).location for fc in data["fibers"]]
     roots = ConformalRoots(k=len(locations) - 1, tail=locations[2:-1])
-    if eqs.i == eqs.j or not 1 <= min(eqs.i, eqs.j) <= max(eqs.i, eqs.j) <= roots.k:
+    if not 1 <= min(eqs.i, eqs.j) <= max(eqs.i, eqs.j) <= roots.k:  # ModelEquations refuses i == j
         raise ValueError(f"'i' and 'j' must be two labels 1 .. {roots.k} of the listed fibers, got {eqs.i} and {eqs.j}")
     l_i, l_j = _multiplicities(eqs.p1, 2 * m_i, roots), _multiplicities(eqs.p2, 2 * m_j, roots)
     return eqs, tuple(classify_fibers(l_i, l_j, roots))

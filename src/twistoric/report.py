@@ -3,9 +3,9 @@
 A report holds what analyze_sequence derives, once each, from one action
 sequence: the surface, its invariant fibers and their degree matrix, the
 divisor data read off its pairing rows, adjacent-pair models with their fiber
-classes, and warnings.  to_json only writes them, rationals as 'p/q' strings.
-Like every record of the package, a report is an immutable namedtuple whose
-_replace and _make go through the same checks as its constructor.
+classes, and warnings.  to_json only writes them, rationals as 'p/q' strings,
+each (label, constant) row and location string once for all models.  A report
+is an immutable namedtuple; _replace and _make check like its constructor.
 Each reader accepts exactly what its writer emits; a report is read from its
 input, roots and first constants, then analyzed again.  The model record
 (model_record, parse_model_record) lives in models and is re-exported here.
@@ -25,8 +25,10 @@ from .lattice import ActionSequence, _read, enumerate_sequences, validate
 from .models import (
     ConformalRoots,
     _check_constants,
+    _classifier,
     _models,
     _ordered,
+    _record,
     classify_fibers,
     emit_full_model,
     emit_reduced_model,
@@ -51,11 +53,16 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: a float or bool k is never served the roots of an equal int k
 def default_roots(k: int) -> ConformalRoots:
-    """Deterministic root choice 1, 2, ... for labels 3 .. k, built and checked once per k."""
-    # range() would refuse a float or str k with a bare TypeError, where ConformalRoots names 'k'
-    return ConformalRoots(k=k, tail=range(1, k - 1) if isinstance(k, int) else ())
+    """Deterministic root choice 1, 2, ... for labels 3 .. k, built and checked once per int k."""
+    # only an int k reaches the cache: ConformalRoots names any other 'k', where range() or the cache's hash would
+    # refuse a float, str or list k with a bare TypeError
+    return _default_roots(k) if isinstance(k, int) else ConformalRoots(k=k)
+
+
+@lru_cache(maxsize=None, typed=True)  # typed: an int subclass k is never served the roots of an equal int k
+def _default_roots(k: int) -> ConformalRoots:
+    return ConformalRoots(k=k, tail=range(1, k - 1))
 
 
 class AnalysisReport(namedtuple("AnalysisReport", "sequence surface roots fibers degrees bimeromorphic divisors models warnings")):
@@ -64,6 +71,7 @@ class AnalysisReport(namedtuple("AnalysisReport", "sequence surface roots fibers
     __slots__ = ()
 
     def to_json(self) -> dict:
+        memo: dict = {}  # the rows and location strings the models share, for this call only
         return {
             "input": self.sequence.to_json(),
             "surface": self.surface.to_json(),
@@ -75,7 +83,7 @@ class AnalysisReport(namedtuple("AnalysisReport", "sequence surface roots fibers
             "degreeMatrix": [list(row) for row in self.degrees],
             "bimeromorphicPairs": [list(p) for p in self.bimeromorphic],
             "divisors": [d.to_json() for d in self.divisors],
-            "models": [model_record(eqs, classes) for eqs, classes in self.models],
+            "models": [_record(eqs, classes, memo) for eqs, classes in self.models],
             "warnings": list(self.warnings),
         }
 
@@ -95,26 +103,20 @@ def analyze_sequence(
     roots: ConformalRoots | None = None,
     constants: Sequence[Fraction | int] | None = None,
 ) -> AnalysisReport:
-    """Full analysis of one sequence; models for every adjacent index pair, each label's product expanded once."""
+    """Full analysis of one sequence; models for every adjacent pair, each label's product expanded and each l_total taken once."""
     surface = build_surface(seq)
     k = surface.k
     roots = default_roots(k) if roots is None else roots
     fibers = tuple([invariant_fibers(surface, a) for a in range(1, k + 1)])
     divisors = tuple([solve_divisor_data(surface, a) for a in range(1, k + 1)])
     degrees = degree_matrix(surface)
-    models = [
-        (eqs, tuple(classify_fibers(divisors[eqs.i - 1].l_total, divisors[eqs.j - 1].l_total, roots)))
-        for eqs in _models(divisors, roots, constants, full=False)
+    l_totals, classify = [d.l_total for d in divisors], _classifier(roots)
+    models = [(eqs, tuple(classify(l_totals[eqs.i - 1], l_totals[eqs.j - 1]))) for eqs in _models(divisors, l_totals, roots, constants, full=False)]
+    warnings = [
+        {"type": "degree", "i": i, "j": j, "d": row[j - 1]} for i, row in enumerate(degrees, start=1) for j in range(i + 1, k + 1) if row[j - 1] > 1
+    ] + [
+        {"type": "nonReducedComponent", "alpha": d.alpha, "beta": b, "l": l} for d, l_total in zip(divisors, l_totals) for b, l in enumerate(l_total, start=1) if l > 1
     ]
-    warnings: list[dict] = []
-    for i, row in enumerate(degrees, start=1):
-        for j in range(i + 1, k + 1):
-            if row[j - 1] > 1:
-                warnings.append({"type": "degree", "i": i, "j": j, "d": row[j - 1]})
-    for data in divisors:
-        for b, l in enumerate(data.l_total, start=1):
-            if l > 1:
-                warnings.append({"type": "nonReducedComponent", "alpha": data.alpha, "beta": b, "l": l})
     return AnalysisReport(
         sequence=seq,
         surface=surface,

@@ -66,9 +66,34 @@ MUTANTS = [
     Mutant(
         "writer-rows-keyed-by-numerator",
         "models.py",
-        "keys = [(c.numerator, c.denominator) for c in cs[1:]]",
-        "keys = [c.numerator for c in cs[1:]]",
+        "keys = [(eqs.j if a else eqs.i, c.numerator, c.denominator) for a, c in enumerate(cs)]",
+        "keys = [(eqs.j if a else eqs.i, c.numerator) for a, c in enumerate(cs)]",
         ("tests/test_models.py::test_the_writer_formats_each_distinct_polynomial_once[5]",),
+    ),
+    Mutant(
+        "writer-rows-keyed-by-label-alone",
+        "models.py",
+        "keys = [(eqs.j if a else eqs.i, c.numerator, c.denominator) for a, c in enumerate(cs)]",
+        "keys = [(eqs.j if a else eqs.i,) for a, c in enumerate(cs)]",
+        (
+            "tests/test_report.py::test_a_report_writes_each_model_as_the_single_model_writer_does",
+            "tests/test_report.py::test_a_report_formats_each_label_product_once_per_constant",
+            "tests/test_golden.py::test_json_outputs_match_golden_digests",
+        ),
+    ),
+    Mutant(
+        "writer-shares-rows-uncopied",
+        "models.py",
+        "return [zero * max(2 * a - 2, 0) + memo[key] for a, key in enumerate(keys)]",
+        "return [memo[key] if a < 2 else zero * (2 * a - 2) + memo[key] for a, key in enumerate(keys)]",
+        ("tests/test_report.py::test_a_report_writes_each_model_as_the_single_model_writer_does",),
+    ),
+    Mutant(
+        "model-size-drops-label-2",
+        "models.py",
+        "weights = (1,) + tuple(",
+        "weights = (0,) + tuple(",
+        ("tests/test_models.py::test_model_size_bounds_every_coefficient",),
     ),
     Mutant(
         "enumeration-inserts-v-plus-twice-next",
@@ -101,7 +126,7 @@ MUTANTS = [
     Mutant(
         "models-expand-each-label-per-model",
         "models.py",
-        "    products = {d.alpha: (Fraction(0),) * d.l_total[1] + from_factors(zip(roots.tail, d.l_total[2:])) for d in data}\n"
+        "    products = {d.alpha: (Fraction(0),) * l[1] + from_factors(zip(roots.tail, l[2:])) for d, l in zip(data, l_totals)}\n"
         "    return [\n"
         "        ModelEquations(i=di.alpha, j=dj.alpha, m_i=di.m, m_j=dj.m, constants=cs, p1=_scaled(products[di.alpha], cs[0]), p2=_scaled(products[dj.alpha], cs[1]))\n",
         "    product = lambda d: (Fraction(0),) * d.l_total[1] + from_factors(zip(roots.tail, d.l_total[2:]))\n"
@@ -151,8 +176,8 @@ MUTANTS = [
     Mutant(
         "classify-one-label-off",
         "models.py",
-        "for r, a, b in zip((None,) + roots.finite_roots, l_i, l_j)",
-        "for r, a, b in zip((None,) + roots.finite_roots, l_i[1:] + l_i[:1], l_j[1:] + l_j[:1])",
+        "for r, a, b in zip(locations, l_i, l_j)",
+        "for r, a, b in zip(locations, l_i[1:] + l_i[:1], l_j[1:] + l_j[:1])",
         ("tests/test_models.py::test_hexagon_fiber_classification_exact", "tests/test_models.py::test_classification_flags_non_reduced_members"),
     ),
     Mutant(

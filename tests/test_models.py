@@ -192,9 +192,9 @@ def test_default_roots_are_built_once_per_k():
         assert default_roots(k) == ConformalRoots(k, tail=tuple(range(1, k - 1)))
     # the cached int k serves no equal float or bool k: each still raises as it did uncached.  CPython keys a
     # lone int argument by itself and any other by a tuple, so only typed makes that a documented guarantee
-    assert default_roots.cache_parameters()["typed"] is True
+    assert twistoric.report._default_roots.cache_parameters()["typed"] is True
     default_roots(3)
-    for k in (3.0, True, "3"):
+    for k in (3.0, True, "3", [3]):
         with pytest.raises(ValueError, match="'k' must be an int"):
             default_roots(k)
 
@@ -621,6 +621,10 @@ def test_model_size_bounds_every_coefficient(steps, negative, mults, constant):
     deg, bits = twistoric.model_size(l_total, roots, constant)
     assert deg == len(p) - 1
     assert bits >= max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in p)
+    # and it is the documented sum, label 2's zero root counted as bitlen(0 + 1) = 1 bit per multiplicity, so the
+    # writer's budget refuses exactly what it refused when model_size took each root's weight on every call
+    weights = [(abs(r.numerator) + r.denominator).bit_length() for r in roots.finite_roots]
+    assert bits == max(constant.numerator.bit_length(), constant.denominator.bit_length()) + sum(l * w for l, w in zip(l_total[1:], weights))
 
 
 def test_system_meta_frozen_values():

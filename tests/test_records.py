@@ -85,6 +85,13 @@ def test_model_constants_must_lead_p1_and_p2(change):
             build()
 
 
+def test_model_labels_must_differ():
+    """The writer keys each row by its label, so a model of one label with itself is refused, as its reader refuses it."""
+    for build in (lambda: ModelEquations(**{**MODEL._asdict(), "j": 1}), lambda: MODEL._replace(i=2), lambda: ModelEquations._make([1, 1, *MODEL[2:]])):
+        with pytest.raises(ValueError, match="'i' and 'j' must be two labels"):
+            build()
+
+
 def test_roots_survive_copy_and_pickle():
     for twin in (copy.copy(ROOTS), copy.deepcopy(ROOTS), pickle.loads(pickle.dumps(ROOTS))):
         assert twin == ROOTS and type(twin) is ConformalRoots

@@ -33,6 +33,7 @@ from twistoric import (
     solve_divisor_data,
     validate,
 )
+from twistoric import models
 from twistoric.models import FOUR_PLANES, GENERIC_FOUR_NODAL, TWO_QUADRIC_CONES, ModelEquations
 from twistoric.report import model_record, parse_model_record
 
@@ -300,6 +301,46 @@ def test_run_enumerate_refuses_a_bad_n(n, message):
     # range() would count a bool as n = 1 and refuse a float with a bare TypeError; the cap check would compare a str
     with pytest.raises(ValueError, match=message):
         run_enumerate(n)
+
+
+SCALED = (Fraction(3, 2), Fraction(-5))
+
+
+def scaled_roots(k: int) -> ConformalRoots:
+    """The tail (2t + 1)/3 for t = 1 .. k - 2: 1, 5/3, 7/3, ..."""
+    return ConformalRoots(k=k, tail=tuple([Fraction(2 * t + 1, 3) for t in range(1, k - 1)]))
+
+
+def test_a_report_writes_each_model_as_the_single_model_writer_does():
+    """A report's models share their labels' rows and the location strings, yet each record is what model_record
+    writes for that model alone, and no two rows or fiber dicts of one report are one object, so a change to one
+    record changes no other.  Every chain with n <= 5, with default roots and ones, and with scaled roots and
+    the constants 3/2, -5, which give one label a different constant in its two models."""
+    for n in range(6):
+        for seq in enumerate_sequences(n):
+            for roots, constants in ((None, None), (scaled_roots(seq.k), SCALED)):
+                report = analyze_sequence(seq, roots, constants)
+                records = report.to_json()["models"]
+                assert records == [model_record(eqs, classes) for eqs, classes in report.models]
+                parts = [row for rec in records for row in rec["P"]] + [fc for rec in records for fc in rec["fibers"]]
+                assert len({id(part) for part in parts}) == len(parts)
+
+
+@pytest.mark.parametrize("picks", [[], [0], [0, 1, 1, 2], [3, 1, 4, 1, 5, 9, 2, 6], [0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6]])
+def test_a_report_formats_each_label_product_once_per_constant(picks, monkeypatch):
+    """Writing a report formats one row per distinct (label, constant) among its models' P_1 and P_2: k with no
+    constants, and with 3/2, -5 one per label that is some model's P_1 plus one per label that is some model's
+    P_2.  The report draws its generic sample once, and writing draws none."""
+    seq = validate(grow_by_mediants(picks))
+    formatted, sampled = counted("poly_to_strings", monkeypatch), counted("_generic_class", monkeypatch, models)
+    for roots, constants in ((None, None), (scaled_roots(seq.k), SCALED)):
+        del formatted[:], sampled[:]
+        report = analyze_sequence(seq, roots, constants)
+        assert len(sampled) == 1 and formatted == []
+        report.to_json()
+        firsts, seconds = {eqs.i for eqs, _ in report.models}, {eqs.j for eqs, _ in report.models}
+        assert len(formatted) == (seq.k if constants is None else len(firsts) + len(seconds))
+        assert len(sampled) == 1
 
 
 def test_run_model_reduced_and_full():
