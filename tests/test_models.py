@@ -190,8 +190,8 @@ def test_default_roots_are_built_once_per_k():
     for k in range(2, 12):
         assert default_roots(k) is default_roots(k)
         assert default_roots(k) == ConformalRoots(k, tail=tuple(range(1, k - 1)))
-    # the cached int k serves no equal float or bool k: each still raises as it did uncached.  CPython keys a
-    # lone int argument by itself and any other by a tuple, so only typed makes that a documented guarantee
+    # only an int k reaches the cache, which stays typed, so an int subclass k is never served an int's roots; a
+    # float, bool, str or list k raises the ValueError naming 'k', the list no bare TypeError from the cache's hash
     assert twistoric.report._default_roots.cache_parameters()["typed"] is True
     default_roots(3)
     for k in (3.0, True, "3", [3]):
