@@ -10,9 +10,10 @@ O(m_i)^2 + O(m_j)^2 over the projective line,
 where P_1 = c_1 prod (lambda - r_b)^{l_ib} over the finite root labels and
 P_2 likewise with the l_jb.  The full chain adds one equation per step from m_j
 to m_i, member a being c_a lambda^{2(a-2)} P_2 / c_2.  A model stores P_1, P_2
-and its constants.  Every member is a constant times one label's product, so
-the writer formats each (label, constant) once, behind the zeros of its power
-of lambda, and one report's models share those rows and their fiber locations.
+and its constants.  Every member is P_1 or P_2 rescaled to lead its constant, so
+the writer formats each (polynomial, constant) once, behind the zeros of its
+power of lambda.  One report's models hold the same polynomial objects, so they
+share those rows too.
 
 Roots are labelled 2 .. k; label 1 sits at infinity, label 2 at zero.  P_1
 vanishes at label b to order l_ib, so classify_fibers reads a fiber's kind from
@@ -135,8 +136,11 @@ class ModelEquations(namedtuple("ModelEquations", "i j m_i m_j constants p1 p2")
     _make = classmethod(_checked_make)
 
     def __new__(cls, i: int, j: int, m_i: int, m_j: int, constants: tuple[Fraction, ...], p1: Poly, p2: Poly) -> ModelEquations:
-        if i == j:  # the writer keys each row by its label
+        if i == j:  # a model joins two pencil labels, as its reader requires
             raise ValueError(f"'i' and 'j' must be two labels, got {i} and {j}")
+        # one nonzero constant per row of P, whose shape parse_model_record reads: 2 rows or mu + 2
+        if m_i < m_j or len(constants) not in (2, m_i - m_j + 2) or 0 in constants:
+            raise ValueError(f"'constants' must be 2 or mu + 2 nonzero values, one per row of 'P', with mu = m_i - m_j >= 0: got {len(constants)} with mu = {m_i - m_j}")
         lead = p1[-1:] + p2[-1:]
         if tuple(constants[:2]) != lead:
             raise ValueError(f"'constants' must begin with {[str(c) for c in lead]}, the leading coefficients of P_1 and P_2, got {[str(c) for c in constants[:2]]}")
@@ -182,27 +186,26 @@ def _models(
     constants: Sequence[Fraction | int] | None,
     full: bool,
 ) -> list[ModelEquations]:
-    """The model of each adjacent pair in data: P_1, P_2 and two constants, or all mu + 2 when full.
+    """The model of each adjacent pair in data: P_1, P_2 and two constants, or all mu + 2 for a full model's one pair.
 
-    Each label's monic product of (lambda - r_b)^{l_b} over labels b = 2 .. k, its l_total given in l_totals
-    in the order of data, is expanded once, and a model only rescales it; None constants are ones.  Before
-    any expansion, a polynomial that model_size puts over the bit budget is CapExceeded.
+    The constants (None for ones) are checked once, and each label's monic product of (lambda - r_b)^{l_b}, its l_total
+    given in l_totals in the order of data, is expanded once and rescaled once to c_1 and to c_2, so adjacent models hold
+    the same objects.  Before any expansion, a polynomial that model_size puts over the bit budget is CapExceeded.
     """
     pairs = [_ordered(d_i, d_j) for d_i, d_j in zip(data, data[1:])]
     if roots.k != data[0].k:
         raise ValueError(f"roots are for k = {roots.k}, divisor data for k = {data[0].k}")
-    css = [_check_constants(constants, di.m - dj.m + 2 if full else 2) for di, dj in pairs]
+    cs = _check_constants(constants, pairs[0][0].m - pairs[0][1].m + 2 if full else 2)
     budget = _bit_budget()
     # every model takes the same constants, so the widest one bounds each label's polynomials
-    for deg, bits in map(_sizer(roots, _bits(max(css[0], key=_bits)) if constants else 1), l_totals):
+    for deg, bits in map(_sizer(roots, _bits(max(cs, key=_bits)) if constants else 1), l_totals):
         if budget and bits > budget:
             raise CapExceeded(f"a model polynomial of degree {deg} may need {bits} bits per coefficient, over the budget of {budget} bits that sys.get_int_max_str_digits() lets the writer print")
     # label 2's root is zero, so its factor lambda^{l_2} only shifts the product over the tail
     products = {d.alpha: (Fraction(0),) * l[1] + from_factors(zip(roots.tail, l[2:])) for d, l in zip(data, l_totals)}
-    return [
-        ModelEquations(i=di.alpha, j=dj.alpha, m_i=di.m, m_j=dj.m, constants=cs, p1=_scaled(products[di.alpha], cs[0]), p2=_scaled(products[dj.alpha], cs[1]))
-        for (di, dj), cs in zip(pairs, css)
-    ]
+    firsts = {di.alpha: _rescaled(products[di.alpha], cs[0]) for di, _ in pairs}
+    seconds = {dj.alpha: _rescaled(products[dj.alpha], cs[1]) for _, dj in pairs}
+    return [ModelEquations(i=di.alpha, j=dj.alpha, m_i=di.m, m_j=dj.m, constants=cs, p1=firsts[di.alpha], p2=seconds[dj.alpha]) for di, dj in pairs]
 
 
 def model_size(l_total: Sequence[int], roots: ConformalRoots, constant: Fraction) -> tuple[int, int]:
@@ -232,19 +235,25 @@ def _bits(c: Fraction) -> int:
     return max(c.numerator.bit_length(), c.denominator.bit_length())
 
 
-def _scaled(p: Poly, c: Fraction) -> Poly:
-    return p if c == 1 else tuple([c * x for x in p])
+def _rescaled(p: Poly, c: Fraction) -> Poly:
+    """p times c over its leading coefficient, so that c leads it; p itself when c already does."""
+    if p[-1] == c:
+        return p
+    ratio = c / p[-1]
+    return tuple([ratio * x for x in p])
 
 
 def _chain(eqs: ModelEquations, form: Callable[[Poly], Sequence], zero: Sequence, memo: dict) -> list:
     """P_1, then c_a / c_2 * lambda^(2(a-2)) * P_2 for a = 2 .. mu + 2, zero the form of a 0, each row a new sequence."""
+    # row a is its base, P_1 for the first row and P_2 for every later one, rescaled to lead c_a, so memo keeps its
+    # form by (id(base), c_a) and one report's models, which hold the same polynomial objects, share it; the caller
+    # holds eqs while memo lives, so no id is reused.  Keyed by ints, as Fraction.__hash__ takes a modular inverse
     cs = eqs.constants
-    # row a is c_a times the product of its label, i or j, so memo keeps its form by (label, c_a) and one report's
-    # models can share it; keyed by ints, as Fraction.__hash__ takes a modular inverse on every call
-    keys = [(eqs.j if a else eqs.i, c.numerator, c.denominator) for a, c in enumerate(cs)]
-    for a, (key, c) in enumerate(zip(keys, cs)):
+    bases = (eqs.p1,) + (eqs.p2,) * (len(cs) - 1)
+    keys = [(id(p), c.numerator, c.denominator) for p, c in zip(bases, cs)]
+    for key, p, c in zip(keys, bases, cs):
         if key not in memo:
-            memo[key] = form(_scaled(eqs.p2, c / cs[1]) if a else eqs.p1)
+            memo[key] = form(_rescaled(p, c))
     return [zero * max(2 * a - 2, 0) + memo[key] for a, key in enumerate(keys)]
 
 
@@ -288,7 +297,8 @@ class FiberClass(namedtuple("FiberClass", "location kind non_reduced generic", d
     __slots__ = ()
 
     def to_json(self) -> dict:
-        return _fiber(self, {})
+        at = "inf" if self.location is None else str(self.location)
+        return {"at": at, "kind": self.kind, "nonReduced": self.non_reduced, "generic": self.generic}
 
     @staticmethod
     def from_json(data: dict) -> "FiberClass":
@@ -322,15 +332,9 @@ def classify_fibers(l_i: Sequence[int], l_j: Sequence[int], roots: ConformalRoot
     """
     if not len(l_i) == len(l_j) == roots.k:
         raise ValueError(f"need one multiplicity per label 1 .. {roots.k}, got {len(l_i)} and {len(l_j)}")
-    return _classifier(roots)(l_i, l_j)
-
-
-def _classifier(roots: ConformalRoots) -> Callable[[Sequence[int], Sequence[int]], list[FiberClass]]:
-    """classify_fibers for these roots, unchecked: the locations and the generic sample are built once, and every list shares them."""
-    locations, generic = (None,) + roots.finite_roots, _generic_class(roots)
-    return lambda l_i, l_j: [
-        FiberClass(location=r, kind=_KINDS[(a > 0) + (b > 0)], non_reduced=a >= 2 or b >= 2) for r, a, b in zip(locations, l_i, l_j)
-    ] + [generic]
+    return [
+        FiberClass(location=r, kind=_KINDS[(a > 0) + (b > 0)], non_reduced=a >= 2 or b >= 2) for r, a, b in zip((None,) + roots.finite_roots, l_i, l_j)
+    ] + [_generic_class(roots)]
 
 
 def model_record(eqs: ModelEquations, classes: Sequence[FiberClass]) -> dict:
@@ -339,7 +343,7 @@ def model_record(eqs: ModelEquations, classes: Sequence[FiberClass]) -> dict:
 
 
 def _record(eqs: ModelEquations, classes: Sequence[FiberClass], memo: dict) -> dict:
-    # model_record, with the strings of the rows and locations kept in memo: one report's models share them
+    # model_record, with the strings of the rows kept in memo: one report's models share them
     return {
         "i": eqs.i,
         "j": eqs.j,
@@ -347,16 +351,8 @@ def _record(eqs: ModelEquations, classes: Sequence[FiberClass], memo: dict) -> d
         "bundle": list(eqs.bundle),
         "c": [str(c) for c in eqs.constants],
         "P": _chain(eqs, poly_to_strings, ["0"], memo),
-        "fibers": [_fiber(fc, memo) for fc in classes],
+        "fibers": [fc.to_json() for fc in classes],
     }
-
-
-def _fiber(fc: FiberClass, memo: dict) -> dict:
-    # a new dict each time; memo keeps the location's string by the location's id, sound while the caller holds
-    # the class, and a hit wherever a report's classifier shared the location
-    if id(fc.location) not in memo:
-        memo[id(fc.location)] = "inf" if fc.location is None else str(fc.location)
-    return {"at": memo[id(fc.location)], "kind": fc.kind, "nonReduced": fc.non_reduced, "generic": fc.generic}
 
 
 def parse_model_record(data: dict) -> tuple[ModelEquations, tuple[FiberClass, ...]]:
@@ -365,15 +361,13 @@ def parse_model_record(data: dict) -> tuple[ModelEquations, tuple[FiberClass, ..
 
 
 def _parse_model(data: dict) -> tuple[ModelEquations, tuple[FiberClass, ...]]:
-    # c is the leading coefficients of P, the rows past P_2 are checked when the model is
-    # written back, and the fibers are classified again at their locations, from the
-    # multiplicities of P_1 and P_2 there
+    # c is the leading coefficients of P, a zero row's 0, so ModelEquations checks the shape of P; the rows
+    # past P_2 are checked when the model is written back, and the fibers are classified again at their
+    # locations, from the multiplicities of P_1 and P_2 there
     m_i, m_j = _read(data["bundle"], lambda b: (int(b[0]), int(b[2])), lambda m: [m[0], m[0], m[1], m[1]], "bundle")
     rows = [poly_from_strings(row) for row in data["P"]]
-    if m_i < m_j or len(rows) not in (2, m_i - m_j + 2) or not all(rows):
-        raise ValueError(f"'P' must be 2 or mu + 2 polynomials, none zero, with mu = bundle[0] - bundle[2] >= 0: got {len(rows)} with mu = {m_i - m_j}")
-    constants = tuple([p[-1] for p in rows])
-    eqs = ModelEquations(i=int(data["i"]), j=int(data["j"]), m_i=m_i, m_j=m_j, constants=constants, p1=rows[0], p2=rows[1])
+    p1, p2 = (*rows, (), ())[:2]  # fewer than two rows are fewer than two constants, which ModelEquations refuses
+    eqs = ModelEquations(i=int(data["i"]), j=int(data["j"]), m_i=m_i, m_j=m_j, constants=tuple([p[-1] if p else 0 for p in rows]), p1=p1, p2=p2)
     # infinity, zero, the tail, then the generic sample
     locations = [FiberClass.from_json(fc).location for fc in data["fibers"]]
     roots = ConformalRoots(k=len(locations) - 1, tail=locations[2:-1])

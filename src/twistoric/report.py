@@ -4,7 +4,7 @@ A report holds what analyze_sequence derives, once each, from one action
 sequence: the surface, its invariant fibers and their degree matrix, the
 divisor data read off its pairing rows, adjacent-pair models with their fiber
 classes, and warnings.  to_json only writes them, rationals as 'p/q' strings,
-each (label, constant) row and location string once for all models.  A report
+each row once for all the models that hold its polynomial.  A report
 is an immutable namedtuple; _replace and _make check like its constructor.
 Each reader accepts exactly what its writer emits; a report is read from its
 input, roots and first constants, then analyzed again.  The model record
@@ -25,7 +25,6 @@ from .lattice import ActionSequence, _read, enumerate_sequences, validate
 from .models import (
     ConformalRoots,
     _check_constants,
-    _classifier,
     _models,
     _ordered,
     _record,
@@ -71,7 +70,7 @@ class AnalysisReport(namedtuple("AnalysisReport", "sequence surface roots fibers
     __slots__ = ()
 
     def to_json(self) -> dict:
-        memo: dict = {}  # the rows and location strings the models share, for this call only
+        memo: dict = {}  # the rows of the polynomials the models share, for this call only; self holds them
         return {
             "input": self.sequence.to_json(),
             "surface": self.surface.to_json(),
@@ -110,8 +109,8 @@ def analyze_sequence(
     fibers = tuple([invariant_fibers(surface, a) for a in range(1, k + 1)])
     divisors = tuple([solve_divisor_data(surface, a) for a in range(1, k + 1)])
     degrees = degree_matrix(surface)
-    l_totals, classify = [d.l_total for d in divisors], _classifier(roots)
-    models = [(eqs, tuple(classify(l_totals[eqs.i - 1], l_totals[eqs.j - 1]))) for eqs in _models(divisors, l_totals, roots, constants, full=False)]
+    l_totals = [d.l_total for d in divisors]
+    models = [(eqs, tuple(classify_fibers(l_totals[eqs.i - 1], l_totals[eqs.j - 1], roots))) for eqs in _models(divisors, l_totals, roots, constants, full=False)]
     warnings = [
         {"type": "degree", "i": i, "j": j, "d": row[j - 1]} for i, row in enumerate(degrees, start=1) for j in range(i + 1, k + 1) if row[j - 1] > 1
     ] + [

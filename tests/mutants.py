@@ -66,20 +66,41 @@ MUTANTS = [
     Mutant(
         "writer-rows-keyed-by-numerator",
         "models.py",
-        "keys = [(eqs.j if a else eqs.i, c.numerator, c.denominator) for a, c in enumerate(cs)]",
-        "keys = [(eqs.j if a else eqs.i, c.numerator) for a, c in enumerate(cs)]",
+        "keys = [(id(p), c.numerator, c.denominator) for p, c in zip(bases, cs)]",
+        "keys = [(id(p), c.numerator) for p, c in zip(bases, cs)]",
         ("tests/test_models.py::test_the_writer_formats_each_distinct_polynomial_once[5]",),
     ),
     Mutant(
         "writer-rows-keyed-by-label-alone",
         "models.py",
-        "keys = [(eqs.j if a else eqs.i, c.numerator, c.denominator) for a, c in enumerate(cs)]",
+        "keys = [(id(p), c.numerator, c.denominator) for p, c in zip(bases, cs)]",
         "keys = [(eqs.j if a else eqs.i,) for a, c in enumerate(cs)]",
         (
             "tests/test_report.py::test_a_report_writes_each_model_as_the_single_model_writer_does",
             "tests/test_report.py::test_a_report_formats_each_label_product_once_per_constant",
             "tests/test_golden.py::test_json_outputs_match_golden_digests",
         ),
+    ),
+    Mutant(
+        "writer-rows-keyed-by-label-and-constant",
+        "models.py",
+        "keys = [(id(p), c.numerator, c.denominator) for p, c in zip(bases, cs)]",
+        "keys = [(eqs.j if a else eqs.i, c.numerator, c.denominator) for a, c in enumerate(cs)]",
+        ("tests/test_report.py::test_a_report_writes_each_model_as_the_single_model_writer_does",),
+    ),
+    Mutant(
+        "models-rescale-per-model",
+        "models.py",
+        "p1=firsts[di.alpha], p2=seconds[dj.alpha]",
+        "p1=_rescaled(products[di.alpha], cs[0]), p2=_rescaled(products[dj.alpha], cs[1])",
+        ("tests/test_report.py::test_a_report_formats_each_label_product_once_per_constant",),
+    ),
+    Mutant(
+        "model-shape-unchecked",
+        "models.py",
+        "        if m_i < m_j or len(constants) not in (2, m_i - m_j + 2) or 0 in constants:\n",
+        "        if False:\n",
+        ("tests/test_records.py::test_model_shape_must_be_one_its_reader_reads",),
     ),
     Mutant(
         "writer-shares-rows-uncopied",
@@ -126,12 +147,11 @@ MUTANTS = [
     Mutant(
         "models-expand-each-label-per-model",
         "models.py",
-        "    products = {d.alpha: (Fraction(0),) * l[1] + from_factors(zip(roots.tail, l[2:])) for d, l in zip(data, l_totals)}\n"
-        "    return [\n"
-        "        ModelEquations(i=di.alpha, j=dj.alpha, m_i=di.m, m_j=dj.m, constants=cs, p1=_scaled(products[di.alpha], cs[0]), p2=_scaled(products[dj.alpha], cs[1]))\n",
+        "    firsts = {di.alpha: _rescaled(products[di.alpha], cs[0]) for di, _ in pairs}\n"
+        "    seconds = {dj.alpha: _rescaled(products[dj.alpha], cs[1]) for _, dj in pairs}\n",
         "    product = lambda d: (Fraction(0),) * d.l_total[1] + from_factors(zip(roots.tail, d.l_total[2:]))\n"
-        "    return [\n"
-        "        ModelEquations(i=di.alpha, j=dj.alpha, m_i=di.m, m_j=dj.m, constants=cs, p1=_scaled(product(di), cs[0]), p2=_scaled(product(dj), cs[1]))\n",
+        "    firsts = {di.alpha: _rescaled(product(di), cs[0]) for di, _ in pairs}\n"
+        "    seconds = {dj.alpha: _rescaled(product(dj), cs[1]) for _, dj in pairs}\n",
         ("tests/test_models.py::test_each_pencil_product_is_expanded_once",),
     ),
     Mutant(
@@ -176,8 +196,8 @@ MUTANTS = [
     Mutant(
         "classify-one-label-off",
         "models.py",
-        "for r, a, b in zip(locations, l_i, l_j)",
-        "for r, a, b in zip(locations, l_i[1:] + l_i[:1], l_j[1:] + l_j[:1])",
+        "for r, a, b in zip((None,) + roots.finite_roots, l_i, l_j)",
+        "for r, a, b in zip((None,) + roots.finite_roots, l_i[1:] + l_i[:1], l_j[1:] + l_j[:1])",
         ("tests/test_models.py::test_hexagon_fiber_classification_exact", "tests/test_models.py::test_classification_flags_non_reduced_members"),
     ),
     Mutant(

@@ -85,8 +85,25 @@ def test_model_constants_must_lead_p1_and_p2(change):
             build()
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"m_j": 2},  # model_record would write "mu": -1
+        {"constants": (1,), "p2": ()},  # one row
+        {"constants": (1, 1, 3)},  # three rows where m_i == m_j takes two
+        {"m_i": 2, "constants": (1, 1, 0)},  # a zero third row
+    ],
+)
+def test_model_shape_must_be_one_its_reader_reads(change):
+    """A model whose record parse_model_record would refuse is refused when it is built: one nonzero constant per row, 2 or mu + 2 rows, mu >= 0."""
+    fields = {**MODEL._asdict(), **change}
+    for build in (lambda: ModelEquations(**fields), lambda: MODEL._replace(**change), lambda: ModelEquations._make(fields.values())):
+        with pytest.raises(ValueError, match="'constants' must be 2 or mu \\+ 2 nonzero values"):
+            build()
+
+
 def test_model_labels_must_differ():
-    """The writer keys each row by its label, so a model of one label with itself is refused, as its reader refuses it."""
+    """A model of one label with itself is refused, as its reader refuses it."""
     for build in (lambda: ModelEquations(**{**MODEL._asdict(), "j": 1}), lambda: MODEL._replace(i=2), lambda: ModelEquations._make([1, 1, *MODEL[2:]])):
         with pytest.raises(ValueError, match="'i' and 'j' must be two labels"):
             build()

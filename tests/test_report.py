@@ -312,14 +312,19 @@ def scaled_roots(k: int) -> ConformalRoots:
 
 
 def test_a_report_writes_each_model_as_the_single_model_writer_does():
-    """A report's models share their labels' rows and the location strings, yet each record is what model_record
-    writes for that model alone, and no two rows or fiber dicts of one report are one object, so a change to one
-    record changes no other.  Every chain with n <= 5, with default roots and ones, and with scaled roots and
-    the constants 3/2, -5, which give one label a different constant in its two models."""
+    """A report's models share the rows of the polynomials they hold, yet each record is what model_record writes
+    for that model alone, and no two rows or fiber dicts of one report are one object, so a change to one record
+    changes no other.  Every chain with n <= 5, with default roots and ones, and with scaled roots and the
+    constants 3/2, -5, which give one label a different constant in its two models.  Each n = 3 chain's report
+    also rebuilt with its first model for the default roots and the rest for the tail 5, 6, 7, so one label
+    stands for two products."""
     for n in range(6):
         for seq in enumerate_sequences(n):
-            for roots, constants in ((None, None), (scaled_roots(seq.k), SCALED)):
-                report = analyze_sequence(seq, roots, constants)
+            reports = [analyze_sequence(seq, roots, constants) for roots, constants in ((None, None), (scaled_roots(seq.k), SCALED))]
+            if n == 3:
+                other = analyze_sequence(seq, ConformalRoots(k=seq.k, tail=(5, 6, 7)))
+                reports.append(reports[0]._replace(models=reports[0].models[:1] + other.models[1:]))
+            for report in reports:
                 records = report.to_json()["models"]
                 assert records == [model_record(eqs, classes) for eqs, classes in report.models]
                 parts = [row for rec in records for row in rec["P"]] + [fc for rec in records for fc in rec["fibers"]]
@@ -328,19 +333,20 @@ def test_a_report_writes_each_model_as_the_single_model_writer_does():
 
 @pytest.mark.parametrize("picks", [[], [0], [0, 1, 1, 2], [3, 1, 4, 1, 5, 9, 2, 6], [0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6]])
 def test_a_report_formats_each_label_product_once_per_constant(picks, monkeypatch):
-    """Writing a report formats one row per distinct (label, constant) among its models' P_1 and P_2: k with no
+    """Writing a report formats one row per distinct polynomial among its models' P_1 and P_2: k with no
     constants, and with 3/2, -5 one per label that is some model's P_1 plus one per label that is some model's
-    P_2.  The report draws its generic sample once, and writing draws none."""
+    P_2.  The report checks its constants once and draws one generic sample per model, and writing draws none."""
     seq = validate(grow_by_mediants(picks))
     formatted, sampled = counted("poly_to_strings", monkeypatch), counted("_generic_class", monkeypatch, models)
+    checked = counted("_check_constants", monkeypatch, models)
     for roots, constants in ((None, None), (scaled_roots(seq.k), SCALED)):
-        del formatted[:], sampled[:]
+        del formatted[:], sampled[:], checked[:]
         report = analyze_sequence(seq, roots, constants)
-        assert len(sampled) == 1 and formatted == []
+        assert len(sampled) == seq.k - 1 and len(checked) == 1 and formatted == []
         report.to_json()
         firsts, seconds = {eqs.i for eqs, _ in report.models}, {eqs.j for eqs, _ in report.models}
         assert len(formatted) == (seq.k if constants is None else len(firsts) + len(seconds))
-        assert len(sampled) == 1
+        assert len(sampled) == seq.k - 1
 
 
 def test_run_model_reduced_and_full():
