@@ -10,10 +10,9 @@ O(m_i)^2 + O(m_j)^2 over the projective line,
 where P_1 = c_1 prod (lambda - r_b)^{l_ib} over the finite root labels and
 P_2 likewise with the l_jb.  The full chain adds one equation per step from m_j
 to m_i, member a being c_a lambda^{2(a-2)} P_2 / c_2.  A model stores P_1, P_2
-and its constants.  Every member is P_1 or P_2 rescaled to lead its constant, so
-the writer formats each (polynomial, constant) once, behind the zeros of its
-power of lambda.  One report's models hold the same polynomial objects, so they
-share those rows too.
+and its constants.  Every member past the first is P_2 rescaled to lead its
+constant, so the writer formats P_1 once and P_2 once per distinct constant,
+behind the zeros of its power of lambda.
 
 Roots are labelled 2 .. k; label 1 sits at infinity, label 2 at zero.  P_1
 vanishes at label b to order l_ib, so classify_fibers reads a fiber's kind from
@@ -148,7 +147,7 @@ class ModelEquations(namedtuple("ModelEquations", "i j m_i m_j constants p1 p2")
 
     @property
     def polys(self) -> tuple[Poly, ...]:
-        return tuple(_chain(self, tuple, (Fraction(0),), {}))
+        return tuple(_chain(self, tuple, (Fraction(0),)))
 
     @property
     def mu(self) -> int:
@@ -189,8 +188,8 @@ def _models(
     """The model of each adjacent pair in data: P_1, P_2 and two constants, or all mu + 2 for a full model's one pair.
 
     The constants (None for ones) are checked once, and each label's monic product of (lambda - r_b)^{l_b}, its l_total
-    given in l_totals in the order of data, is expanded once and rescaled once to c_1 and to c_2, so adjacent models hold
-    the same objects.  Before any expansion, a polynomial that model_size puts over the bit budget is CapExceeded.
+    given in l_totals in the order of data, is expanded once; each model rescales it to lead c_1 or c_2.  Before any
+    expansion, a polynomial that model_size puts over the bit budget is CapExceeded.
     """
     pairs = [_ordered(d_i, d_j) for d_i, d_j in zip(data, data[1:])]
     if roots.k != data[0].k:
@@ -203,9 +202,7 @@ def _models(
             raise CapExceeded(f"a model polynomial of degree {deg} may need {bits} bits per coefficient, over the budget of {budget} bits that sys.get_int_max_str_digits() lets the writer print")
     # label 2's root is zero, so its factor lambda^{l_2} only shifts the product over the tail
     products = {d.alpha: (Fraction(0),) * l[1] + from_factors(zip(roots.tail, l[2:])) for d, l in zip(data, l_totals)}
-    firsts = {di.alpha: _rescaled(products[di.alpha], cs[0]) for di, _ in pairs}
-    seconds = {dj.alpha: _rescaled(products[dj.alpha], cs[1]) for _, dj in pairs}
-    return [ModelEquations(i=di.alpha, j=dj.alpha, m_i=di.m, m_j=dj.m, constants=cs, p1=firsts[di.alpha], p2=seconds[dj.alpha]) for di, dj in pairs]
+    return [ModelEquations(i=di.alpha, j=dj.alpha, m_i=di.m, m_j=dj.m, constants=cs, p1=_rescaled(products[di.alpha], cs[0]), p2=_rescaled(products[dj.alpha], cs[1])) for di, dj in pairs]
 
 
 def model_size(l_total: Sequence[int], roots: ConformalRoots, constant: Fraction) -> tuple[int, int]:
@@ -243,18 +240,15 @@ def _rescaled(p: Poly, c: Fraction) -> Poly:
     return tuple([ratio * x for x in p])
 
 
-def _chain(eqs: ModelEquations, form: Callable[[Poly], Sequence], zero: Sequence, memo: dict) -> list:
+def _chain(eqs: ModelEquations, form: Callable[[Poly], Sequence], zero: Sequence) -> list:
     """P_1, then c_a / c_2 * lambda^(2(a-2)) * P_2 for a = 2 .. mu + 2, zero the form of a 0, each row a new sequence."""
-    # row a is its base, P_1 for the first row and P_2 for every later one, rescaled to lead c_a, so memo keeps its
-    # form by (id(base), c_a) and one report's models, which hold the same polynomial objects, share it; the caller
-    # holds eqs while memo lives, so no id is reused.  Keyed by ints, as Fraction.__hash__ takes a modular inverse
-    cs = eqs.constants
-    bases = (eqs.p1,) + (eqs.p2,) * (len(cs) - 1)
-    keys = [(id(p), c.numerator, c.denominator) for p, c in zip(bases, cs)]
-    for key, p, c in zip(keys, bases, cs):
-        if key not in memo:
-            memo[key] = form(_rescaled(p, c))
-    return [zero * max(2 * a - 2, 0) + memo[key] for a, key in enumerate(keys)]
+    # P_2 rescaled to lead c_a is formed once per distinct c_a, keyed by ints, as Fraction.__hash__ takes a modular inverse
+    keys = [(c.numerator, c.denominator) for c in eqs.constants[1:]]
+    formed: dict = {}
+    for key, c in zip(keys, eqs.constants[1:]):
+        if key not in formed:
+            formed[key] = form(_rescaled(eqs.p2, c))
+    return [form(eqs.p1)] + [zero * (2 * a) + formed[key] for a, key in enumerate(keys)]
 
 
 def emit_reduced_model(
@@ -339,18 +333,13 @@ def classify_fibers(l_i: Sequence[int], l_j: Sequence[int], roots: ConformalRoot
 
 def model_record(eqs: ModelEquations, classes: Sequence[FiberClass]) -> dict:
     """JSON form of one model: equations plus fiber classification."""
-    return _record(eqs, classes, {})
-
-
-def _record(eqs: ModelEquations, classes: Sequence[FiberClass], memo: dict) -> dict:
-    # model_record, with the strings of the rows kept in memo: one report's models share them
     return {
         "i": eqs.i,
         "j": eqs.j,
         "mu": eqs.mu,
         "bundle": list(eqs.bundle),
         "c": [str(c) for c in eqs.constants],
-        "P": _chain(eqs, poly_to_strings, ["0"], memo),
+        "P": _chain(eqs, poly_to_strings, ["0"]),
         "fibers": [fc.to_json() for fc in classes],
     }
 

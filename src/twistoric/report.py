@@ -4,8 +4,8 @@ A report holds what analyze_sequence derives, once each, from one action
 sequence: the surface, its invariant fibers and their degree matrix, the
 divisor data read off its pairing rows, adjacent-pair models with their fiber
 classes, and warnings.  to_json only writes them, rationals as 'p/q' strings,
-each row once for all the models that hold its polynomial.  A report
-is an immutable namedtuple; _replace and _make check like its constructor.
+each model as model_record writes it.  A report is an immutable namedtuple;
+_replace and _make check like its constructor.
 Each reader accepts exactly what its writer emits; a report is read from its
 input, roots and first constants, then analyzed again.  The model record
 (model_record, parse_model_record) lives in models and is re-exported here.
@@ -27,7 +27,6 @@ from .models import (
     _check_constants,
     _models,
     _ordered,
-    _record,
     classify_fibers,
     emit_full_model,
     emit_reduced_model,
@@ -70,7 +69,6 @@ class AnalysisReport(namedtuple("AnalysisReport", "sequence surface roots fibers
     __slots__ = ()
 
     def to_json(self) -> dict:
-        memo: dict = {}  # the rows of the polynomials the models share, for this call only; self holds them
         return {
             "input": self.sequence.to_json(),
             "surface": self.surface.to_json(),
@@ -82,7 +80,7 @@ class AnalysisReport(namedtuple("AnalysisReport", "sequence surface roots fibers
             "degreeMatrix": [list(row) for row in self.degrees],
             "bimeromorphicPairs": [list(p) for p in self.bimeromorphic],
             "divisors": [d.to_json() for d in self.divisors],
-            "models": [_record(eqs, classes, memo) for eqs, classes in self.models],
+            "models": [model_record(eqs, classes) for eqs, classes in self.models],
             "warnings": list(self.warnings),
         }
 

@@ -66,34 +66,16 @@ MUTANTS = [
     Mutant(
         "writer-rows-keyed-by-numerator",
         "models.py",
-        "keys = [(id(p), c.numerator, c.denominator) for p, c in zip(bases, cs)]",
-        "keys = [(id(p), c.numerator) for p, c in zip(bases, cs)]",
-        ("tests/test_models.py::test_the_writer_formats_each_distinct_polynomial_once[5]",),
+        "[(c.numerator, c.denominator) for c in eqs.constants[1:]]",
+        "[(c.numerator,) for c in eqs.constants[1:]]",
+        ("tests/test_models.py::test_the_writer_formats_each_distinct_polynomial_once[5]", "tests/test_golden.py::test_json_outputs_match_golden_digests"),
     ),
     Mutant(
-        "writer-rows-keyed-by-label-alone",
+        "writer-p1-row-from-p2-map",
         "models.py",
-        "keys = [(id(p), c.numerator, c.denominator) for p, c in zip(bases, cs)]",
-        "keys = [(eqs.j if a else eqs.i,) for a, c in enumerate(cs)]",
-        (
-            "tests/test_report.py::test_a_report_writes_each_model_as_the_single_model_writer_does",
-            "tests/test_report.py::test_a_report_formats_each_label_product_once_per_constant",
-            "tests/test_golden.py::test_json_outputs_match_golden_digests",
-        ),
-    ),
-    Mutant(
-        "writer-rows-keyed-by-label-and-constant",
-        "models.py",
-        "keys = [(id(p), c.numerator, c.denominator) for p, c in zip(bases, cs)]",
-        "keys = [(eqs.j if a else eqs.i, c.numerator, c.denominator) for a, c in enumerate(cs)]",
-        ("tests/test_report.py::test_a_report_writes_each_model_as_the_single_model_writer_does",),
-    ),
-    Mutant(
-        "models-rescale-per-model",
-        "models.py",
-        "p1=firsts[di.alpha], p2=seconds[dj.alpha]",
-        "p1=_rescaled(products[di.alpha], cs[0]), p2=_rescaled(products[dj.alpha], cs[1])",
-        ("tests/test_report.py::test_a_report_formats_each_label_product_once_per_constant",),
+        "return [form(eqs.p1)] + ",
+        "return [formed[keys[0]] if eqs.constants[0] == eqs.constants[1] else form(eqs.p1)] + ",
+        ("tests/test_golden.py::test_json_outputs_match_golden_digests",),
     ),
     Mutant(
         "model-shape-unchecked",
@@ -101,13 +83,6 @@ MUTANTS = [
         "        if m_i < m_j or len(constants) not in (2, m_i - m_j + 2) or 0 in constants:\n",
         "        if False:\n",
         ("tests/test_records.py::test_model_shape_must_be_one_its_reader_reads",),
-    ),
-    Mutant(
-        "writer-shares-rows-uncopied",
-        "models.py",
-        "return [zero * max(2 * a - 2, 0) + memo[key] for a, key in enumerate(keys)]",
-        "return [memo[key] if a < 2 else zero * (2 * a - 2) + memo[key] for a, key in enumerate(keys)]",
-        ("tests/test_report.py::test_a_report_writes_each_model_as_the_single_model_writer_does",),
     ),
     Mutant(
         "model-size-drops-label-2",
@@ -147,11 +122,10 @@ MUTANTS = [
     Mutant(
         "models-expand-each-label-per-model",
         "models.py",
-        "    firsts = {di.alpha: _rescaled(products[di.alpha], cs[0]) for di, _ in pairs}\n"
-        "    seconds = {dj.alpha: _rescaled(products[dj.alpha], cs[1]) for _, dj in pairs}\n",
-        "    product = lambda d: (Fraction(0),) * d.l_total[1] + from_factors(zip(roots.tail, d.l_total[2:]))\n"
-        "    firsts = {di.alpha: _rescaled(product(di), cs[0]) for di, _ in pairs}\n"
-        "    seconds = {dj.alpha: _rescaled(product(dj), cs[1]) for _, dj in pairs}\n",
+        "    products = {d.alpha: (Fraction(0),) * l[1] + from_factors(zip(roots.tail, l[2:])) for d, l in zip(data, l_totals)}\n",
+        "    totals = {d.alpha: l for d, l in zip(data, l_totals)}\n"
+        "    expand = lambda _, a: (Fraction(0),) * totals[a][1] + from_factors(zip(roots.tail, totals[a][2:]))\n"
+        "    products = type('ExpandedPerLookup', (), {'__getitem__': expand})()\n",
         ("tests/test_models.py::test_each_pencil_product_is_expanded_once",),
     ),
     Mutant(
@@ -181,6 +155,13 @@ MUTANTS = [
         "steps = [row[b] - row[b + 1] for b in range(len(row) // 2)]",
         "steps = [row[b + 1] - row[b] for b in range(len(row) // 2)]",
         ("tests/test_divisors.py::test_hexagon_divisor_data", "tests/test_divisors.py::test_reconstruction_identity_everywhere"),
+    ),
+    Mutant(
+        "inconsistent-m-from-l-plus",
+        "divisors.py",
+        "max(row[b + 1] - row[b], 0)",
+        "max(row[b] - row[b + 1], 0)",
+        ("tests/test_divisors.py::test_solve_from_arbitrary_fibers_is_checked",),
     ),
     Mutant(
         "divided-skips-its-first-step",

@@ -114,14 +114,17 @@ def test_solve_from_arbitrary_fibers_is_checked(pair):
     f, fbar = pair
     try:
         data = solve_from_fibers(f, fbar, 1)
-    except InconsistentSystem:
+    except InconsistentSystem as refused:
         # The equations at neighbouring positions force l_plus - l_minus to the steps of
         # g = fbar - f, and adding t to both halves of one label adds t at every position,
-        # so one choice of the l's shows whether any m fits all 2k equations.
+        # so one choice of the l's shows whether any m fits all 2k equations; the message
+        # lists, sorted and once each, the m = built[r] - g[r] that each position r asks for.
         g = [y - x for x, y in zip(f, fbar)]
         steps = [g[b + 1] - g[b] for b in range(len(f) // 2)]
         built = half_cycle_sum(tuple([max(d, 0) for d in steps]), tuple([max(-d, 0) for d in steps]))
-        assert len({x - y for x, y in zip(built, g)}) > 1
+        implied = sorted({x - y for x, y in zip(built, g)})
+        assert len(implied) > 1
+        assert str(refused) == f"component equations disagree for index 1: {implied}"
         return
     except NegativeMultiplicity:
         return

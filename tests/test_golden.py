@@ -7,6 +7,9 @@ json.dumps(output, indent=2), the text the command line writes, for:
   analyze-scaled <chain>        the same with roots tail (2t+1)/3 and constants 3/2, -5
   model <chain> <i> <j>         run_model for every pair i < j of those chains
   model-full <chain> <i> <j>    the same with full=True
+  model-full-scaled <chain> <i> <j>
+                                the same with constants 3/2, -5 and then mu values
+                                cycling through 3, 3/2, -5
   enumerate <n>                 run_enumerate(n) for n <= 6
 
 A refactor must leave every digest unchanged.  When an output change is
@@ -25,12 +28,20 @@ from pathlib import Path
 from twistoric import enumerate_sequences, run_analyze, run_enumerate, run_model
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
-# unequal constants that are not ones, so a report's rows are keyed by constant as well as by label
+# unequal constants that are not ones, so one label's product leads with a different constant in its two models
 SCALED = (Fraction(3, 2), Fraction(-5))
+# a full model's trailing constants: 3 and 3/2 share a numerator, and 3/2 and -5 repeat c_1 and c_2
+TRAILING = (Fraction(3), Fraction(3, 2), Fraction(-5))
 
 
 def digest(payload: dict) -> str:
     return hashlib.sha256(json.dumps(payload, indent=2).encode()).hexdigest()
+
+
+def full_constants(vectors: list, i: int, j: int) -> tuple[Fraction, ...]:
+    """SCALED, then TRAILING repeated for the mu that the reduced record of i, j gives."""
+    mu = run_model(vectors, i, j)["mu"]
+    return SCALED + tuple([TRAILING[t % 3] for t in range(mu)])
 
 
 def cases():
@@ -46,6 +57,7 @@ def cases():
                 for j in range(i + 1, seq.k + 1):
                     yield f"model {chain} {i} {j}", lambda v=vectors, i=i, j=j: run_model(v, i, j)
                     yield f"model-full {chain} {i} {j}", lambda v=vectors, i=i, j=j: run_model(v, i, j, full=True)
+                    yield f"model-full-scaled {chain} {i} {j}", lambda v=vectors, i=i, j=j: run_model(v, i, j, constants=full_constants(v, i, j), full=True)
     for n in range(7):
         yield f"enumerate {n}", lambda n=n: run_enumerate(n)
 

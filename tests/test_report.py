@@ -312,12 +312,11 @@ def scaled_roots(k: int) -> ConformalRoots:
 
 
 def test_a_report_writes_each_model_as_the_single_model_writer_does():
-    """A report's models share the rows of the polynomials they hold, yet each record is what model_record writes
-    for that model alone, and no two rows or fiber dicts of one report are one object, so a change to one record
-    changes no other.  Every chain with n <= 5, with default roots and ones, and with scaled roots and the
-    constants 3/2, -5, which give one label a different constant in its two models.  Each n = 3 chain's report
-    also rebuilt with its first model for the default roots and the rest for the tail 5, 6, 7, so one label
-    stands for two products."""
+    """Each record of a report is what model_record writes for that model alone, and no two rows or fiber dicts of
+    one report are one object, so a change to one record changes no other.  Every chain with n <= 5, with default
+    roots and ones, and with scaled roots and the constants 3/2, -5, which give one label a different constant in
+    its two models.  Each n = 3 chain's report also rebuilt with its first model for the default roots and the rest
+    for the tail 5, 6, 7, so one label stands for two products."""
     for n in range(6):
         for seq in enumerate_sequences(n):
             reports = [analyze_sequence(seq, roots, constants) for roots, constants in ((None, None), (scaled_roots(seq.k), SCALED))]
@@ -332,10 +331,10 @@ def test_a_report_writes_each_model_as_the_single_model_writer_does():
 
 
 @pytest.mark.parametrize("picks", [[], [0], [0, 1, 1, 2], [3, 1, 4, 1, 5, 9, 2, 6], [0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6]])
-def test_a_report_formats_each_label_product_once_per_constant(picks, monkeypatch):
-    """Writing a report formats one row per distinct polynomial among its models' P_1 and P_2: k with no
-    constants, and with 3/2, -5 one per label that is some model's P_1 plus one per label that is some model's
-    P_2.  The report checks its constants once and draws one generic sample per model, and writing draws none."""
+def test_a_report_formats_p1_and_p2_once_per_model(picks, monkeypatch):
+    """Writing a report formats each of its k - 1 reduced models as model_record does, P_1 once and P_2 once, so
+    2(k - 1) rows with no constants and with 3/2, -5 alike.  The report checks its constants once and draws one
+    generic sample per model, and writing draws none."""
     seq = validate(grow_by_mediants(picks))
     formatted, sampled = counted("poly_to_strings", monkeypatch), counted("_generic_class", monkeypatch, models)
     checked = counted("_check_constants", monkeypatch, models)
@@ -344,8 +343,7 @@ def test_a_report_formats_each_label_product_once_per_constant(picks, monkeypatc
         report = analyze_sequence(seq, roots, constants)
         assert len(sampled) == seq.k - 1 and len(checked) == 1 and formatted == []
         report.to_json()
-        firsts, seconds = {eqs.i for eqs, _ in report.models}, {eqs.j for eqs, _ in report.models}
-        assert len(formatted) == (seq.k if constants is None else len(firsts) + len(seconds))
+        assert len(formatted) == 2 * (seq.k - 1)
         assert len(sampled) == seq.k - 1
 
 
