@@ -124,11 +124,11 @@ def _parse_roots(data: dict) -> ConformalRoots:
 class ModelEquations(namedtuple("ModelEquations", "i j m_i m_j constants p1 p2")):
     """Equations xi_{2a-1} xi_{2a} = P_a(lambda) of one projective model.
 
-    Indices i, j are the pencil labels and m_i >= m_j their pencil
-    multiplicities; mu = m_i - m_j and the four line-bundle degrees
-    bundle = (m_i, m_i, m_j, m_j) are derived from them.  It stores P_1, P_2
-    and c_1, c_2, plus c_3 .. c_{mu+2} for a full chain, which polys derives.
-    c_1 and c_2 are the leading coefficients of P_1 and P_2, else ValueError.
+    Indices i, j are the pencil labels and m_i >= m_j their pencil multiplicities; mu = m_i - m_j and the
+    four line-bundle degrees bundle = (m_i, m_i, m_j, m_j) are derived from them.  It stores P_1, P_2 and
+    c_1, c_2, plus c_3 .. c_{mu+2} for a full chain, which polys derives; c_1 and c_2 lead P_1 and P_2, else
+    ValueError.  Coefficients are ints or Fractions, equal values comparing and hashing alike: an emitted P
+    keeps the ints of an integral product whose constant already leads it, and polys shifts by int zeros.
     """
 
     __slots__ = ()
@@ -147,7 +147,7 @@ class ModelEquations(namedtuple("ModelEquations", "i j m_i m_j constants p1 p2")
 
     @property
     def polys(self) -> tuple[Poly, ...]:
-        return tuple(_chain(self, tuple, (Fraction(0),)))
+        return tuple(_chain(self, tuple, (0,)))
 
     @property
     def mu(self) -> int:
@@ -201,7 +201,7 @@ def _models(
         if budget and bits > budget:
             raise CapExceeded(f"a model polynomial of degree {deg} may need {bits} bits per coefficient, over the budget of {budget} bits that sys.get_int_max_str_digits() lets the writer print")
     # label 2's root is zero, so its factor lambda^{l_2} only shifts the product over the tail
-    products = {d.alpha: (Fraction(0),) * l[1] + from_factors(zip(roots.tail, l[2:])) for d, l in zip(data, l_totals)}
+    products = {d.alpha: (0,) * l[1] + from_factors(zip(roots.tail, l[2:])) for d, l in zip(data, l_totals)}
     return [ModelEquations(i=di.alpha, j=dj.alpha, m_i=di.m, m_j=dj.m, constants=cs, p1=_rescaled(products[di.alpha], cs[0]), p2=_rescaled(products[dj.alpha], cs[1])) for di, dj in pairs]
 
 

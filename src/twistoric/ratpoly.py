@@ -1,14 +1,14 @@
 """Exact polynomial arithmetic over the rationals.
 
-Polynomials are tuples of Fractions in ascending degree order with no trailing
-zeros; the zero polynomial is the empty tuple.  Only what the model emitter and
-the model-record reader need lives here, and it runs on ints: from_factors
-multiplies one list in place by each linear factor (q lambda - a), with the
-denominators cleared, and makes one Fraction per coefficient at the end.
-divided is synthetic division by (b lambda - a); only the model-record reader
-runs it, where P is free data, and counts a root's multiplicity as the number
-of exact divisions.  The tests check both against sympy and evaluate, the exact
-Fraction evaluator, and keep the expander from_factors replaced as an oracle.
+Polynomials are tuples in ascending degree order with no trailing zeros, the zero polynomial the
+empty tuple, of ints or Fractions; equal values compare and hash alike.  Only what the model emitter
+and the model-record reader need lives here, and it runs on ints: from_factors multiplies one list in
+place by each linear factor (q lambda - a), with the denominators cleared, and returns ints when every
+coefficient is integral, Fractions otherwise.  normalized, and so the reader, makes Fractions.
+divided is synthetic division by (b lambda - a); only the model-record reader runs it, where P is
+free data, and counts a root's multiplicity as the number of exact divisions.  The tests check both
+against sympy and evaluate, the exact Fraction evaluator, and keep the expander from_factors
+replaced as an oracle.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from math import lcm
 
 from .lattice import _read
 
-Poly = tuple[Fraction, ...]
+Poly = tuple[int | Fraction, ...]
 
 __all__ = [
     "Poly",
@@ -50,8 +50,8 @@ def degree(p: Poly) -> int:
 def from_factors(factors: Iterable[tuple[Fraction, int]]) -> Poly:
     """The monic product of (x - root)^mult over the given factors.
 
-    Expands on ints, in place: root a/q multiplies the list by (q x - a), from the bottom up,
-    and the common denominator by q, so the coefficients are Fractions only at the end.
+    Expands on ints, in place: root a/q multiplies the list by (q x - a), from the bottom up, and the common denominator
+    by q.  The coefficients stay ints when all are integral and become Fractions otherwise; equal values compare and hash alike.
     """
     p, den = [1], 1
     for root, mult in factors:
@@ -64,7 +64,7 @@ def from_factors(factors: Iterable[tuple[Fraction, int]]) -> Poly:
                 prev = c
             p.append(q * prev)
         den *= q**mult
-    return tuple([Fraction(c) for c in p] if den == 1 else [Fraction(c, den) for c in p])
+    return tuple(p if den == 1 else [Fraction(c, den) for c in p])
 
 
 def evaluate(p: Poly, x: Fraction) -> Fraction:

@@ -122,11 +122,25 @@ MUTANTS = [
     Mutant(
         "models-expand-each-label-per-model",
         "models.py",
-        "    products = {d.alpha: (Fraction(0),) * l[1] + from_factors(zip(roots.tail, l[2:])) for d, l in zip(data, l_totals)}\n",
+        "    products = {d.alpha: (0,) * l[1] + from_factors(zip(roots.tail, l[2:])) for d, l in zip(data, l_totals)}\n",
         "    totals = {d.alpha: l for d, l in zip(data, l_totals)}\n"
-        "    expand = lambda _, a: (Fraction(0),) * totals[a][1] + from_factors(zip(roots.tail, totals[a][2:]))\n"
+        "    expand = lambda _, a: (0,) * totals[a][1] + from_factors(zip(roots.tail, totals[a][2:]))\n"
         "    products = type('ExpandedPerLookup', (), {'__getitem__': expand})()\n",
         ("tests/test_models.py::test_each_pencil_product_is_expanded_once",),
+    ),
+    Mutant(
+        "models-shift-by-fraction-zeros",
+        "models.py",
+        "(0,) * l[1] + from_factors(",
+        "(Fraction(0),) * l[1] + from_factors(",
+        ("tests/test_models.py::test_default_models_hold_ints",),
+    ),
+    Mutant(
+        "polys-pad-with-fraction-zeros",
+        "models.py",
+        "tuple(_chain(self, tuple, (0,)))",
+        "tuple(_chain(self, tuple, (Fraction(0),)))",
+        ("tests/test_models.py::test_default_models_hold_ints",),
     ),
     Mutant(
         "smoothness-guard-skips-row-0",
@@ -162,6 +176,20 @@ MUTANTS = [
         "max(row[b + 1] - row[b], 0)",
         "max(row[b] - row[b + 1], 0)",
         ("tests/test_divisors.py::test_solve_from_arbitrary_fibers_is_checked",),
+    ),
+    Mutant(
+        "from-factors-floors-fractions",
+        "ratpoly.py",
+        "[Fraction(c, den) for c in p]",
+        "[c // den for c in p]",
+        ("tests/test_ratpoly.py::test_from_factors_matches_sympy_expansion", "tests/test_ratpoly.py::test_from_factors_matches_the_shift_and_subtract_oracle"),
+    ),
+    Mutant(
+        "from-factors-fractions-when-integral",
+        "ratpoly.py",
+        "tuple(p if den == 1 else",
+        "tuple([Fraction(c) for c in p] if den == 1 else",
+        ("tests/test_ratpoly.py::test_from_factors_matches_the_shift_and_subtract_oracle", "tests/test_models.py::test_default_models_hold_ints"),
     ),
     Mutant(
         "divided-skips-its-first-step",

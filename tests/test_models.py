@@ -299,6 +299,22 @@ def test_degree_bookkeeping_all_instances():
                     assert degree(eqs.p2) == 2 * dj.m - dj.l_total[0]
 
 
+def test_default_models_hold_ints():
+    """With roots 1, 2, ... and unit constants every pencil product is integral, so P_1, P_2 and every row of polys,
+    the int zeros of its lambda^(2(a-2)) shift included, hold ints and no Fraction."""
+    for n in range(5):
+        for seq in enumerate_sequences(n):
+            s = build_surface(seq)
+            roots = default_roots(s.k)
+            data = [solve_divisor_data(s, a) for a in range(1, s.k + 1)]
+            for i in range(s.k):
+                for j in range(i + 1, s.k):
+                    for emit in (emit_reduced_model, emit_full_model):
+                        eqs = emit(data[i], data[j], roots)
+                        coeffs = [c for p in (eqs.p1, eqs.p2, *eqs.polys) for c in p]
+                        assert all(type(c) is int for c in coeffs), (seq.vectors, eqs.i, eqs.j, emit.__name__)
+
+
 def test_full_model_chain_with_one_step():
     _, d1, d2 = divisor_pair([(0, 1), (1, 1), (2, 1), (1, 0)], 1, 2)
     assert (d1.m, d2.m) == (2, 1)

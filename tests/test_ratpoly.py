@@ -69,10 +69,12 @@ def test_from_factors_matches_sympy_expansion(scale, factors):
 @example([(Fraction(3, 7), 1), (Fraction(0), 3), (Fraction(-1), 12), (Fraction(0), 2)])
 def test_from_factors_matches_the_shift_and_subtract_oracle(factors):
     """The in-place kernel against the expander it replaced: roots of both signs and zero, denominators up to 7,
-    multiplicities up to 12, where the sympy check above stops at 3."""
+    multiplicities up to 12, where the sympy check above stops at 3.  The coefficients are ints exactly when every
+    root that occurs is integral, since a monic product with a root a/q, q > 1, has a coefficient that is not."""
     p = from_factors(factors)
     assert p == shift_and_subtract_product(factors)
-    assert all(type(c) is Fraction for c in p) and p[-1] == 1
+    integral = all(root.denominator == 1 for root, mult in factors if mult)
+    assert all(type(c) is (int if integral else Fraction) for c in p) and p[-1] == 1
 
 
 @given(small_fracs, st.lists(st.tuples(small_fracs, st.integers(0, 3)), min_size=1, max_size=3))
