@@ -17,7 +17,8 @@ behind the zeros of its power of lambda.
 Roots are labelled 2 .. k; label 1 sits at infinity, label 2 at zero.  P_1
 vanishes at label b to order l_ib, so classify_fibers reads a fiber's kind from
 the two multiplicities at its label.  Only the model-record reader and the test
-oracles root-test P: parse_model_record divides P by each location's factor.
+oracles root-test P: parse_model_record counts P's leading zeros for label 2 and
+divides P by each tail root's factor.
 """
 
 from __future__ import annotations
@@ -69,7 +70,8 @@ class ConformalRoots(namedtuple("ConformalRoots", "k tail")):
     tail holds the roots for labels 3 .. k; label 2 is pinned at zero and label 1 at infinity.  The
     tail must consist of nonzero rationals of one sign, strictly increasing when positive and strictly
     decreasing when negative, so all k locations are distinct.  Each root is checked against its left
-    neighbour only: equal to it or zero is a RootCollision, any other repeat a RootOrderViolation.
+    neighbour only: equal to it or zero is a RootCollision, any other repeat a RootOrderViolation.  The
+    roots stay the ints and Fractions they are given, as coefficients do in ratpoly.
     """
 
     __slots__ = ()
@@ -95,9 +97,9 @@ class ConformalRoots(namedtuple("ConformalRoots", "k tail")):
         return super().__new__(cls, k, tail)
 
     @property
-    def finite_roots(self) -> tuple[Fraction, ...]:
-        """Root locations for labels 2 .. k; the label-2 root is zero."""
-        return (Fraction(0),) + self.tail
+    def finite_roots(self) -> tuple[Fraction | int, ...]:
+        """Root locations for labels 2 .. k; the label-2 root is the int zero."""
+        return (0,) + self.tail
 
     def to_json(self) -> dict:
         return {"k": self.k, "tail": [str(r) for r in self.tail]}
@@ -107,12 +109,13 @@ class ConformalRoots(namedtuple("ConformalRoots", "k tail")):
         return _read(data, _parse_roots, ConformalRoots.to_json, "roots")
 
 
-def _exact(values: Sequence[Fraction | int], field: str) -> tuple[Fraction, ...]:
-    """The values as Fractions; anything but an int or a Fraction (a float, a bool) is a ValueError naming field."""
+def _exact(values: Sequence[Fraction | int], field: str) -> tuple[Fraction | int, ...]:
+    """The values as given, ints and Fractions alike; anything else (a float, a bool) is a ValueError naming field."""
+    values = tuple(values)
     for v in values:
         if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
             raise ValueError(f"{field!r} must be ints or Fractions, got {v!r}")
-    return tuple([Fraction(v) for v in values])
+    return values
 
 
 def _parse_roots(data: dict) -> ConformalRoots:
@@ -134,7 +137,7 @@ class ModelEquations(namedtuple("ModelEquations", "i j m_i m_j constants p1 p2")
     __slots__ = ()
     _make = classmethod(_checked_make)
 
-    def __new__(cls, i: int, j: int, m_i: int, m_j: int, constants: tuple[Fraction, ...], p1: Poly, p2: Poly) -> ModelEquations:
+    def __new__(cls, i: int, j: int, m_i: int, m_j: int, constants: tuple[Fraction | int, ...], p1: Poly, p2: Poly) -> ModelEquations:
         if i == j:  # a model joins two pencil labels, as its reader requires
             raise ValueError(f"'i' and 'j' must be two labels, got {i} and {j}")
         # one nonzero constant per row of P, whose shape parse_model_record reads: 2 rows or mu + 2
@@ -167,9 +170,9 @@ def _ordered(data_i: TwistorDivisorData, data_j: TwistorDivisorData) -> tuple[Tw
     return (data_i, data_j) if data_i.m >= data_j.m else (data_j, data_i)
 
 
-def _check_constants(constants: Sequence[Fraction | int] | None, count: int) -> tuple[Fraction, ...]:
+def _check_constants(constants: Sequence[Fraction | int] | None, count: int) -> tuple[Fraction | int, ...]:
     if constants is None:
-        return (Fraction(1),) * count
+        return (1,) * count
     if len(constants) != count:
         raise ValueError(f"expected {count} scale constants, got {len(constants)}")
     out = _exact(constants, "constants")
@@ -178,46 +181,38 @@ def _check_constants(constants: Sequence[Fraction | int] | None, count: int) -> 
     return out
 
 
-def _models(
-    data: Sequence[TwistorDivisorData],
-    l_totals: Sequence[Sequence[int]],
-    roots: ConformalRoots,
-    constants: Sequence[Fraction | int] | None,
-    full: bool,
-) -> list[ModelEquations]:
+def _models(data: Sequence[TwistorDivisorData], roots: ConformalRoots, constants: Sequence[Fraction | int] | None, full: bool) -> list[ModelEquations]:
     """The model of each adjacent pair in data: P_1, P_2 and two constants, or all mu + 2 for a full model's one pair.
 
-    The constants (None for ones) are checked once, and each label's monic product of (lambda - r_b)^{l_b}, its l_total
-    given in l_totals in the order of data, is expanded once; each model rescales it to lead c_1 or c_2.  Before any
-    expansion, a polynomial that model_size puts over the bit budget is CapExceeded.
+    The constants (None for ones) are checked once, and each label's monic product of (lambda - r_b)^{l_b}, over its
+    l_total, is expanded once; each model rescales it to lead c_1 or c_2.  Before any expansion, a polynomial that
+    model_size puts over the bit budget is CapExceeded.
     """
     pairs = [_ordered(d_i, d_j) for d_i, d_j in zip(data, data[1:])]
     if roots.k != data[0].k:
         raise ValueError(f"roots are for k = {roots.k}, divisor data for k = {data[0].k}")
     cs = _check_constants(constants, pairs[0][0].m - pairs[0][1].m + 2 if full else 2)
     budget = _bit_budget()
-    # every model takes the same constants, so the widest one bounds each label's polynomials
-    for deg, bits in map(_sizer(roots, _bits(max(cs, key=_bits)) if constants else 1), l_totals):
+    # every model takes the same constants, so the widest one bounds each label's polynomials; l_total is derived
+    # on every read, so each label's is taken once
+    widest, totals = max(cs, key=_bits), [d.l_total for d in data]
+    for l_total in totals:
+        deg, bits = model_size(l_total, roots, widest)
         if budget and bits > budget:
             raise CapExceeded(f"a model polynomial of degree {deg} may need {bits} bits per coefficient, over the budget of {budget} bits that sys.get_int_max_str_digits() lets the writer print")
     # label 2's root is zero, so its factor lambda^{l_2} only shifts the product over the tail
-    products = {d.alpha: (0,) * l[1] + from_factors(zip(roots.tail, l[2:])) for d, l in zip(data, l_totals)}
+    products = {d.alpha: (0,) * l[1] + from_factors(zip(roots.tail, l[2:])) for d, l in zip(data, totals)}
     return [ModelEquations(i=di.alpha, j=dj.alpha, m_i=di.m, m_j=dj.m, constants=cs, p1=_rescaled(products[di.alpha], cs[0]), p2=_rescaled(products[dj.alpha], cs[1])) for di, dj in pairs]
 
 
-def model_size(l_total: Sequence[int], roots: ConformalRoots, constant: Fraction) -> tuple[int, int]:
+def model_size(l_total: Sequence[int], roots: ConformalRoots, constant: Fraction | int) -> tuple[int, int]:
     """The degree of constant * prod (lambda - r_b)^{l_b} over labels b = 2 .. k, and a bound on its coefficients' bits.
 
-    The factor (q lambda - a) of r = a/q has coefficients of absolute sum |a| + q; the product of those sums
-    bounds every cleared coefficient and the common denominator, and the constant adds its larger part's bits.
+    The factor (q lambda - a) of r = a/q has coefficients of absolute sum |a| + q, one bit for label 2's zero; the
+    product of those sums bounds every cleared coefficient and the common denominator, and the constant adds its
+    larger part's bits.
     """
-    return _sizer(roots, _bits(constant))(l_total)
-
-
-def _sizer(roots: ConformalRoots, bits: int) -> Callable[[Sequence[int]], tuple[int, int]]:
-    """model_size for these roots and a constant of these bits, each root's weight bitlen(|a| + q) taken once."""
-    weights = (1,) + tuple([(abs(r.numerator) + r.denominator).bit_length() for r in roots.tail])  # label 2's zero: one bit
-    return lambda l_total: (sum(l_total[1:]), bits + sum([l * w for l, w in zip(l_total[1:], weights)]))
+    return sum(l_total[1:]), _bits(constant) + sum([l * (abs(r.numerator) + r.denominator).bit_length() for l, r in zip(l_total[1:], roots.finite_roots)])
 
 
 def _bit_budget() -> int:
@@ -228,15 +223,15 @@ def _bit_budget() -> int:
     return int(getattr(sys, "get_int_max_str_digits", lambda: 0)() * log2(10))
 
 
-def _bits(c: Fraction) -> int:
+def _bits(c: Fraction | int) -> int:
     return max(c.numerator.bit_length(), c.denominator.bit_length())
 
 
-def _rescaled(p: Poly, c: Fraction) -> Poly:
+def _rescaled(p: Poly, c: Fraction | int) -> Poly:
     """p times c over its leading coefficient, so that c leads it; p itself when c already does."""
     if p[-1] == c:
         return p
-    ratio = c / p[-1]
+    ratio = Fraction(c, p[-1])  # exact when both are ints, where c / p[-1] would be a float
     return tuple([ratio * x for x in p])
 
 
@@ -262,7 +257,7 @@ def emit_reduced_model(
     Swaps the roles of i and j internally when m_i < m_j so the recorded
     bundle degrees never decrease.  Takes two scale constants, both ones when omitted.
     """
-    return _models((data_i, data_j), (data_i.l_total, data_j.l_total), roots, constants, full=False)[0]
+    return _models((data_i, data_j), roots, constants, full=False)[0]
 
 
 def emit_full_model(
@@ -278,7 +273,7 @@ def emit_full_model(
     chain starts at the reduced second equation and gains lambda^2 each step.
     Takes mu + 2 scale constants, all ones when omitted.
     """
-    return _models((data_i, data_j), (data_i.l_total, data_j.l_total), roots, constants, full=True)[0]
+    return _models((data_i, data_j), roots, constants, full=True)[0]
 
 
 class FiberClass(namedtuple("FiberClass", "location kind non_reduced generic", defaults=(False,))):
@@ -312,7 +307,7 @@ def _generic_class(roots: ConformalRoots) -> FiberClass:
     for r in roots.tail:
         if r == n:
             n += 1
-    return FiberClass(location=Fraction(n), kind=GENERIC_FOUR_NODAL, non_reduced=False, generic=True)
+    return FiberClass(location=n, kind=GENERIC_FOUR_NODAL, non_reduced=False, generic=True)
 
 
 def classify_fibers(l_i: Sequence[int], l_j: Sequence[int], roots: ConformalRoots) -> list[FiberClass]:
@@ -369,7 +364,8 @@ def _parse_model(data: dict) -> tuple[ModelEquations, tuple[FiberClass, ...]]:
 def _multiplicities(p: Poly, two_m: int, roots: ConformalRoots) -> list[int]:
     """2m - deg p, then at each finite root a/b how often (b lambda - a) divides p exactly; ValueError naming 'P' unless those account for p.
 
-    Dividing is quadratic in deg p, so a degree over 2m or over the writer's bit budget is refused before any division.
+    Label 2's zero divides p as often as p has leading zero coefficients, the writer's shift, so only the tail's roots
+    are divided out.  That is quadratic in deg p, so a degree over 2m or over the writer's bit budget is refused first.
     """
     deg, budget = degree(p), _bit_budget()
     refused = f"'P' must be c * prod (lambda - r)^l over the listed fiber locations r, of degree at most 2m = {two_m}, got degree {deg}"
@@ -377,8 +373,10 @@ def _multiplicities(p: Poly, two_m: int, roots: ConformalRoots) -> list[int]:
         raise ValueError(refused)
     if budget and deg > budget:
         raise ValueError(f"'P' has degree {deg}, over the budget of {budget} bits that sys.get_int_max_str_digits() lets the writer print, at least one bit per degree")
-    coeffs, orders = cleared(p), [two_m - deg]
-    for r in roots.finite_roots:
+    coeffs = cleared(p)
+    zeros = next(t for t, c in enumerate(coeffs) if c)  # p is not zero: its last coefficient is a nonzero constant
+    coeffs, orders = coeffs[zeros:], [two_m - deg, zeros]
+    for r in roots.tail:
         orders.append(0)
         while (quotient := divided(coeffs, r)) is not None:
             coeffs, orders[-1] = quotient, orders[-1] + 1

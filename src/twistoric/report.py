@@ -16,7 +16,6 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import lru_cache
 
 from .divisors import solve_divisor_data
 from .errors import CapExceeded
@@ -52,15 +51,9 @@ __all__ = [
 
 
 def default_roots(k: int) -> ConformalRoots:
-    """Deterministic root choice 1, 2, ... for labels 3 .. k, built and checked once per int k."""
-    # only an int k reaches the cache: ConformalRoots names any other 'k', where range() or the cache's hash would
-    # refuse a float, str or list k with a bare TypeError
-    return _default_roots(k) if isinstance(k, int) else ConformalRoots(k=k)
-
-
-@lru_cache(maxsize=None, typed=True)  # typed: an int subclass k is never served the roots of an equal int k
-def _default_roots(k: int) -> ConformalRoots:
-    return ConformalRoots(k=k, tail=range(1, k - 1))
+    """Deterministic root choice, the ints 1, 2, ... for labels 3 .. k."""
+    # ConformalRoots names any k that is no int, where range() would refuse a float, str or list k with a bare TypeError
+    return ConformalRoots(k=k, tail=range(1, k - 1) if isinstance(k, int) else ())
 
 
 class AnalysisReport(namedtuple("AnalysisReport", "sequence surface roots fibers degrees bimeromorphic divisors models warnings")):
@@ -100,7 +93,7 @@ def analyze_sequence(
     roots: ConformalRoots | None = None,
     constants: Sequence[Fraction | int] | None = None,
 ) -> AnalysisReport:
-    """Full analysis of one sequence; models for every adjacent pair, each label's product expanded and each l_total taken once."""
+    """Full analysis of one sequence; models for every adjacent pair, each label's product expanded once."""
     surface = build_surface(seq)
     k = surface.k
     roots = default_roots(k) if roots is None else roots
@@ -108,7 +101,7 @@ def analyze_sequence(
     divisors = tuple([solve_divisor_data(surface, a) for a in range(1, k + 1)])
     degrees = degree_matrix(surface)
     l_totals = [d.l_total for d in divisors]
-    models = [(eqs, tuple(classify_fibers(l_totals[eqs.i - 1], l_totals[eqs.j - 1], roots))) for eqs in _models(divisors, l_totals, roots, constants, full=False)]
+    models = [(eqs, tuple(classify_fibers(l_totals[eqs.i - 1], l_totals[eqs.j - 1], roots))) for eqs in _models(divisors, roots, constants, full=False)]
     warnings = [
         {"type": "degree", "i": i, "j": j, "d": row[j - 1]} for i, row in enumerate(degrees, start=1) for j in range(i + 1, k + 1) if row[j - 1] > 1
     ] + [

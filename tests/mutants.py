@@ -50,18 +50,11 @@ MUTANTS = [
         ("tests/test_models.py::test_generic_sample_matches_the_set_and_while_oracle",),
     ),
     Mutant(
-        "default-roots-cache-untyped",
-        "report.py",
-        "@lru_cache(maxsize=None, typed=True)",
-        "@lru_cache(maxsize=None)",
-        ("tests/test_models.py::test_default_roots_are_built_once_per_k",),
-    ),
-    Mutant(
         "default-roots-from-two",
         "report.py",
         "range(1, k - 1)",
         "range(2, k)",
-        ("tests/test_report.py::test_default_roots", "tests/test_models.py::test_default_roots_are_built_once_per_k"),
+        ("tests/test_report.py::test_default_roots", "tests/test_models.py::test_default_roots_count_from_one_and_name_a_bad_k"),
     ),
     Mutant(
         "writer-rows-keyed-by-numerator",
@@ -87,8 +80,8 @@ MUTANTS = [
     Mutant(
         "model-size-drops-label-2",
         "models.py",
-        "weights = (1,) + tuple(",
-        "weights = (0,) + tuple(",
+        "zip(l_total[1:], roots.finite_roots)",
+        "zip(l_total[2:], roots.tail)",
         ("tests/test_models.py::test_model_size_bounds_every_coefficient",),
     ),
     Mutant(
@@ -122,8 +115,8 @@ MUTANTS = [
     Mutant(
         "models-expand-each-label-per-model",
         "models.py",
-        "    products = {d.alpha: (0,) * l[1] + from_factors(zip(roots.tail, l[2:])) for d, l in zip(data, l_totals)}\n",
-        "    totals = {d.alpha: l for d, l in zip(data, l_totals)}\n"
+        "    products = {d.alpha: (0,) * l[1] + from_factors(zip(roots.tail, l[2:])) for d, l in zip(data, totals)}\n",
+        "    totals = {d.alpha: l for d, l in zip(data, totals)}\n"
         "    expand = lambda _, a: (0,) * totals[a][1] + from_factors(zip(roots.tail, totals[a][2:]))\n"
         "    products = type('ExpandedPerLookup', (), {'__getitem__': expand})()\n",
         ("tests/test_models.py::test_each_pencil_product_is_expanded_once",),
@@ -141,6 +134,27 @@ MUTANTS = [
         "tuple(_chain(self, tuple, (0,)))",
         "tuple(_chain(self, tuple, (Fraction(0),)))",
         ("tests/test_models.py::test_default_models_hold_ints",),
+    ),
+    Mutant(
+        "exact-rewraps-in-fraction",
+        "models.py",
+        "    return values\n",
+        "    return tuple([Fraction(v) for v in values])\n",
+        ("tests/test_models.py::test_default_models_hold_ints", "tests/test_records.py::test_conformal_roots_replace_keeps_types_like_the_constructor"),
+    ),
+    Mutant(
+        "rescaled-by-float-division",
+        "models.py",
+        "ratio = Fraction(c, p[-1])",
+        "ratio = c / p[-1]",
+        ("tests/test_models.py::test_int_constants_rescale_to_exact_rows", "tests/test_golden.py::test_json_outputs_match_golden_digests"),
+    ),
+    Mutant(
+        "reader-zero-count-off-by-one",
+        "models.py",
+        "[two_m - deg, zeros]",
+        "[two_m - deg, zeros + 1]",
+        ("tests/test_report.py::test_model_record_round_trip", "tests/test_report.py::test_a_power_of_lambda_at_the_budget_reads_in_linear_time"),
     ),
     Mutant(
         "smoothness-guard-skips-row-0",

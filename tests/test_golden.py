@@ -10,6 +10,10 @@ json.dumps(output, indent=2), the text the command line writes, for:
   model-full-scaled <chain> <i> <j>
                                 the same with constants 3/2, -5 and then mu values
                                 cycling through 3, 3/2, -5
+  analyze-int <chain>           run_analyze with the int constants 2, 3
+  model-full-int <chain> <i> <j>
+                                run_model with full=True and the int constants
+                                2, 3, 1, 2, 3, ... (mu + 2 of them)
   enumerate <n>                 run_enumerate(n) for n <= 6
 
 A refactor must leave every digest unchanged.  When an output change is
@@ -32,6 +36,8 @@ DIGESTS = Path(__file__).with_name("golden_digests.json")
 SCALED = (Fraction(3, 2), Fraction(-5))
 # a full model's trailing constants: 3 and 3/2 share a numerator, and 3/2 and -5 repeat c_1 and c_2
 TRAILING = (Fraction(3), Fraction(3, 2), Fraction(-5))
+# int constants, which a model keeps as ints: 2, 3 lead P_1 and P_2, and a full model's rows cycle 1, 2, 3
+INTS = (2, 3, 1)
 
 
 def digest(payload: dict) -> str:
@@ -44,6 +50,12 @@ def full_constants(vectors: list, i: int, j: int) -> tuple[Fraction, ...]:
     return SCALED + tuple([TRAILING[t % 3] for t in range(mu)])
 
 
+def int_constants(vectors: list, i: int, j: int) -> tuple[int, ...]:
+    """INTS repeated to the mu + 2 constants of the full model of i, j."""
+    mu = run_model(vectors, i, j)["mu"]
+    return tuple([INTS[t % 3] for t in range(mu + 2)])
+
+
 def cases():
     """(label, thunk) for every golden case, in a fixed order."""
     for n in range(5):
@@ -53,11 +65,13 @@ def cases():
             yield f"analyze {chain}", lambda v=vectors: run_analyze(v)
             tail = [Fraction(2 * t + 1, 3) for t in range(1, seq.k - 1)]
             yield f"analyze-scaled {chain}", lambda v=vectors, tail=tail: run_analyze(v, tail, SCALED)
+            yield f"analyze-int {chain}", lambda v=vectors: run_analyze(v, None, INTS[:2])
             for i in range(1, seq.k + 1):
                 for j in range(i + 1, seq.k + 1):
                     yield f"model {chain} {i} {j}", lambda v=vectors, i=i, j=j: run_model(v, i, j)
                     yield f"model-full {chain} {i} {j}", lambda v=vectors, i=i, j=j: run_model(v, i, j, full=True)
                     yield f"model-full-scaled {chain} {i} {j}", lambda v=vectors, i=i, j=j: run_model(v, i, j, constants=full_constants(v, i, j), full=True)
+                    yield f"model-full-int {chain} {i} {j}", lambda v=vectors, i=i, j=j: run_model(v, i, j, constants=int_constants(v, i, j), full=True)
     for n in range(7):
         yield f"enumerate {n}", lambda n=n: run_enumerate(n)
 

@@ -32,7 +32,7 @@ from twistoric import (
     validate,
 )
 from twistoric import divisors, fibers, ratpoly
-from twistoric.models import FOUR_PLANES, GENERIC_FOUR_NODAL, TWO_QUADRIC_CONES, FiberClass, _generic_class
+from twistoric.models import FOUR_PLANES, GENERIC_FOUR_NODAL, TWO_QUADRIC_CONES, FiberClass, ModelEquations, _generic_class
 from twistoric.ratpoly import degree, evaluate
 from twistoric.report import AnalysisReport, analyze_sequence, default_roots, model_record, parse_model_record, run_classify, run_enumerate, run_model
 
@@ -186,14 +186,10 @@ def test_generic_sample_matches_the_set_and_while_oracle(tail):
     assert _generic_class(roots).location == generic_sample(roots.finite_roots)
 
 
-def test_default_roots_are_built_once_per_k():
+def test_default_roots_count_from_one_and_name_a_bad_k():
     for k in range(2, 12):
-        assert default_roots(k) is default_roots(k)
         assert default_roots(k) == ConformalRoots(k, tail=tuple(range(1, k - 1)))
-    # only an int k reaches the cache, which stays typed, so an int subclass k is never served an int's roots; a
-    # float, bool, str or list k raises the ValueError naming 'k', the list no bare TypeError from the cache's hash
-    assert twistoric.report._default_roots.cache_parameters()["typed"] is True
-    default_roots(3)
+    # a float, bool, str or list k raises the ValueError naming 'k', no bare TypeError from range()
     for k in (3.0, True, "3", [3]):
         with pytest.raises(ValueError, match="'k' must be an int"):
             default_roots(k)
@@ -300,19 +296,22 @@ def test_degree_bookkeeping_all_instances():
 
 
 def test_default_models_hold_ints():
-    """With roots 1, 2, ... and unit constants every pencil product is integral, so P_1, P_2 and every row of polys,
-    the int zeros of its lambda^(2(a-2)) shift included, hold ints and no Fraction."""
+    """With roots 1, 2, ... and unit constants every number of a model is an int and no Fraction: the roots and the
+    fiber locations, the generic sample included, the constants, and the coefficients of P_1, P_2 and every row of
+    polys, the zeros of its lambda^(2(a-2)) shift included."""
     for n in range(5):
         for seq in enumerate_sequences(n):
             s = build_surface(seq)
             roots = default_roots(s.k)
+            assert all(type(r) is int for r in roots.finite_roots), seq.vectors
             data = [solve_divisor_data(s, a) for a in range(1, s.k + 1)]
             for i in range(s.k):
                 for j in range(i + 1, s.k):
                     for emit in (emit_reduced_model, emit_full_model):
                         eqs = emit(data[i], data[j], roots)
+                        locations = [fc.location for fc in classify_fibers(data[i].l_total, data[j].l_total, roots)[1:]]
                         coeffs = [c for p in (eqs.p1, eqs.p2, *eqs.polys) for c in p]
-                        assert all(type(c) is int for c in coeffs), (seq.vectors, eqs.i, eqs.j, emit.__name__)
+                        assert all(type(c) is int for c in coeffs + locations + list(eqs.constants)), (seq.vectors, eqs.i, eqs.j, emit.__name__)
 
 
 def test_full_model_chain_with_one_step():
@@ -341,6 +340,22 @@ def test_full_model_custom_constants():
     eqs = emit_full_model(d1, d2, roots, (1, 1, Fraction(5)))
     base = emit_full_model(d1, d2, roots, (1, 1, 1))
     assert eqs.polys[2] == tuple(5 * c for c in base.polys[2])
+
+
+def test_int_constants_rescale_to_exact_rows():
+    """A row rescaled from an int leading coefficient to an int constant holds ints and Fractions, never a float, so
+    the record its writer emits reads back."""
+    _, d1, d2 = divisor_pair([(0, 1), (1, 1), (2, 1), (1, 0)], 1, 2)
+    roots = default_roots(4)
+    cases = [
+        (emit_full_model(d1, d2, roots)._replace(constants=(1, 1, 3)), classify_fibers(d1.l_total, d2.l_total, roots), ["0", "0", "0", "3"]),
+        (ModelEquations(i=1, j=2, m_i=2, m_j=1, constants=(1, 2, 3), p1=(0, 0, 1), p2=(-2, 2)), classify_fibers((2, 2, 0), (1, 0, 1), default_roots(3)), ["0", "0", "-3", "3"]),
+    ]
+    for eqs, classes, third in cases:
+        assert all(type(c) in (int, Fraction) for p in eqs.polys for c in p), eqs
+        record = json.loads(json.dumps(model_record(eqs, classes)))
+        assert record["P"][2] == third
+        assert parse_model_record(record) == (eqs, tuple(classes))
 
 
 def test_full_model_members_match_their_own_expansion():

@@ -60,9 +60,12 @@ def test_conformal_roots_replace_and_make_check_like_the_constructor(change, err
             build()
 
 
-def test_conformal_roots_replace_converts_like_the_constructor():
-    assert ROOTS._replace(tail=(1, Fraction(5, 2))) == ConformalRoots(k=4, tail=(1, Fraction(5, 2)))
-    assert [type(r) for r in ROOTS._replace(tail=(1, 3)).tail] == [Fraction, Fraction]
+def test_conformal_roots_replace_keeps_types_like_the_constructor():
+    """Roots stay the ints and Fractions they are given, through _replace as through the constructor."""
+    for tail in ((1, 3), (1, Fraction(5, 2)), (Fraction(1), Fraction(3))):
+        replaced, built = ROOTS._replace(tail=tail), ConformalRoots(k=4, tail=tail)
+        assert replaced == built
+        assert [type(r) for r in replaced.tail] == [type(r) for r in built.tail] == [type(r) for r in tail]
 
 
 MODEL = ModelEquations(i=1, j=2, m_i=1, m_j=1, constants=(Fraction(1), Fraction(1)), p1=(Fraction(-1), Fraction(1)), p2=(Fraction(0), Fraction(1)))

@@ -190,6 +190,18 @@ def test_oversized_records_are_refused_before_dividing(monkeypatch):
     assert model_record(*parse_model_record(record)) == record
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int-to-str digit limit, so no bit budget")
+def test_a_power_of_lambda_at_the_budget_reads_in_linear_time():
+    """The reader takes label 2's multiplicity from P's leading zeros, not by dividing by lambda once per power, so
+    P_1 = lambda^budget, the highest degree it reads, reads back within a second."""
+    budget = int(sys.get_int_max_str_digits() * math.log2(10))
+    record = power_record(budget, (budget + 1) // 2)
+    start = time.perf_counter()
+    eqs, classes = parse_model_record(record)
+    assert time.perf_counter() - start < 1.0
+    assert classes[1].location == 0 and model_record(eqs, classes) == record
+
+
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit to lift")
 def test_no_digit_limit_leaves_only_the_degree_rule(monkeypatch):
     """With no digit limit there is no budget: a record over the least one Python allows is read, and 2m still holds."""
