@@ -16,9 +16,11 @@ behind the zeros of its power of lambda.
 
 Roots are labelled 2 .. k; label 1 sits at infinity, label 2 at zero.  P_1
 vanishes at label b to order l_ib, so classify_fibers reads a fiber's kind from
-the two multiplicities at its label.  Only the model-record reader and the test
-oracles root-test P: parse_model_record counts P's leading zeros for label 2 and
-divides P by each tail root's factor.
+the two multiplicities at its label.  No root of P is tested in the package:
+parse_model_record counts P's leading zeros for label 2, reads the tail's orders
+off P's top coefficients by Newton's identities, sizes them with model_size and
+rebuilds P from them with the writer's expander.  Synthetic division is left to
+the test oracles.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from math import log2
 from .divisors import TwistorDivisorData
 from .errors import CapExceeded, DegenerateConstants, RootCollision, RootOrderViolation
 from .lattice import _read
-from .ratpoly import Poly, cleared, degree, divided, from_factors, poly_from_strings, poly_to_strings, render
+from .ratpoly import Poly, degree, evaluate, from_factors, poly_from_strings, poly_to_strings, render
 
 GENERIC_FOUR_NODAL = "GenericFourNodal"
 TWO_QUADRIC_CONES = "TwoQuadricCones"
@@ -218,7 +220,7 @@ def model_size(l_total: Sequence[int], roots: ConformalRoots, constant: Fraction
 def _bit_budget() -> int:
     """sys.get_int_max_str_digits() in bits, the most any written number can have; 0 where Python has no limit.
 
-    The writer refuses a polynomial whose model_size bits exceed it, and the reader one whose degree does.
+    The writer refuses a polynomial whose model_size bits exceed it, and the reader a P whose orders, read back, do.
     """
     return int(getattr(sys, "get_int_max_str_digits", lambda: 0)() * log2(10))
 
@@ -236,14 +238,12 @@ def _rescaled(p: Poly, c: Fraction | int) -> Poly:
 
 
 def _chain(eqs: ModelEquations, form: Callable[[Poly], Sequence], zero: Sequence) -> list:
-    """P_1, then c_a / c_2 * lambda^(2(a-2)) * P_2 for a = 2 .. mu + 2, zero the form of a 0, each row a new sequence."""
-    # P_2 rescaled to lead c_a is formed once per distinct c_a, keyed by ints, as Fraction.__hash__ takes a modular inverse
-    keys = [(c.numerator, c.denominator) for c in eqs.constants[1:]]
-    formed: dict = {}
-    for key, c in zip(keys, eqs.constants[1:]):
-        if key not in formed:
-            formed[key] = form(_rescaled(eqs.p2, c))
-    return [form(eqs.p1)] + [zero * (2 * a) + formed[key] for a, key in enumerate(keys)]
+    """P_1, then c_a / c_2 * lambda^(2(a-2)) * P_2 for a = 2 .. mu + 2, zero the form of a 0, each row a new sequence.
+
+    P_2 rescaled to lead c_a is formed once per distinct c_a.
+    """
+    formed = {c: form(_rescaled(eqs.p2, c)) for c in set(eqs.constants[1:])}
+    return [form(eqs.p1)] + [zero * (2 * a) + formed[c] for a, c in enumerate(eqs.constants[1:])]
 
 
 def emit_reduced_model(
@@ -362,25 +362,34 @@ def _parse_model(data: dict) -> tuple[ModelEquations, tuple[FiberClass, ...]]:
 
 
 def _multiplicities(p: Poly, two_m: int, roots: ConformalRoots) -> list[int]:
-    """2m - deg p, then at each finite root a/b how often (b lambda - a) divides p exactly; ValueError naming 'P' unless those account for p.
+    """2m - deg p, p's count of leading zeros for label 2, then each tail root's order; ValueError naming 'P' unless p is
+    its leading coefficient times prod (lambda - r)^l over the listed locations, within the writer's bit budget.
 
-    Label 2's zero divides p as often as p has leading zero coefficients, the writer's shift, so only the tail's roots
-    are divided out.  That is quadratic in deg p, so a degree over 2m or over the writer's bit budget is refused first.
+    Newton's identities turn p's top k - 2 coefficients, over its lead, into the power sums s_j = sum l_b r_b^j, and the
+    basis lambda prod (lambda - r_c) over the other tail roots, over its value at r_b, reads l_b off them.  Orders that
+    are nonnegative ints are sized with model_size, and only those within the budget are expanded, as the writer
+    expands them, and compared with p.
     """
-    deg, budget = degree(p), _bit_budget()
+    deg, c, tail = degree(p), p[-1], roots.tail
     refused = f"'P' must be c * prod (lambda - r)^l over the listed fiber locations r, of degree at most 2m = {two_m}, got degree {deg}"
     if deg > two_m:
         raise ValueError(refused)
-    if budget and deg > budget:
-        raise ValueError(f"'P' has degree {deg}, over the budget of {budget} bits that sys.get_int_max_str_digits() lets the writer print, at least one bit per degree")
-    coeffs = cleared(p)
-    zeros = next(t for t, c in enumerate(coeffs) if c)  # p is not zero: its last coefficient is a nonzero constant
-    coeffs, orders = coeffs[zeros:], [two_m - deg, zeros]
-    for r in roots.tail:
-        orders.append(0)
-        while (quotient := divided(coeffs, r)) is not None:
-            coeffs, orders[-1] = quotient, orders[-1] + 1
-    if len(coeffs) != 1:
+    zeros = next(t for t, x in enumerate(p) if x)  # p is not zero: its last coefficient is a nonzero constant
+    top = [Fraction(x, c) for x in p[: -len(tail) - 2 : -1]] + [0] * len(tail)  # top[j] leads lambda^(deg - j)
+    sums = []  # s_1, s_2, ...
+    for j in range(1, len(tail) + 1):
+        sums.append(-j * top[j] - sum([top[i] * sums[j - 1 - i] for i in range(1, j)]))
+    orders = [two_m - deg, zeros]
+    for r in tail:
+        basis = (0,) + from_factors([(x, 1) for x in tail if x != r])
+        orders.append(sum([b * s for b, s in zip(basis[1:], sums)]) / evaluate(basis, r))
+    if any(x < 0 or x.denominator != 1 for x in orders[2:]):
+        raise ValueError(refused)
+    orders[2:] = [int(x) for x in orders[2:]]
+    budget, (_, bits) = _bit_budget(), model_size(orders, roots, c)
+    if budget and bits > budget:
+        raise ValueError(f"'P' of degree {deg} may need {bits} bits per coefficient, over the budget of {budget} bits that sys.get_int_max_str_digits() lets the writer print")
+    if _rescaled((0,) * zeros + from_factors(zip(tail, orders[2:])), c) != p:
         raise ValueError(refused)
     return orders
 

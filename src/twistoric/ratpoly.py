@@ -2,20 +2,18 @@
 
 Polynomials are tuples in ascending degree order with no trailing zeros, the zero polynomial the
 empty tuple, of ints or Fractions; equal values compare and hash alike.  Only what the model emitter
-and the model-record reader need lives here, and it runs on ints: from_factors multiplies one list in
-place by each linear factor (q lambda - a), with the denominators cleared, and returns ints when every
-coefficient is integral, Fractions otherwise.  normalized, and so the reader, makes Fractions.
-divided is synthetic division by (b lambda - a); only the model-record reader runs it, where P is
-free data, and counts a root's multiplicity as the number of exact divisions.  The tests check both
-against sympy and evaluate, the exact Fraction evaluator, and keep the expander from_factors
-replaced as an oracle.
+and the model-record reader need lives here.  from_factors, the one expander, runs on ints: it
+multiplies one list in place by each linear factor (q lambda - a), with the denominators cleared, and
+returns ints when every coefficient is integral, Fractions otherwise.  The writer expands each label's
+product with it, and the model-record reader rebuilds P with it and compares.  normalized, and so the
+reader, makes Fractions; evaluate is the exact Fraction evaluator.  The tests check from_factors
+against sympy and keep the expander it replaced, and synthetic division, as oracles.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from fractions import Fraction
-from math import lcm
 
 from .lattice import _read
 
@@ -23,9 +21,7 @@ Poly = tuple[int | Fraction, ...]
 
 __all__ = [
     "Poly",
-    "cleared",
     "degree",
-    "divided",
     "evaluate",
     "from_factors",
     "normalized",
@@ -72,27 +68,6 @@ def evaluate(p: Poly, x: Fraction) -> Fraction:
     for c in reversed(p):
         acc = acc * x + c
     return acc
-
-
-def cleared(p: Poly) -> list[int]:
-    """The coefficients of p times their least common denominator."""
-    den = lcm(*[c.denominator for c in p])
-    return [c.numerator * (den // c.denominator) for c in p]
-
-
-def divided(coeffs: Sequence[int], x: Fraction) -> list[int] | None:
-    """The integer polynomial divided by (b lambda - a) for x = a/b, or None when x is no root.
-
-    Gauss's lemma keeps an exact quotient integral, so synthetic division from the top stays on ints.
-    """
-    a, b = x.numerator, x.denominator
-    quotient, carry = [], 0
-    for c in reversed(coeffs[1:]):
-        carry, rest = divmod(c + a * carry, b)
-        if rest:
-            return None
-        quotient.append(carry)
-    return None if coeffs and coeffs[0] + a * carry else quotient[::-1]
 
 
 def poly_to_strings(p: Poly) -> list[str]:

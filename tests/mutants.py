@@ -57,17 +57,17 @@ MUTANTS = [
         ("tests/test_report.py::test_default_roots", "tests/test_models.py::test_default_roots_count_from_one_and_name_a_bad_k"),
     ),
     Mutant(
-        "writer-rows-keyed-by-numerator",
+        "writer-rows-all-rescaled-to-c2",
         "models.py",
-        "[(c.numerator, c.denominator) for c in eqs.constants[1:]]",
-        "[(c.numerator,) for c in eqs.constants[1:]]",
+        "{c: form(_rescaled(eqs.p2, c)) for c in set(eqs.constants[1:])}",
+        "dict.fromkeys(eqs.constants[1:], form(_rescaled(eqs.p2, eqs.constants[1])))",
         ("tests/test_models.py::test_the_writer_formats_each_distinct_polynomial_once[5]", "tests/test_golden.py::test_json_outputs_match_golden_digests"),
     ),
     Mutant(
         "writer-p1-row-from-p2-map",
         "models.py",
         "return [form(eqs.p1)] + ",
-        "return [formed[keys[0]] if eqs.constants[0] == eqs.constants[1] else form(eqs.p1)] + ",
+        "return [formed[eqs.constants[1]] if eqs.constants[0] == eqs.constants[1] else form(eqs.p1)] + ",
         ("tests/test_golden.py::test_json_outputs_match_golden_digests",),
     ),
     Mutant(
@@ -92,25 +92,46 @@ MUTANTS = [
         ("tests/test_lattice.py::test_enumerate_results_validate", "tests/test_lattice.py::test_enumerate_matches_brute_force_oracle"),
     ),
     Mutant(
-        "reader-divides-before-its-bound",
+        "reader-rebuilds-before-its-budget",
         "models.py",
-        "    if deg > two_m:\n",
-        "    for r in roots.finite_roots:\n        divided(cleared(p), r)\n    if deg > two_m:\n",
-        ("tests/test_report.py::test_oversized_records_are_refused_before_dividing",),
+        "    budget, (_, bits) = _bit_budget(), model_size(orders, roots, c)\n",
+        "    _rescaled((0,) * zeros + from_factors(zip(tail, orders[2:])), c)\n    budget, (_, bits) = _bit_budget(), model_size(orders, roots, c)\n",
+        ("tests/test_report.py::test_no_digit_limit_leaves_only_the_degree_rule",),
     ),
     Mutant(
         "reader-without-bit-budget",
         "models.py",
-        "    if budget and deg > budget:\n",
-        "    if False:\n",
+        "    if budget and bits > budget:\n        raise ValueError(f\"'P' of degree",
+        "    if False:\n        raise ValueError(f\"'P' of degree",
         ("tests/test_report.py::test_oversized_records_are_refused_before_dividing", "tests/test_report.py::test_no_digit_limit_leaves_only_the_degree_rule"),
     ),
     Mutant(
-        "reader-stops-one-division-early",
+        "reader-tail-orders-off-by-one",
         "models.py",
-        "orders.append(0)",
-        "orders.append(-1)",
+        "[int(x) for x in orders[2:]]",
+        "[int(x) + 1 for x in orders[2:]]",
         ("tests/test_report.py::test_model_record_round_trip", "tests/test_models.py::test_reader_root_tests_agree_with_multiplicity_classes"),
+    ),
+    Mutant(
+        "reader-newton-sign-flipped",
+        "models.py",
+        "sums.append(-j * top[j] - ",
+        "sums.append(j * top[j] - ",
+        ("tests/test_report.py::test_model_record_round_trip", "tests/test_models.py::test_the_reader_returns_the_oracle_multiplicities"),
+    ),
+    Mutant(
+        "reader-basis-keeps-its-own-root",
+        "models.py",
+        "[(x, 1) for x in tail if x != r]",
+        "[(x, 1) for x in tail]",
+        ("tests/test_report.py::test_model_record_round_trip", "tests/test_models.py::test_the_reader_returns_the_oracle_multiplicities"),
+    ),
+    Mutant(
+        "reader-skips-the-rebuild",
+        "models.py",
+        "    if _rescaled((0,) * zeros + from_factors(zip(tail, orders[2:])), c) != p:\n",
+        "    if False:\n",
+        ("tests/test_models.py::test_the_reader_returns_the_oracle_multiplicities", "tests/test_models.py::test_vanishing_at_generic_sample_is_a_value_error"),
     ),
     Mutant(
         "models-expand-each-label-per-model",
@@ -206,15 +227,11 @@ MUTANTS = [
         ("tests/test_ratpoly.py::test_from_factors_matches_the_shift_and_subtract_oracle", "tests/test_models.py::test_default_models_hold_ints"),
     ),
     Mutant(
-        "divided-skips-its-first-step",
+        "evaluate-reads-coefficients-backwards",
         "ratpoly.py",
-        "for c in reversed(coeffs[1:]):",
-        "for c in reversed(coeffs[1:-1]):",
-        (
-            "tests/test_ratpoly.py::test_divided_exact",
-            "tests/test_ratpoly.py::test_integer_root_test_matches_fraction_evaluation",
-            "tests/test_ratpoly.py::test_repeated_division_counts_the_constructed_multiplicity",
-        ),
+        "    for c in reversed(p):\n        acc = acc * x + c\n",
+        "    for c in p:\n        acc = acc * x + c\n",
+        ("tests/test_ratpoly.py::test_evaluate_exact", "tests/test_report.py::test_model_record_round_trip"),
     ),
     Mutant(
         "classify-one-label-off",

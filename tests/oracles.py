@@ -6,8 +6,8 @@ closure, half-cycle decomposition by exhaustive search over bounded
 complementary multiplicity vectors instead of the difference solve, the
 weighted half-cycle sum position by position over explicit half-cycles
 instead of the running sum, exact vanishing orders by repeated synthetic
-division of Fractions instead of the integer division of cleared
-coefficients, label products by building a new list per linear factor
+division of Fractions instead of Newton's identities and a rebuild of the
+polynomial, label products by building a new list per linear factor
 instead of rewriting one list in place, the pencil-root check by a hashed set
 of every earlier root instead of left neighbours, and the generic sample by a
 set of integer roots instead of a scan of the ordered tail.

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import twistoric
 from twistoric import (
@@ -31,7 +31,7 @@ from twistoric import (
     system_meta,
     validate,
 )
-from twistoric import divisors, fibers, ratpoly
+from twistoric import divisors, fibers, models, ratpoly
 from twistoric.models import FOUR_PLANES, GENERIC_FOUR_NODAL, TWO_QUADRIC_CONES, FiberClass, ModelEquations, _generic_class
 from twistoric.ratpoly import degree, evaluate
 from twistoric.report import AnalysisReport, analyze_sequence, default_roots, model_record, parse_model_record, run_classify, run_enumerate, run_model
@@ -472,7 +472,7 @@ def test_deep_chain_models_follow_divisor_data(picks, rng):
 @given(st.lists(st.integers(0, 10**6), max_size=12), st.randoms(use_true_random=False))
 @example([0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6], random.Random(0))  # k = 14 with m up to 233
 def test_reader_root_tests_agree_with_multiplicity_classes(picks, rng):
-    """The classes read from l_total survive the record reader, which recovers l_total by dividing P.
+    """The classes read from l_total survive the record reader, which recovers l_total from P's top coefficients.
 
     Mediant chains up to k = 14, rational roots, rational constants: every adjacent
     pair as a reduced model, and one pair as a full model.
@@ -497,6 +497,47 @@ def test_reader_root_tests_agree_with_multiplicity_classes(picks, rng):
             assert parse_model_record(record) == (eqs, classes)
 
 
+@settings(deadline=None, max_examples=200)
+@given(
+    st.lists(st.fractions(min_value=Fraction(1, 9), max_value=5, max_denominator=9), max_size=6),
+    st.booleans(),
+    st.lists(st.integers(0, 4), min_size=7, max_size=7),
+    st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool),
+    st.integers(0, 2),
+    st.sampled_from(("none", "shift", "foreign")),
+    st.integers(0, 40),
+    st.fractions(min_value=-9, max_value=9, max_denominator=9),
+)
+@example([], False, [3, 0, 0, 0, 0, 0, 0], Fraction(-2, 3), 1, "none", 0, Fraction(0))  # k = 2: P is c lambda^3
+@example([Fraction(1, 2)] * 5, True, [1, 2, 0, 3, 1, 4, 0], Fraction(3, 4), 0, "none", 0, Fraction(0))  # Newton's j up to 5
+# the constant term shifted: P's top coefficients, and so Newton's orders, stay, and only the rebuild differs
+@example([Fraction(1, 2)] * 5, True, [1, 2, 0, 3, 1, 4, 0], Fraction(3, 4), 0, "shift", 0, Fraction(1, 7))
+@example([Fraction(1), Fraction(2)], False, [0, 1, 1, 0, 0, 0, 0], Fraction(1), 2, "foreign", 0, Fraction(3))  # (lambda - 3) too
+def test_the_reader_returns_the_oracle_multiplicities(steps, negative, mults, constant, slack, corruption, where, value):
+    """c lambda^z prod (lambda - r_b)^l_b over a random tail of either sign, as written or corrupted, against the oracle.
+
+    A coefficient shifted by a rational or a foreign root multiplied in: the reader returns 2m - deg P and
+    root_multiplicity at every finite root when those account for deg P within 2m, and refuses P otherwise.
+    """
+    tail = tuple([-r if negative else r for r in accumulate(steps)])
+    roots = ConformalRoots(k=len(tail) + 2, tail=tail)
+    l = mults[: roots.k - 1]
+    p = [constant * c for c in (0,) * l[0] + ratpoly.from_factors(zip(tail, l[1:]))]
+    two_m = 2 * ((len(p) - 1 + slack + 1) // 2)
+    if corruption == "shift":
+        p[where % len(p)] += value
+    elif corruption == "foreign":
+        p = [hi - value * lo for hi, lo in zip([0] + p, p + [0])]
+    p = ratpoly.normalized(p)
+    assume(p)  # the record reader refuses a zero row before it counts
+    orders = [root_multiplicity(p, r) for r in roots.finite_roots]
+    if degree(p) <= two_m and sum(orders) == degree(p):
+        assert models._multiplicities(p, two_m, roots) == [two_m - degree(p)] + orders
+    else:
+        with pytest.raises(ValueError, match="'P'"):
+            models._multiplicities(p, two_m, roots)
+
+
 def counted(name: str, monkeypatch: pytest.MonkeyPatch, source=ratpoly) -> list:
     """Count the calls of source.<name> through every twistoric module that binds it."""
     original = getattr(source, name)
@@ -515,22 +556,22 @@ def counted(name: str, monkeypatch: pytest.MonkeyPatch, source=ratpoly) -> list:
 
 @pytest.mark.parametrize("picks", [[], [0], [0, 1, 1, 2], [3, 1, 4, 1, 5, 9, 2, 6], [0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6]])
 def test_each_pencil_product_is_expanded_once(picks, monkeypatch):
-    """A k-chain's report expands k label products and divides by no root; a single model divides by none either.
+    """A k-chain's report expands k label products and a single model two: neither reads back a model, whose reader expands too.
 
     classify expands nothing, and the report and the listing read their divisor data off the pairing rows,
     not through the checked solver for free fibers.
     """
     seq = validate(grow_by_mediants(picks))
-    expanded, tested = counted("from_factors", monkeypatch), counted("divided", monkeypatch)
+    expanded = counted("from_factors", monkeypatch)
     checked = counted("solve_from_fibers", monkeypatch, divisors)
     for constants in (None, (Fraction(3, 2), -5)):
         del expanded[:]
         analyze_sequence(seq, constants=constants)
         assert len(expanded) == seq.k
-        assert tested == []
     for full in (False, True):
+        del expanded[:]
         run_model(seq.vectors, 1, seq.k, full=full)
-        assert tested == []
+        assert len(expanded) == 2
     del expanded[:]
     for constants in (None, (Fraction(3, 2), -5)):
         run_classify(seq.vectors, 1, seq.k, constants=constants)

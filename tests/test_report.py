@@ -35,6 +35,7 @@ from twistoric import (
 )
 from twistoric import models
 from twistoric.models import FOUR_PLANES, GENERIC_FOUR_NODAL, TWO_QUADRIC_CONES, ModelEquations
+from twistoric.ratpoly import from_factors
 from twistoric.report import model_record, parse_model_record
 
 from oracles import grow_by_mediants
@@ -159,10 +160,12 @@ def test_model_record_reader_is_strict():
             parse_model_record(bad)
 
 
-def power_record(d: int, m: int) -> dict:
-    """The record the writer emits for P_1 = lambda^d, P_2 = 1 and bundle (m, m, m, m), over the hexagon's labels."""
-    eqs = ModelEquations(i=1, j=2, m_i=m, m_j=m, constants=(Fraction(1), Fraction(1)), p1=(Fraction(0),) * d + (Fraction(1),), p2=(Fraction(1),))
-    return json.loads(json.dumps(model_record(eqs, classify_fibers((2 * m - d, d, 0), (2 * m, 0, 0), default_roots(3)))))
+def power_record(d: int, m: int, root: int = 0) -> dict:
+    """The record the writer emits for P_1 = (lambda - root)^d, root 0 or 1, P_2 = 1 and bundle (m, m, m, m), over the hexagon's labels."""
+    p1 = (Fraction(0),) * d + (Fraction(1),) if root == 0 else from_factors([(root, d)])
+    l_i = (2 * m - d, d, 0) if root == 0 else (2 * m - d, 0, d)
+    eqs = ModelEquations(i=1, j=2, m_i=m, m_j=m, constants=(Fraction(1), Fraction(1)), p1=p1, p2=(Fraction(1),))
+    return json.loads(json.dumps(model_record(eqs, classify_fibers(l_i, (2 * m, 0, 0), default_roots(3)))))
 
 
 def cubic_record() -> dict:
@@ -173,18 +176,35 @@ def cubic_record() -> dict:
     return {**data, "P": [["0", "0", "-1", "1"], data["P"][1]], "fibers": fibers}
 
 
+def expansions(monkeypatch: pytest.MonkeyPatch) -> list[int]:
+    """The degree of each product the model reader expands: the total multiplicity passed to each from_factors call."""
+    sizes = []
+
+    def sized(factors):
+        factors = list(factors)
+        sizes.append(sum([mult for _, mult in factors]))
+        return from_factors(factors)
+
+    monkeypatch.setattr(models, "from_factors", sized)
+    return sizes
+
+
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int-to-str digit limit, so no bit budget")
 def test_oversized_records_are_refused_before_dividing(monkeypatch):
-    """A P over 2m, or of more degrees than the writer's bit budget has bits, is refused before the first division."""
+    """A P over 2m, or one whose orders model_size puts over the writer's bit budget, is refused before P is rebuilt.
+
+    P_1 = lambda^budget needs budget + 1 bits, one for the constant and one per power of label 2's zero root.
+    """
     budget = int(sys.get_int_max_str_digits() * math.log2(10))
-    tested = counted("divided", monkeypatch)
+    over, cubic = power_record(budget, budget), cubic_record()
+    sizes = expansions(monkeypatch)
     start = time.perf_counter()
-    with pytest.raises(ValueError, match=rf"'P' has degree {budget + 1}, over the budget of {budget} bits"):
-        parse_model_record(power_record(budget + 1, budget))
+    with pytest.raises(ValueError, match=rf"'P' of degree {budget} may need {budget + 1} bits per coefficient, over the budget of {budget} bits"):
+        parse_model_record(over)
     with pytest.raises(ValueError, match="'P' must be c \\* prod .* of degree at most 2m = 2, got degree 3"):
-        parse_model_record(cubic_record())
+        parse_model_record(cubic)
     assert time.perf_counter() - start < 1.0
-    assert tested == []
+    assert not any(sizes)
     # within 2m and the budget, a record is read back
     record = power_record(40, 30)
     assert model_record(*parse_model_record(record)) == record
@@ -192,10 +212,10 @@ def test_oversized_records_are_refused_before_dividing(monkeypatch):
 
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int-to-str digit limit, so no bit budget")
 def test_a_power_of_lambda_at_the_budget_reads_in_linear_time():
-    """The reader takes label 2's multiplicity from P's leading zeros, not by dividing by lambda once per power, so
-    P_1 = lambda^budget, the highest degree it reads, reads back within a second."""
+    """The reader takes label 2's multiplicity from P's leading zeros, and expands only the tail, so P_1 = lambda^(budget - 1),
+    the writer's largest power of lambda, reads back within a second."""
     budget = int(sys.get_int_max_str_digits() * math.log2(10))
-    record = power_record(budget, (budget + 1) // 2)
+    record = power_record(budget - 1, budget // 2)
     start = time.perf_counter()
     eqs, classes = parse_model_record(record)
     assert time.perf_counter() - start < 1.0
@@ -204,20 +224,26 @@ def test_a_power_of_lambda_at_the_budget_reads_in_linear_time():
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit to lift")
 def test_no_digit_limit_leaves_only_the_degree_rule(monkeypatch):
-    """With no digit limit there is no budget: a record over the least one Python allows is read, and 2m still holds."""
+    """With no digit limit there is no budget: a record over the least one Python allows is read, and 2m still holds.
+
+    P_1 = (lambda - 1)^1063 needs 1 + 2 * 1063 = 2127 bits, one over the least budget: under it the record is refused
+    before anything of its degree is expanded, and with no limit it is rebuilt and read back.
+    """
     limit = sys.get_int_max_str_digits()
-    record = power_record(2127, 1064)
-    tested = counted("divided", monkeypatch)
+    record, cubic = power_record(1063, 532, root=1), cubic_record()
+    sizes = expansions(monkeypatch)
     try:
         sys.set_int_max_str_digits(640)  # the least limit, a budget of 2126 bits
-        with pytest.raises(ValueError, match="'P' has degree 2127, over the budget of 2126 bits"):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="'P' of degree 1063 may need 2127 bits per coefficient, over the budget of 2126 bits"):
             parse_model_record(record)
-        assert tested == []
+        assert time.perf_counter() - start < 1.0
+        assert not any(sizes)
         sys.set_int_max_str_digits(0)
         assert model_record(*parse_model_record(record)) == record
-        assert tested
+        assert 1063 in sizes
         with pytest.raises(ValueError, match="of degree at most 2m = 2, got degree 3"):
-            parse_model_record(cubic_record())
+            parse_model_record(cubic)
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -393,7 +419,8 @@ SWEEP_RECORDS = sweep_records()
 
 
 def retyped(leaf: object) -> list:
-    """The leaf as another JSON type: int, float, bool and str swap, and 'p/q' becomes '2p/2q'."""
+    """The leaf as another JSON type, or a rational as another value: int, float, bool and str swap, 'p/q' becomes
+    '2p/2q', and a rational r becomes r + 1/3, which shifts a coefficient of P."""
     if isinstance(leaf, bool):
         return [int(leaf), float(leaf), str(leaf).lower()]
     if isinstance(leaf, int):
@@ -402,7 +429,7 @@ def retyped(leaf: object) -> list:
         r = Fraction(leaf)
     except ValueError:  # a name such as 'inf' or a fiber kind
         return [0, 0.0, False]
-    return [f"{2 * r.numerator}/{2 * r.denominator}", r.numerator, float(r), r == 1]
+    return [f"{2 * r.numerator}/{2 * r.denominator}", str(r + Fraction(1, 3)), r.numerator, float(r), r == 1]
 
 
 @st.composite
