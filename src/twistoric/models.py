@@ -29,7 +29,7 @@ import sys
 from collections import namedtuple
 from collections.abc import Callable, Sequence
 from fractions import Fraction
-from math import log2
+from math import lcm, log2
 
 from .divisors import TwistorDivisorData
 from .errors import CapExceeded, DegenerateConstants, RootCollision, RootOrderViolation
@@ -365,25 +365,36 @@ def _multiplicities(p: Poly, two_m: int, roots: ConformalRoots) -> list[int]:
     """2m - deg p, p's count of leading zeros for label 2, then each tail root's order; ValueError naming 'P' unless p is
     its leading coefficient times prod (lambda - r)^l over the listed locations, within the writer's bit budget.
 
-    Newton's identities turn p's top k - 2 coefficients, over its lead, into the power sums s_j = sum l_b r_b^j, and the
-    basis lambda prod (lambda - r_c) over the other tail roots, over its value at r_b, reads l_b off them.  Orders that
-    are nonnegative ints are sized with model_size, and only those within the budget are expanded, as the writer
-    expands them, and compared with p.
+    Newton's identities turn p's top k - 2 coefficients, over its lead, into the power sums s_j = sum l_b r_b^j.  With Q
+    = prod (lambda - r_b) over the tail, expanded once, T, the polynomial part of Q * sum s_j lambda^-j, is
+    sum l_b r_b Q / (lambda - r_b), so l_b = T(r_b) / (r_b Q'(r_b)).  All of it runs on ints, the roots scaled by the
+    lcm of their denominators, and a power sum larger than any such product has is refused as it is met.
+    Orders that are nonnegative ints and account for deg p are sized with model_size, and only those within the
+    budget are expanded, as the writer expands them, and compared with p.
     """
     deg, c, tail = degree(p), p[-1], roots.tail
     refused = f"'P' must be c * prod (lambda - r)^l over the listed fiber locations r, of degree at most 2m = {two_m}, got degree {deg}"
     if deg > two_m:
         raise ValueError(refused)
     zeros = next(t for t, x in enumerate(p) if x)  # p is not zero: its last coefficient is a nonzero constant
-    top = [Fraction(x, c) for x in p[: -len(tail) - 2 : -1]] + [0] * len(tail)  # top[j] leads lambda^(deg - j)
-    sums = []  # s_1, s_2, ...
+    # scaled by den, the roots are ints, and so are a product's top coefficients over c, top[j] den^j with top[j] leading
+    # lambda^(deg - j) (a fraction is truncated, and the rebuild refuses it), and its power sums; each sum is checked to
+    # be at most deg * width^j, so no number outgrows those of a real P
+    den = lcm(*[r.denominator for r in tail])
+    scaled = [int(den * r) for r in tail]
+    top = [int(Fraction(x, c) * den**j) for j, x in enumerate(p[: -len(tail) - 2 : -1])] + [0] * len(tail)
+    sums, bound, width = [], deg, max([abs(r) for r in scaled], default=0)
     for j in range(1, len(tail) + 1):
         sums.append(-j * top[j] - sum([top[i] * sums[j - 1 - i] for i in range(1, j)]))
-    orders = [two_m - deg, zeros]
-    for r in tail:
-        basis = (0,) + from_factors([(x, 1) for x in tail if x != r])
-        orders.append(sum([b * s for b, s in zip(basis[1:], sums)]) / evaluate(basis, r))
-    if any(x < 0 or x.denominator != 1 for x in orders[2:]):
+        bound *= width
+        if abs(sums[-1]) > bound:
+            raise ValueError(refused)
+    q = from_factors([(r, 1) for r in scaled])
+    t_poly = [sum([a * s for a, s in zip(q[t + 1 :], sums)]) for t in range(len(tail))]
+    dq = [t * a for t, a in enumerate(q)][1:]
+    orders = [two_m - deg, zeros] + [Fraction(evaluate(t_poly, r), r * evaluate(dq, r)) for r in scaled]
+    # only orders that account for deg p can rebuild it, and those bound the rebuild by deg <= 2m
+    if any(x < 0 or x.denominator != 1 for x in orders[2:]) or zeros + sum(orders[2:]) != deg:
         raise ValueError(refused)
     orders[2:] = [int(x) for x in orders[2:]]
     budget, (_, bits) = _bit_budget(), model_size(orders, roots, c)

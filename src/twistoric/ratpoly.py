@@ -6,7 +6,7 @@ and the model-record reader need lives here.  from_factors, the one expander, ru
 multiplies one list in place by each linear factor (q lambda - a), with the denominators cleared, and
 returns ints when every coefficient is integral, Fractions otherwise.  The writer expands each label's
 product with it, and the model-record reader rebuilds P with it and compares.  normalized, and so the
-reader, makes Fractions; evaluate is the exact Fraction evaluator.  The tests check from_factors
+reader, makes Fractions; evaluate is exact, and stays on ints for int input.  The tests check from_factors
 against sympy and keep the expander it replaced, and synthetic division, as oracles.
 """
 
@@ -63,8 +63,9 @@ def from_factors(factors: Iterable[tuple[Fraction, int]]) -> Poly:
     return tuple(p if den == 1 else [Fraction(c, den) for c in p])
 
 
-def evaluate(p: Poly, x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def evaluate(p: Poly, x: Fraction | int) -> Fraction | int:
+    """p at x, exactly: an int when p and x are ints."""
+    acc = 0
     for c in reversed(p):
         acc = acc * x + c
     return acc

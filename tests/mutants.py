@@ -120,18 +120,39 @@ MUTANTS = [
         ("tests/test_report.py::test_model_record_round_trip", "tests/test_models.py::test_the_reader_returns_the_oracle_multiplicities"),
     ),
     Mutant(
-        "reader-basis-keeps-its-own-root",
+        "reader-quotient-keeps-the-lead-of-q",
         "models.py",
-        "[(x, 1) for x in tail if x != r]",
-        "[(x, 1) for x in tail]",
+        "zip(q[t + 1 :], sums)",
+        "zip(q[t:], sums)",
         ("tests/test_report.py::test_model_record_round_trip", "tests/test_models.py::test_the_reader_returns_the_oracle_multiplicities"),
+    ),
+    Mutant(
+        "reader-roots-unscaled",
+        "models.py",
+        "scaled = [int(den * r) for r in tail]",
+        "scaled = [int(r) for r in tail]",
+        ("tests/test_models.py::test_the_reader_returns_the_oracle_multiplicities",),
+    ),
+    Mutant(
+        "reader-without-power-sum-bound",
+        "models.py",
+        "        if abs(sums[-1]) > bound:\n",
+        "        if False:\n",
+        ("tests/test_report.py::test_an_outsized_top_coefficient_is_refused_before_expanding",),
+    ),
+    Mutant(
+        "reader-without-degree-check",
+        "models.py",
+        " or zeros + sum(orders[2:]) != deg:",
+        ":",
+        ("tests/test_report.py::test_orders_that_miss_the_degree_of_p_are_refused_before_rebuilding",),
     ),
     Mutant(
         "reader-skips-the-rebuild",
         "models.py",
         "    if _rescaled((0,) * zeros + from_factors(zip(tail, orders[2:])), c) != p:\n",
         "    if False:\n",
-        ("tests/test_models.py::test_the_reader_returns_the_oracle_multiplicities", "tests/test_models.py::test_vanishing_at_generic_sample_is_a_value_error"),
+        ("tests/test_models.py::test_the_reader_returns_the_oracle_multiplicities", "tests/test_report.py::test_only_the_rebuild_sees_a_coefficient_below_the_top_ones"),
     ),
     Mutant(
         "models-expand-each-label-per-model",

@@ -601,7 +601,7 @@ def test_the_writer_formats_each_distinct_polynomial_once(distinct, monkeypatch)
 
 def test_vanishing_at_generic_sample_is_a_value_error():
     # hand-built record: P_1 = lambda - 2 vanishes at the sample 2 for roots 0, 1, so it is no
-    # constant times factors at the listed locations; only the reader root-tests P, since the
+    # constant times factors at the listed locations; only the reader checks that, since the
     # pipeline's constants are nonzero and its roots distinct
     def at(location, kind, generic=False):
         return {"at": location, "kind": kind, "nonReduced": False, "generic": generic}

@@ -176,13 +176,19 @@ def cubic_record() -> dict:
     return {**data, "P": [["0", "0", "-1", "1"], data["P"][1]], "fibers": fibers}
 
 
-def expansions(monkeypatch: pytest.MonkeyPatch) -> list[int]:
-    """The degree of each product the model reader expands: the total multiplicity passed to each from_factors call."""
+def expansions(monkeypatch: pytest.MonkeyPatch, most: int | None = None) -> list[int]:
+    """The degree of each product the model reader expands: the total multiplicity passed to each from_factors call.
+
+    The reader expands Q, the product over the tail roots, before it sizes or rebuilds P: over the hexagon's labels, of
+    degree 1.  A call of degree over most fails the test at once, instead of expanding.
+    """
     sizes = []
 
     def sized(factors):
         factors = list(factors)
         sizes.append(sum([mult for _, mult in factors]))
+        if most is not None and sizes[-1] > most:
+            raise AssertionError(f"the reader expands a product of degree {sizes[-1]}")
         return from_factors(factors)
 
     monkeypatch.setattr(models, "from_factors", sized)
@@ -204,7 +210,7 @@ def test_oversized_records_are_refused_before_dividing(monkeypatch):
     with pytest.raises(ValueError, match="'P' must be c \\* prod .* of degree at most 2m = 2, got degree 3"):
         parse_model_record(cubic)
     assert time.perf_counter() - start < 1.0
-    assert not any(sizes)
+    assert max(sizes) == 1  # Q only: P is not rebuilt
     # within 2m and the budget, a record is read back
     record = power_record(40, 30)
     assert model_record(*parse_model_record(record)) == record
@@ -238,7 +244,7 @@ def test_no_digit_limit_leaves_only_the_degree_rule(monkeypatch):
         with pytest.raises(ValueError, match="'P' of degree 1063 may need 2127 bits per coefficient, over the budget of 2126 bits"):
             parse_model_record(record)
         assert time.perf_counter() - start < 1.0
-        assert not any(sizes)
+        assert max(sizes) == 1  # Q only: P is not rebuilt
         sys.set_int_max_str_digits(0)
         assert model_record(*parse_model_record(record)) == record
         assert 1063 in sizes
@@ -246,6 +252,55 @@ def test_no_digit_limit_leaves_only_the_degree_rule(monkeypatch):
             parse_model_record(cubic)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_orders_that_miss_the_degree_of_p_are_refused_before_rebuilding(monkeypatch):
+    """P_1 = lambda^2 - L lambda + (L^2 - L) / 2, L = 10^6, over tail roots 1 and L has power sums s_1 = s_2 = L, within
+    deg * L^j, so it reads as order L at the root 1, which does not account for deg P = 2.
+
+    That is refused at once, with or without a digit limit, and P is not rebuilt from the order: the rebuild would be
+    (lambda - 1)^L, and with no limit there is no bit budget to stop it.
+    """
+    big = 10**6
+    roots = ConformalRoots(k=4, tail=(1, big))
+    eqs = ModelEquations(i=1, j=2, m_i=1, m_j=1, constants=(1, 1), p1=((big * big - big) // 2, -big, 1), p2=(1,))
+    record = json.loads(json.dumps(model_record(eqs, classify_fibers((0, 0, 2, 0), (2, 0, 0, 0), roots))))
+    expansions(monkeypatch, most=2)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    try:
+        for lifted in (False, True) if limit is not None else (False,):
+            if lifted:
+                sys.set_int_max_str_digits(0)
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="'P' must be c \\* prod .* of degree at most 2m = 2, got degree 2"):
+                parse_model_record(record)
+            assert time.perf_counter() - start < 1.0
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_only_the_rebuild_sees_a_coefficient_below_the_top_ones():
+    """(lambda - 1)^4 over the hexagon's labels with its constant term 1 made 2: Newton's identities read only the top two
+    coefficients, which give order 4 at the root 1, as for the true power, and the rebuild refuses the rest."""
+    record = power_record(4, 2, root=1)
+    assert record["P"][0] == ["1", "-4", "6", "-4", "1"]
+    record["P"][0][0] = "2"
+    with pytest.raises(ValueError, match="'P' must be c \\* prod .* got degree 4"):
+        parse_model_record(record)
+
+
+def test_an_outsized_top_coefficient_is_refused_before_expanding(monkeypatch):
+    """A 62-label chain's P_1 with a 4000-digit coefficient next to its lead is refused by its first power sum, which
+    no product over the listed roots reaches, before Q is expanded: Newton's identities would raise it to the 60th power."""
+    n = 60
+    record = run_model([(0, 1)] + [(1, j) for j in range(n, -1, -1)], n // 2, n // 2 + 1)
+    record["P"][0][-2] = str(10**3999)
+    sizes = expansions(monkeypatch)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="'P' must be c \\* prod"):
+        parse_model_record(record)
+    assert time.perf_counter() - start < 1.0 and sizes == []
 
 
 def test_model_record_reader_takes_rationals_as_strings_only():
