@@ -32,7 +32,7 @@ from .errors import (
     SequenceValidationError,
     TwistoricError,
 )
-from .lattice import validate
+from .lattice import _fraction, validate
 from .report import DEFAULT_CAP, run_analyze, run_classify, run_enumerate, run_model
 
 
@@ -51,7 +51,7 @@ def _parse_fractions(text: str | None, flag: str) -> tuple[Fraction, ...] | None
     if not text:
         return ()
     try:
-        values = tuple([Fraction(part.strip()) for part in text.split(",")])
+        values = tuple([_fraction(part.strip()) for part in text.split(",")])
         for value in values:
             str(value)  # the JSON writer's form; past sys.get_int_max_str_digits() it raises ValueError
     except (ValueError, ZeroDivisionError) as exc:

@@ -17,8 +17,11 @@ which enumerate_sequences builds valid and does not check again.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from collections import namedtuple
 from collections.abc import Sequence
+from fractions import Fraction
 from math import gcd
 
 from .errors import (
@@ -97,6 +100,19 @@ def _read(data: object, parse, write, field: str):
     if not same:
         raise ValueError(f"{field!r}{_where(out, data)}")
     return obj
+
+
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def _fraction(text: object) -> Fraction:
+    """Fraction(text), but a string whose exponent is past sys.get_int_max_str_digits() (4300, Python's default, where
+    there is no limit) is a ValueError before Fraction computes 10 to that power; such a number can be written in digits."""
+    exponent = isinstance(text, str) and _EXPONENT.search(text)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    if exponent and abs(int(exponent[1])) > limit:
+        raise ValueError(f"the exponent of {text!r} is past the {limit}-digit limit")
+    return Fraction(text)
 
 
 class ActionSequence(namedtuple("ActionSequence", "n vectors")):

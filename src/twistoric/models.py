@@ -18,9 +18,9 @@ Roots are labelled 2 .. k; label 1 sits at infinity, label 2 at zero.  P_1
 vanishes at label b to order l_ib, so classify_fibers reads a fiber's kind from
 the two multiplicities at its label.  No root of P is tested in the package:
 parse_model_record counts P's leading zeros for label 2, reads the tail's orders
-off P's top coefficients by Newton's identities, sizes them with model_size and
-rebuilds P from them with the writer's expander.  Synthetic division is left to
-the test oracles.
+off P's top coefficients by Newton's identities modulo a probable prime, sizes
+them at the writer's bit-budget gate, _budgeted, and rebuilds P from them with
+the writer's expander.  Synthetic division is left to the test oracles.
 """
 
 from __future__ import annotations
@@ -29,11 +29,11 @@ import sys
 from collections import namedtuple
 from collections.abc import Callable, Sequence
 from fractions import Fraction
-from math import lcm, log2
+from math import log2
 
 from .divisors import TwistorDivisorData
 from .errors import CapExceeded, DegenerateConstants, RootCollision, RootOrderViolation
-from .lattice import _read
+from .lattice import _fraction, _read
 from .ratpoly import Poly, degree, evaluate, from_factors, poly_from_strings, poly_to_strings, render
 
 GENERIC_FOUR_NODAL = "GenericFourNodal"
@@ -122,7 +122,7 @@ def _exact(values: Sequence[Fraction | int], field: str) -> tuple[Fraction | int
 
 def _parse_roots(data: dict) -> ConformalRoots:
     # k and the roots feed the validating constructor, so each is read on its own first
-    tail = tuple([_read(s, Fraction, str, "tail") for s in data["tail"]])
+    tail = tuple([_read(s, _fraction, str, "tail") for s in data["tail"]])
     return ConformalRoots(k=_read(data["k"], int, int, "k"), tail=tail)
 
 
@@ -194,14 +194,11 @@ def _models(data: Sequence[TwistorDivisorData], roots: ConformalRoots, constants
     if roots.k != data[0].k:
         raise ValueError(f"roots are for k = {roots.k}, divisor data for k = {data[0].k}")
     cs = _check_constants(constants, pairs[0][0].m - pairs[0][1].m + 2 if full else 2)
-    budget = _bit_budget()
     # every model takes the same constants, so the widest one bounds each label's polynomials; l_total is derived
     # on every read, so each label's is taken once
     widest, totals = max(cs, key=_bits), [d.l_total for d in data]
     for l_total in totals:
-        deg, bits = model_size(l_total, roots, widest)
-        if budget and bits > budget:
-            raise CapExceeded(f"a model polynomial of degree {deg} may need {bits} bits per coefficient, over the budget of {budget} bits that sys.get_int_max_str_digits() lets the writer print")
+        _budgeted(l_total, roots, widest, CapExceeded, "a model polynomial")
     # label 2's root is zero, so its factor lambda^{l_2} only shifts the product over the tail
     products = {d.alpha: (0,) * l[1] + from_factors(zip(roots.tail, l[2:])) for d, l in zip(data, totals)}
     return [ModelEquations(i=di.alpha, j=dj.alpha, m_i=di.m, m_j=dj.m, constants=cs, p1=_rescaled(products[di.alpha], cs[0]), p2=_rescaled(products[dj.alpha], cs[1])) for di, dj in pairs]
@@ -217,12 +214,13 @@ def model_size(l_total: Sequence[int], roots: ConformalRoots, constant: Fraction
     return sum(l_total[1:]), _bits(constant) + sum([l * (abs(r.numerator) + r.denominator).bit_length() for l, r in zip(l_total[1:], roots.finite_roots)])
 
 
-def _bit_budget() -> int:
-    """sys.get_int_max_str_digits() in bits, the most any written number can have; 0 where Python has no limit.
-
-    The writer refuses a polynomial whose model_size bits exceed it, and the reader a P whose orders, read back, do.
-    """
-    return int(getattr(sys, "get_int_max_str_digits", lambda: 0)() * log2(10))
+def _budgeted(l_total: Sequence[int], roots: ConformalRoots, constant: Fraction | int, error: type[Exception], what: str) -> None:
+    """The one bit-budget gate: error, naming what, when model_size puts the polynomial over sys.get_int_max_str_digits()
+    in bits, the most any written number can have; there is no budget where Python has no limit."""
+    budget = int(getattr(sys, "get_int_max_str_digits", lambda: 0)() * log2(10))
+    deg, bits = model_size(l_total, roots, constant)
+    if budget and bits > budget:
+        raise error(f"{what} of degree {deg} may need {bits} bits per coefficient, over the budget of {budget} bits that sys.get_int_max_str_digits() lets the writer print")
 
 
 def _bits(c: Fraction | int) -> int:
@@ -297,7 +295,7 @@ class FiberClass(namedtuple("FiberClass", "location kind non_reduced generic", d
 def _parse_fiber_class(data: dict) -> FiberClass:
     if data["kind"] not in _KINDS:
         raise ValueError(f"'kind' must be one of {', '.join(_KINDS)}, got {data['kind']!r}")
-    at = None if data["at"] == "inf" else _read(data["at"], Fraction, str, "at")
+    at = None if data["at"] == "inf" else _read(data["at"], _fraction, str, "at")
     return FiberClass(location=at, kind=data["kind"], non_reduced=bool(data["nonReduced"]), generic=bool(data["generic"]))
 
 
@@ -367,39 +365,38 @@ def _multiplicities(p: Poly, two_m: int, roots: ConformalRoots) -> list[int]:
 
     Newton's identities turn p's top k - 2 coefficients, over its lead, into the power sums s_j = sum l_b r_b^j.  With Q
     = prod (lambda - r_b) over the tail, expanded once, T, the polynomial part of Q * sum s_j lambda^-j, is
-    sum l_b r_b Q / (lambda - r_b), so l_b = T(r_b) / (r_b Q'(r_b)).  All of it runs on ints, the roots scaled by the
-    lcm of their denominators, and a power sum larger than any such product has is refused as it is met.
-    Orders that are nonnegative ints and account for deg p are sized with model_size, and only those within the
-    budget are expanded, as the writer expands them, and compared with p.
+    sum l_b r_b Q / (lambda - r_b), so l_b = T(r_b) / (r_b Q'(r_b)).  All of it runs on residues modulo n, the first
+    odd n down from 2^61 - 1 that passes Fermat's test to base 2 and makes every divided number a unit.  A real p's
+    orders are at most deg p < n, so they come out exactly, and n changes how fast p is read, never whether: orders that
+    do not add up to deg p <= 2m are refused, the rest sized against the budget, expanded as the writer expands them and
+    compared with p.
     """
     deg, c, tail = degree(p), p[-1], roots.tail
     refused = f"'P' must be c * prod (lambda - r)^l over the listed fiber locations r, of degree at most 2m = {two_m}, got degree {deg}"
-    if deg > two_m:
-        raise ValueError(refused)
     zeros = next(t for t, x in enumerate(p) if x)  # p is not zero: its last coefficient is a nonzero constant
-    # scaled by den, the roots are ints, and so are a product's top coefficients over c, top[j] den^j with top[j] leading
-    # lambda^(deg - j) (a fraction is truncated, and the rebuild refuses it), and its power sums; each sum is checked to
-    # be at most deg * width^j, so no number outgrows those of a real P
-    den = lcm(*[r.denominator for r in tail])
-    scaled = [int(den * r) for r in tail]
-    top = [int(Fraction(x, c) * den**j) for j, x in enumerate(p[: -len(tail) - 2 : -1])] + [0] * len(tail)
-    sums, bound, width = [], deg, max([abs(r) for r in scaled], default=0)
-    for j in range(1, len(tail) + 1):
-        sums.append(-j * top[j] - sum([top[i] * sums[j - 1 - i] for i in range(1, j)]))
-        bound *= width
-        if abs(sums[-1]) > bound:
-            raise ValueError(refused)
-    q = from_factors([(r, 1) for r in scaled])
-    t_poly = [sum([a * s for a, s in zip(q[t + 1 :], sums)]) for t in range(len(tail))]
-    dq = [t * a for t, a in enumerate(q)][1:]
-    orders = [two_m - deg, zeros] + [Fraction(evaluate(t_poly, r), r * evaluate(dq, r)) for r in scaled]
-    # only orders that account for deg p can rebuild it, and those bound the rebuild by deg <= 2m
-    if any(x < 0 or x.denominator != 1 for x in orders[2:]) or zeros + sum(orders[2:]) != deg:
+    for n in range(2**61 - 1, 1, -2):
+        if pow(2, n - 1, n) != 1:
+            continue
+        # pow(x, -1, n) raises ValueError when x is no unit mod n, and nothing else here raises one.  Each divided number
+        # is a nonzero rational (c, the roots and their differences), so some n leaves all of them units
+        try:
+            rs = [r.numerator * pow(r.denominator, -1, n) % n for r in tail]
+            # top[j] leads lambda^(deg - j) in p over c
+            top = [x.numerator * c.denominator * pow(x.denominator * c.numerator, -1, n) % n for x in p[: -len(tail) - 2 : -1]] + [0] * len(tail)
+            sums = []
+            for j in range(1, len(tail) + 1):
+                sums.append((-j * top[j] - sum([top[i] * sums[j - 1 - i] for i in range(1, j)])) % n)
+            q = [x % n for x in from_factors([(r, 1) for r in rs])]
+            t_poly = [sum([a * s for a, s in zip(q[t + 1 :], sums)]) for t in range(len(tail))]
+            dq = [t * a for t, a in enumerate(q)][1:]
+            orders = [two_m - deg, zeros] + [evaluate(t_poly, r) * pow(r * evaluate(dq, r), -1, n) % n for r in rs]
+            break
+        except ValueError:
+            pass
+    # residues are >= 0, so orders that account for a deg p <= 2m bound each other and the rebuild by 2m
+    if deg > two_m or zeros + sum(orders[2:]) != deg:
         raise ValueError(refused)
-    orders[2:] = [int(x) for x in orders[2:]]
-    budget, (_, bits) = _bit_budget(), model_size(orders, roots, c)
-    if budget and bits > budget:
-        raise ValueError(f"'P' of degree {deg} may need {bits} bits per coefficient, over the budget of {budget} bits that sys.get_int_max_str_digits() lets the writer print")
+    _budgeted(orders, roots, c, ValueError, "'P'")
     if _rescaled((0,) * zeros + from_factors(zip(tail, orders[2:])), c) != p:
         raise ValueError(refused)
     return orders

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .lattice import _read
+from .lattice import _fraction, _read
 
 Poly = tuple[int | Fraction, ...]
 
@@ -80,7 +80,7 @@ def poly_from_strings(items: object) -> Poly:
 
     Anything poly_to_strings does not emit ('2/4', 0.5, true, a trailing '0') is a ValueError naming 'P'.
     """
-    return _read(items, lambda row: normalized([Fraction(s) for s in row]), poly_to_strings, "P")
+    return _read(items, lambda row: normalized([_fraction(s) for s in row]), poly_to_strings, "P")
 
 
 def render(p: Poly) -> str:

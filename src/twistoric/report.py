@@ -20,7 +20,7 @@ from fractions import Fraction
 from .divisors import solve_divisor_data
 from .errors import CapExceeded
 from .fibers import bimeromorphic_pairs, degree_matrix, invariant_fibers, model_degree
-from .lattice import ActionSequence, _read, enumerate_sequences, validate
+from .lattice import ActionSequence, _fraction, _read, enumerate_sequences, validate
 from .models import (
     ConformalRoots,
     _check_constants,
@@ -84,7 +84,7 @@ class AnalysisReport(namedtuple("AnalysisReport", "sequence surface roots fibers
 
 
 def _parse_report(data: dict) -> AnalysisReport:
-    constants = [_read(c, Fraction, str, "c") for c in data["models"][0]["c"]]
+    constants = [_read(c, _fraction, str, "c") for c in data["models"][0]["c"]]
     return analyze_sequence(ActionSequence.from_json(data["input"]), ConformalRoots.from_json(data["roots"]), constants)
 
 

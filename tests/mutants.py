@@ -94,29 +94,43 @@ MUTANTS = [
     Mutant(
         "reader-rebuilds-before-its-budget",
         "models.py",
-        "    budget, (_, bits) = _bit_budget(), model_size(orders, roots, c)\n",
-        "    _rescaled((0,) * zeros + from_factors(zip(tail, orders[2:])), c)\n    budget, (_, bits) = _bit_budget(), model_size(orders, roots, c)\n",
+        "    _budgeted(orders, roots, c, ValueError, \"'P'\")\n",
+        "    _rescaled((0,) * zeros + from_factors(zip(tail, orders[2:])), c)\n    _budgeted(orders, roots, c, ValueError, \"'P'\")\n",
         ("tests/test_report.py::test_no_digit_limit_leaves_only_the_degree_rule",),
     ),
     Mutant(
         "reader-without-bit-budget",
         "models.py",
-        "    if budget and bits > budget:\n        raise ValueError(f\"'P' of degree",
-        "    if False:\n        raise ValueError(f\"'P' of degree",
+        "    _budgeted(orders, roots, c, ValueError, \"'P'\")\n",
+        "",
         ("tests/test_report.py::test_oversized_records_are_refused_before_dividing", "tests/test_report.py::test_no_digit_limit_leaves_only_the_degree_rule"),
+    ),
+    Mutant(
+        "budget-gate-one-bit-late",
+        "models.py",
+        "if budget and bits > budget:",
+        "if budget and bits > budget + 1:",
+        ("tests/test_report.py::test_oversized_records_are_refused_before_dividing", "tests/test_report.py::test_no_digit_limit_leaves_only_the_degree_rule"),
+    ),
+    Mutant(
+        "fraction-exponent-unchecked",
+        "lattice.py",
+        "    if exponent and abs(int(exponent[1])) > limit:\n",
+        "    if False:\n",
+        ("tests/test_models.py::test_an_exponent_past_the_digit_limit_is_refused_before_it_is_computed",),
     ),
     Mutant(
         "reader-tail-orders-off-by-one",
         "models.py",
-        "[int(x) for x in orders[2:]]",
-        "[int(x) + 1 for x in orders[2:]]",
+        "pow(r * evaluate(dq, r), -1, n) % n for r in rs]",
+        "pow(r * evaluate(dq, r), -1, n) % n + 1 for r in rs]",
         ("tests/test_report.py::test_model_record_round_trip", "tests/test_models.py::test_reader_root_tests_agree_with_multiplicity_classes"),
     ),
     Mutant(
         "reader-newton-sign-flipped",
         "models.py",
-        "sums.append(-j * top[j] - ",
-        "sums.append(j * top[j] - ",
+        "sums.append((-j * top[j] - ",
+        "sums.append((j * top[j] - ",
         ("tests/test_report.py::test_model_record_round_trip", "tests/test_models.py::test_the_reader_returns_the_oracle_multiplicities"),
     ),
     Mutant(
@@ -127,18 +141,18 @@ MUTANTS = [
         ("tests/test_report.py::test_model_record_round_trip", "tests/test_models.py::test_the_reader_returns_the_oracle_multiplicities"),
     ),
     Mutant(
-        "reader-roots-unscaled",
+        "reader-modulus-below-degree",
         "models.py",
-        "scaled = [int(den * r) for r in tail]",
-        "scaled = [int(r) for r in tail]",
-        ("tests/test_models.py::test_the_reader_returns_the_oracle_multiplicities",),
+        "range(2**61 - 1, 1, -2)",
+        "range(2**5 - 1, 1, -2)",
+        ("tests/test_report.py::test_roots_that_meet_modulo_the_first_modulus_are_read", "tests/test_report.py::test_no_digit_limit_leaves_only_the_degree_rule"),
     ),
     Mutant(
-        "reader-without-power-sum-bound",
+        "reader-non-units-not-skipped",
         "models.py",
-        "        if abs(sums[-1]) > bound:\n",
-        "        if False:\n",
-        ("tests/test_report.py::test_an_outsized_top_coefficient_is_refused_before_expanding",),
+        "        except ValueError:\n            pass\n",
+        "        except ZeroDivisionError:\n            pass\n",
+        ("tests/test_report.py::test_roots_that_meet_modulo_the_first_modulus_are_read",),
     ),
     Mutant(
         "reader-without-degree-check",

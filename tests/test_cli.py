@@ -198,16 +198,18 @@ def test_unparsable_roots_rejected(tmp_path, capsys):
     path = write_input(tmp_path, HEXAGON)
     code, _, _ = run(capsys, ["model", "--input", path, "--i", "1", "--j", "2", "--roots", "x"])
     assert code == 2
-    if not hasattr(sys, "get_int_max_str_digits"):  # an interpreter without the int-to-str digit limit
-        return
-    # values whose integer part str() refuses are refused when parsed, naming the flag
+    # values with more digits than Python prints are refused when parsed, naming the flag; an exponent past the digit
+    # limit (Python's default where there is none) is refused before 10 to its power is computed
     for argv, flag in [
         (["analyze", "--input", path, "--roots", "1e5000"], "--roots"),
         (["model", "--input", path, "--i", "1", "--j", "2", "--constants", "1e5000,1"], "--constants"),
+        (["analyze", "--input", path, "--roots", "1e30000000"], "--roots"),
     ]:
+        start = time.perf_counter()
         code, out, err = run(capsys, argv)
         assert code == 2 and out == ""
         assert flag in err
+        assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int-to-str digit limit, so no bit budget")

@@ -16,7 +16,7 @@ import time
 from datetime import timedelta
 from pathlib import Path
 
-from hypothesis import HealthCheck, event, given, settings, strategies as st
+from hypothesis import HealthCheck, event, example, given, settings, strategies as st
 
 from twistoric.cli import main
 
@@ -49,7 +49,7 @@ contents = st.one_of(
     documents.map(json.dumps),
     st.sampled_from(["", "{", "[1, 2", '{"vectors": [[0, 1], [1, 0]]', "\ufeff{}"]),
 )
-rationals = st.one_of(st.integers(-9, 9).map(str), st.fractions(-9, 9, max_denominator=5).map(str), st.sampled_from(["0", "1e5000", "x", "1/0", "", " 2", "1.5", "-0"]))
+rationals = st.one_of(st.integers(-9, 9).map(str), st.fractions(-9, 9, max_denominator=5).map(str), st.sampled_from(["0", "1e5000", "1e30000000", "x", "1/0", "", " 2", "1.5", "-0"]))
 # good tails 1, 2, ..., lists with zeros, repeats, mixed signs and unparsable or oversized entries, and
 # roots that put every model of a k = 5 chain over the bit budget
 flag_lists = st.one_of(
@@ -93,6 +93,8 @@ def argvs(draw) -> tuple[str, list[str], str]:
 
 @settings(max_examples=300, deadline=timedelta(seconds=5), suppress_health_check=[HealthCheck.too_slow])
 @given(argvs())
+# an exponent that Fraction would raise 10 to, for tens of seconds, before the flag is refused
+@example(("analyze", ["analyze", "--input", "{input}", "--roots", "1e30000000"], json.dumps({"vectors": [[0, 1], [1, 1], [1, 0]]})))
 def test_every_command_line_exits_0_1_or_2_and_says_why(case):
     command, argv, content = case
     with tempfile.TemporaryDirectory() as work:

@@ -7,6 +7,7 @@ import importlib
 import json
 import pkgutil
 import random
+import time
 from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
@@ -84,6 +85,17 @@ def test_fiber_class_json_reader_takes_the_location_as_a_string_only():
     for bad in (0.1, True, 1, None, "1/0", "infinity"):
         with pytest.raises(ValueError, match="'at'"):
             FiberClass.from_json({**good, "at": bad})
+
+
+def test_an_exponent_past_the_digit_limit_is_refused_before_it_is_computed():
+    """A record's fiber location '1e10000000' is refused within a second, naming 'at': Fraction would first compute
+    10^10000000, seconds of work for a number that no record can hold."""
+    record = run_model([(0, 1), (1, 1), (1, 0)], 1, 2)
+    record["fibers"][2]["at"] = "1e10000000"
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="'at': the exponent of '1e10000000' is past the"):
+        parse_model_record(record)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_fiber_class_json_reader_is_strict():

@@ -290,17 +290,50 @@ def test_only_the_rebuild_sees_a_coefficient_below_the_top_ones():
         parse_model_record(record)
 
 
+def linear_record(n: int, roots_tail: list[Fraction] | None = None) -> dict:
+    """The model record of the middle pair n // 2, n // 2 + 1 of the linear chain (0,1), (1,n), (1,n-1), ..., (1,0)."""
+    return run_model([(0, 1)] + [(1, j) for j in range(n, -1, -1)], n // 2, n // 2 + 1, roots_tail)
+
+
 def test_an_outsized_top_coefficient_is_refused_before_expanding(monkeypatch):
-    """A 62-label chain's P_1 with a 4000-digit coefficient next to its lead is refused by its first power sum, which
-    no product over the listed roots reaches, before Q is expanded: Newton's identities would raise it to the 60th power."""
-    n = 60
-    record = run_model([(0, 1)] + [(1, j) for j in range(n, -1, -1)], n // 2, n // 2 + 1)
+    """A 62-label chain's P_1 with a 4000-digit coefficient next to its lead is refused within a second: the reader works on
+    its residue, so Newton's identities do not raise it to the 60th power, and only Q, of degree 60, is expanded, not P."""
+    record = linear_record(60)
     record["P"][0][-2] = str(10**3999)
     sizes = expansions(monkeypatch)
     start = time.perf_counter()
     with pytest.raises(ValueError, match="'P' must be c \\* prod"):
         parse_model_record(record)
-    assert time.perf_counter() - start < 1.0 and sizes == []
+    assert time.perf_counter() - start < 1.0 and sizes == [60]
+
+
+@pytest.mark.parametrize("k, digits, relabelled", [(22, 1000, True), (42, 1000, True), (42, 40, False)])
+def test_roots_with_large_distinct_denominators_are_read_within_a_second(k, digits, relabelled):
+    """Tail roots (t + 1) / (10^digits + 2t + 1) have large, distinct denominators, whose power sums on ints grow with
+    the sum of their bits at each power; on residues they stay one word wide.  A record whose tail locations are
+    relabelled to them is refused, and the record the writer emits for them is read back, each within a second."""
+    tail = [Fraction(t + 1, 10**digits + 2 * t + 1) for t in range(k - 2)]
+    record = linear_record(k - 2, None if relabelled else tail)
+    if relabelled:
+        for fiber, r in zip(record["fibers"][2:-1], tail):
+            fiber["at"] = str(r)
+    start = time.perf_counter()
+    if relabelled:
+        with pytest.raises(ValueError, match="'P' must be c \\* prod"):
+            parse_model_record(record)
+    else:
+        assert model_record(*parse_model_record(record)) == record
+    assert time.perf_counter() - start < 1.0
+
+
+def test_roots_that_meet_modulo_the_first_modulus_are_read():
+    """Tail roots 1 and 2^61 are both 1 modulo 2^61 - 1, the first modulus, where their difference is no unit, so the
+    reader moves on to the next.  P_1 = (lambda - 1)^39 (lambda - 2^61) reads back with its orders 39 and 1."""
+    roots = ConformalRoots(k=4, tail=(1, 2**61))
+    eqs = ModelEquations(i=1, j=2, m_i=20, m_j=20, constants=(1, 1), p1=from_factors([(1, 39), (2**61, 1)]), p2=(1,))
+    record = json.loads(json.dumps(model_record(eqs, classify_fibers((0, 0, 39, 1), (40, 0, 0, 0), roots))))
+    eqs2, classes = parse_model_record(record)
+    assert eqs2 == eqs and model_record(eqs2, classes) == record
 
 
 def test_model_record_reader_takes_rationals_as_strings_only():
