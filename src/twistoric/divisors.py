@@ -1,12 +1,12 @@
 """Divisor data of the twistor pencil members over the surface.
 
 For index alpha the pencil member restricts on the surface to m * C - f + fbar,
-with C the anticanonical cycle and f - fbar = row, pairing row alpha - 1.  It
-decomposes uniquely over the 2k half-cycles (the plus one for beta covers the k
-components after position beta circularly, the minus one the other k) as a sum
-that runs from sum(l_minus) at position 0 by the steps l_plus[b] - l_minus[b],
-b < k, then by the first k - 1 steps negated.  So l_plus and l_minus are the
-positive and negative parts of row[b] - row[b + 1], and m = row[0] + sum(l_minus).
+with C the anticanonical cycle and f - fbar = row, pairing row alpha - 1 and its
+negation.  It decomposes uniquely over the 2k half-cycles (the plus one for beta
+covers the k components after position beta circularly, the minus one the other k)
+as a sum that runs from sum(l_minus) at position 0 by the steps l_plus[b] - l_minus[b],
+b < k, then by the first k - 1 steps negated.  So l_plus and l_minus are the positive
+and negative parts of row[b] - row[b + 1], b < k, and m = row[0] + sum(l_minus).
 The positions past k hold exactly when row[s] + row[k + s] is one value for all
 s < k (InconsistentSystem), and m >= 1 (NegativeMultiplicity).  The half-cycles
 themselves live in the test oracles, the independent reference for the sum.
@@ -72,11 +72,16 @@ def _parse_divisor_data(data: dict) -> TwistorDivisorData:
     return TwistorDivisorData(alpha=int(data["alpha"]), m=m, l_plus=l_plus, l_minus=l_minus)
 
 
+def _multiplicity(row: Divisor) -> int:
+    """m = row[0] + sum(l_minus): row[0] plus the rises of row, which holds the k + 1 values at positions 0 .. k."""
+    return row[0] + sum([b - a for a, b in zip(row, row[1:]) if b > a])
+
+
 def _from_row(row: Divisor, alpha: int) -> TwistorDivisorData:
-    """The divisor data whose m * C - f + fbar has f - fbar = row, read off its first difference."""
-    steps = [row[b] - row[b + 1] for b in range(len(row) // 2)]
+    """The divisor data whose m * C - f + fbar has f - fbar = row, read off the first difference of its k + 1 values."""
+    steps = [row[b] - row[b + 1] for b in range(len(row) - 1)]
     l_plus, l_minus = tuple([d if d > 0 else 0 for d in steps]), tuple([-d if d < 0 else 0 for d in steps])
-    m = row[0] + sum(l_minus)
+    m = _multiplicity(row)
     if m < 1:
         raise NegativeMultiplicity(f"pencil multiplicity m = {m} for index {alpha}")
     return TwistorDivisorData(alpha=alpha, m=m, l_plus=l_plus, l_minus=l_minus)
@@ -89,12 +94,12 @@ def solve_from_fibers(f: Divisor, fbar: Divisor, alpha: int) -> TwistorDivisorDa
     row, k = [x - y for x, y in zip(f, fbar)], len(f) // 2
     sums = [row[s] + row[k + s] for s in range(k)]
     if len(set(sums)) != 1:
-        # position k + s misses m = row[0] + sum(l_minus) by sums[s] - sums[0]
-        m = row[0] + sum([max(row[b + 1] - row[b], 0) for b in range(k)])
+        # position k + s misses m by sums[s] - sums[0]
+        m = _multiplicity(row[: k + 1])
         raise InconsistentSystem(f"component equations disagree for index {alpha}: {sorted({m + t - sums[0] for t in sums})}")
-    return _from_row(row, alpha)
+    return _from_row(row[: k + 1], alpha)  # row[k] = sums[0] - row[0], which is -row[0] only for a surface row
 
 
 def solve_divisor_data(surface: ToricSurface, alpha: int) -> TwistorDivisorData:
-    """Divisor data for index alpha, read off pairing row alpha - 1 unchecked: build_surface writes row[k + s] = -row[s]."""
-    return _from_row(surface.row(alpha), alpha)
+    """Divisor data for index alpha, read off pairing row alpha - 1 unchecked: ray k pairs to -row[0], and the rest repeat."""
+    return _from_row((row := surface.row(alpha)) + (-row[0],), alpha)

@@ -7,9 +7,9 @@ collects the curves whose ray pairs positively against v_a, with the pairing
 value as multiplicity; the fiber over the other end is its conjugate.
 
 The pairing is phi_a(u) = det(u, v_a), stored once by build_surface as the
-matrix ToricSurface.pairing: row a - 1 holds phi_a on all 2k rays, read here
-and by divisors.  Both signs occur over a complete fan, so the fibers, the
-positive and negative parts of a row, are nonzero effective divisors.  The
+matrix ToricSurface.pairing: row a - 1 holds phi_a on the first k rays, and
+phi_a(-u) = -phi_a(u) on the other k.  Both signs occur over a complete fan, so
+the fibers, the positive and negative parts of phi_a, are nonzero effective divisors.  The
 degree of the map for a pair (i, j) is f_i . f_j = |det(v_i, v_j)|, the entry
 |pairing[j-1][i-1]|; degree_matrix lists them all, and bimeromorphic_pairs
 reads the pairs of degree 1 off that matrix.  The intersection-form sum
@@ -32,11 +32,12 @@ __all__ = [
 def invariant_fibers(surface: ToricSurface, alpha: int) -> tuple[Divisor, Divisor]:
     """The two invariant fibers of the quotient pencil for index alpha.
 
-    Returns (f, fbar); f holds the components with positive pairing, fbar
-    those with negative pairing, and fbar is the conjugate of f.
+    Returns (f, fbar); f holds the components with positive pairing, fbar those with
+    negative pairing, and fbar is the conjugate of f: the antipodal half negates the row.
     """
     row = surface.row(alpha)
-    return tuple([x if x > 0 else 0 for x in row]), tuple([-x if x < 0 else 0 for x in row])
+    pos, neg = tuple([x if x > 0 else 0 for x in row]), tuple([-x if x < 0 else 0 for x in row])
+    return pos + neg, neg + pos
 
 
 def model_degree(surface: ToricSurface, i: int, j: int) -> int:
@@ -53,7 +54,7 @@ def model_degree(surface: ToricSurface, i: int, j: int) -> int:
 
 def degree_matrix(surface: ToricSurface) -> tuple[tuple[int, ...], ...]:
     """The k x k degrees: entry [i - 1][j - 1] is |det(v_i, v_j)|, symmetric with a zero diagonal."""
-    return tuple([tuple([abs(d) for d in row[: surface.k]]) for row in surface.pairing])
+    return tuple([tuple(map(abs, row)) for row in surface.pairing])
 
 
 def bimeromorphic_pairs(degrees: tuple[tuple[int, ...], ...]) -> list[tuple[int, int]]:

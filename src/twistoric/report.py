@@ -17,7 +17,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .divisors import solve_divisor_data
+from .divisors import _multiplicity, solve_divisor_data
 from .errors import CapExceeded
 from .fibers import bimeromorphic_pairs, degree_matrix, invariant_fibers, model_degree
 from .lattice import ActionSequence, _fraction, _read, enumerate_sequences, validate
@@ -143,12 +143,12 @@ def run_enumerate(n: int, count_only: bool = False, cap: int = DEFAULT_CAP) -> d
     summaries = []
     for seq in seqs:
         surface = build_surface(seq)
-        divisors = [solve_divisor_data(surface, a) for a in range(1, surface.k + 1)]
         summaries.append(
             {
                 "vectors": [list(v) for v in seq.vectors],
                 "selfInt": list(surface.self_int),
-                "m": [d.m for d in divisors],
+                # ray k pairs to -row[0]; 2m is the variation of a row the fan check made nonzero, so m >= 1
+                "m": [_multiplicity(row + (-row[0],)) for row in surface.pairing],
                 "bimeromorphicPairs": [list(p) for p in bimeromorphic_pairs(degree_matrix(surface))],
             }
         )

@@ -6,8 +6,8 @@ the invariant curves C_1 .. C_k and indices k .. 2k-1 their conjugates
 (the curves on the antipodal rays).  Divisors supported on the invariant
 curves are plain integer coefficient tuples of length 2k.
 
-All of the fan's combinatorics comes from one table, ToricSurface.pairing:
-the fan check and the self-intersections read it here, the fibers and divisors modules the rest.
+All of the fan's combinatorics comes from one k x k table, ToricSurface.pairing (ray k + r pairs as
+the negated ray r): the fan check and the self-intersections read it here, the fibers, divisors and report the rest.
 ToricSurface.row reads the row of one pencil index, and is where that index is checked.
 """
 
@@ -34,7 +34,7 @@ __all__ = [
 class ToricSurface(namedtuple("ToricSurface", "rays self_int pairing")):
     """Rays, self-intersections of the invariant curves, and the pairing matrix they are read from.
 
-    pairing[a][r] = det(rays[r], rays[a]) for a < k; each row's second half negates its first.
+    pairing[a][r] = det(rays[r], rays[a]) for a, r < k; ray k + r pairs to -pairing[a][r], which is not stored.
     """
 
     __slots__ = ()
@@ -44,7 +44,7 @@ class ToricSurface(namedtuple("ToricSurface", "rays self_int pairing")):
         return len(self.rays) // 2
 
     def row(self, alpha: int) -> Divisor:
-        """Pairing row alpha - 1, phi_alpha on all 2k rays: the one check of a pencil index."""
+        """Pairing row alpha - 1, phi_alpha on the first k rays: the one check of a pencil index."""
         if type(alpha) is not int:  # a bool would pass for 0 or 1, a float would fail at the lookup
             raise BadIndices(f"index must be an int, got {alpha!r}")
         if not 1 <= alpha <= self.k:
@@ -67,17 +67,17 @@ def build_surface(seq: ActionSequence) -> ToricSurface:
     validation).  Row a holds c = det(rays[a - 2], rays[a]) at a - 2, and c = C . C for the
     curve on rays[a - 1] by the ray relation u_{r-1} + u_{r+1} = -c u_r.  That relation needs
     no check: det(u_{r-1}, u_r) = det(u_r, u_{r+1}) = -1 gives det(u_{r-1} + u_{r+1}, u_r) = 0,
-    so u_{r-1} + u_{r+1} = t u_r, and pairing both sides with u_{r-1} gives t = -c.
+    so u_{r-1} + u_{r+1} = t u_r, and pairing both sides with u_{r-1} gives t = -c.  In rows 0
+    and 1 index r < 0 reads ray k + r, which pairs as the negated ray 2k + r: those entries flip sign.
     """
     k = len(seq.vectors)
     rays = tuple(seq.vectors) + tuple([(-a, -b) for (a, b) in seq.vectors])
-    halves = [[p * y - q * x for p, q in seq.vectors] for x, y in seq.vectors]
-    pairing = tuple([tuple(half + [-d for d in half]) for half in halves])
-    for r in range(k):  # the pair (r, r + 1) lies in row r + 1, the wrap pair (k - 1, k) in row 0
+    pairing = tuple([tuple([p * y - q * x for p, q in seq.vectors]) for x, y in seq.vectors])
+    for r in range(k):  # the pair (r, r + 1) lies in row r + 1, the wrap pair (k - 1, k) in row 0, where ray k is -v_1
         a = (r + 1) % k
-        if pairing[a][a - 1] != -1:
+        if pairing[a][a - 1] != (-1 if a else 1):
             raise NonSmoothFan(f"rays {r} and {r + 1} do not span the lattice with the right orientation")
-    c = [row[a - 2] for a, row in enumerate(pairing)]  # C . C for the curve on rays[a - 1]
+    c = [row[a - 2] if a > 1 else -row[a - 2] for a, row in enumerate(pairing)]  # C . C for the curve on rays[a - 1]
     return ToricSurface(rays=rays, self_int=tuple(c[1:] + c[:1]) * 2, pairing=pairing)
 
 

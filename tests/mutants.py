@@ -220,6 +220,20 @@ MUTANTS = [
         ("tests/test_surface.py::test_build_surface_guards_against_corrupt_input",),
     ),
     Mutant(
+        "fan-check-wrap-unflipped",
+        "surface.py",
+        "if pairing[a][a - 1] != (-1 if a else 1):",
+        "if pairing[a][a - 1] != -1:",
+        ("tests/test_surface.py::test_hexagon_rays_and_self_intersections", "tests/test_surface.py::test_ray_relation_everywhere"),
+    ),
+    Mutant(
+        "self-intersections-of-rows-0-and-1-unflipped",
+        "surface.py",
+        "c = [row[a - 2] if a > 1 else -row[a - 2] for a, row in enumerate(pairing)]",
+        "c = [row[a - 2] for a, row in enumerate(pairing)]",
+        ("tests/test_surface.py::test_n2_self_intersections", "tests/test_divisors.py::test_deep_chain_invariants"),
+    ),
+    Mutant(
         "self-intersections-unrotated",
         "surface.py",
         "tuple(c[1:] + c[:1]) * 2",
@@ -236,16 +250,23 @@ MUTANTS = [
     Mutant(
         "steps-reversed",
         "divisors.py",
-        "steps = [row[b] - row[b + 1] for b in range(len(row) // 2)]",
-        "steps = [row[b + 1] - row[b] for b in range(len(row) // 2)]",
+        "steps = [row[b] - row[b + 1] for b in range(len(row) - 1)]",
+        "steps = [row[b + 1] - row[b] for b in range(len(row) - 1)]",
         ("tests/test_divisors.py::test_hexagon_divisor_data", "tests/test_divisors.py::test_reconstruction_identity_everywhere"),
     ),
     Mutant(
         "inconsistent-m-from-l-plus",
         "divisors.py",
-        "max(row[b + 1] - row[b], 0)",
-        "max(row[b] - row[b + 1], 0)",
+        "sum([b - a for a, b in zip(row, row[1:]) if b > a])",
+        "sum([a - b for a, b in zip(row, row[1:]) if a > b])",
         ("tests/test_divisors.py::test_solve_from_arbitrary_fibers_is_checked",),
+    ),
+    Mutant(
+        "listing-m-without-ray-k",
+        "report.py",
+        '"m": [_multiplicity(row + (-row[0],)) for row in surface.pairing]',
+        '"m": [_multiplicity(row) for row in surface.pairing]',
+        ("tests/test_divisors.py::test_the_listing_reads_m_off_each_row", "tests/test_golden.py::test_json_outputs_match_golden_digests"),
     ),
     Mutant(
         "from-factors-floors-fractions",

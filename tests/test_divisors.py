@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,10 +20,12 @@ from twistoric import (
     invariant_fibers,
     model_degree,
     reversal_dual,
+    run_enumerate,
     solve_divisor_data,
     solve_from_fibers,
     validate,
 )
+from twistoric import report
 from twistoric.divisors import TwistorDivisorData
 
 from oracles import det2, exhaustive_divisor_solutions, grow_by_mediants, half_cycle_sum, half_cycles
@@ -139,14 +143,14 @@ def test_deep_chain_invariants(picks):
     seq = validate(grow_by_mediants(picks))
     s, sd = build_surface(seq), build_surface(reversal_dual(seq))
     k = s.k
-    assert s.pairing == tuple([tuple([det2(u, v) for u in s.rays]) for v in s.rays[:k]])
+    assert s.pairing == tuple([tuple([det2(u, v) for u in s.rays[:k]]) for v in s.rays[:k]])
     # self_int is read off the pairing; the ray relation is its independent check
     for r in range(2 * k):
         prev, cur, nxt = s.rays[r - 1], s.rays[r], s.rays[(r + 1) % (2 * k)]
         assert (prev[0] + nxt[0], prev[1] + nxt[1]) == (-s.self_int[r] * cur[0], -s.self_int[r] * cur[1])
     assert s.self_int[:k] == s.self_int[k:]
     # reversal sends v_a to the swapped v_(k+1-a), and swapping negates det: both indices reflect
-    assert sd.pairing == tuple([tuple([-s.pairing[k - 1 - a][(k - 1 - r) % (2 * k)] for r in range(2 * k)]) for a in range(k)])
+    assert sd.pairing == tuple([tuple([-s.pairing[k - 1 - a][k - 1 - r] for r in range(k)]) for a in range(k)])
     pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
     assert bimeromorphic_pairs(degree_matrix(s)) == [(i, j) for i, j in pairs if abs(det2(s.rays[i - 1], s.rays[j - 1])) == 1]
     fibers = [invariant_fibers(s, a) for a in range(1, k + 1)]
@@ -173,6 +177,36 @@ def test_deep_chain_invariants(picks):
         dual = solve_divisor_data(sd, k + 1 - a)
         assert dual.m == data.m
         assert all(dual.l_total[b] == data.l_total[(k - 2 - b) % k] for b in range(k))
+
+
+def assert_listing_reads_each_row(s, listed_m):
+    """f - fbar is each stored pairing row followed by its negation, and the listing's m is the divisor data's."""
+    assert len(listed_m) == s.k
+    for a in range(1, s.k + 1):
+        f, fbar = invariant_fibers(s, a)
+        row = s.row(a)
+        assert tuple([x - y for x, y in zip(f, fbar)]) == row + tuple([-x for x in row])
+        data = solve_divisor_data(s, a)
+        assert listed_m[a - 1] == data.m == sum(data.l_total) // 2
+
+
+def test_the_listing_reads_m_off_each_row():
+    """run_enumerate writes m off the k stored entries of each pairing row, on every chain with n <= 6."""
+    for n in range(7):
+        for seq, entry in zip(enumerate_sequences(n), run_enumerate(n)["sequences"], strict=True):
+            assert entry["vectors"] == [list(v) for v in seq.vectors]
+            assert_listing_reads_each_row(build_surface(seq), entry["m"])
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(0, 10**6), max_size=28))
+def test_the_listing_reads_m_off_each_row_of_deep_chains(picks):
+    """The listing's own code, given one chain grown by random mediant insertion in place of the enumeration, k up to 30."""
+    seq = validate(grow_by_mediants(picks))
+    with mock.patch.object(report, "enumerate_sequences", lambda n: [seq]):
+        (entry,) = run_enumerate(0)["sequences"]
+    assert entry["vectors"] == [list(v) for v in seq.vectors]
+    assert_listing_reads_each_row(build_surface(seq), entry["m"])
 
 
 def test_conjugation_swaps_the_halves():
