@@ -11,7 +11,8 @@ in normalized form:
 Any sequence satisfying only the determinant chain can be brought to this
 form by a unimodular change of lattice coordinates when one exists
 (normalize); the normalized representatives for fixed n form a finite set,
-which enumerate_sequences builds valid and does not check again.
+which enumerate_sequences builds valid, by mediant insertion (a toric blow-up),
+and does not check again.
 """
 
 from __future__ import annotations
@@ -207,25 +208,34 @@ def reversal_dual(seq: ActionSequence) -> ActionSequence:
     return validate([(b, a) for (a, b) in reversed(seq.vectors)])
 
 
-def enumerate_sequences(n: int) -> list[ActionSequence]:
-    """All normalized sequences for n, in lexicographic order, valid as built and so not checked again.
+def _mediant_closure(n: int, seed, step) -> list:
+    """(chain, data) for every normalized chain of n, in lexicographic order; valid as built and so not checked again.
 
-    Works by closing { ((0,1), (1,0)) } under insertion of the mediant
-    v_i + v_{i+1} between consecutive entries, n times.  Inserting a mediant
-    preserves the determinant chain, and every valid chain arises this way:
-    a vector of maximal coordinate sum in the interior always equals the sum
-    of its neighbours, so chains blow down step by step to the base chain.
+    Closes { ((0,1), (1,0)) } under insertion of the mediant v_i + v_{i+1} between consecutive
+    entries, n times.  Inserting a mediant preserves the determinant chain, and every valid chain
+    arises this way: a vector of maximal coordinate sum in the interior always equals the sum of
+    its neighbours, so chains blow down step by step to the base chain.  The base chain's data is
+    seed(chain), and a chain's data is step(data, i, last) on the data of the first parent to reach
+    it, the mediant going in after position i and last true on the nth insertion.
     """
     if type(n) is not int:  # range() would take a bool as 0 or 1 and refuse a float with a TypeError
         raise ValueError(f"'n' must be an int, got {n!r}")
     if n < 0:
         raise ValueError("n must be >= 0")
-    chains: set[tuple[Vector, ...]] = {((0, 1), (1, 0))}
-    for _ in range(n):
-        grown: set[tuple[Vector, ...]] = set()
-        for ch in chains:
+    base = ((0, 1), (1, 0))
+    chains = {base: seed(base)}
+    for left in range(n, 0, -1):
+        grown = {}
+        for ch, data in chains.items():
             for i in range(len(ch) - 1):
                 med = (ch[i][0] + ch[i + 1][0], ch[i][1] + ch[i + 1][1])
-                grown.add(ch[: i + 1] + (med,) + ch[i + 1 :])
+                child = ch[: i + 1] + (med,) + ch[i + 1 :]
+                if child not in grown:
+                    grown[child] = step(data, i, left == 1)
         chains = grown
-    return [ActionSequence(n=n, vectors=ch) for ch in sorted(chains)]
+    return sorted(chains.items())
+
+
+def enumerate_sequences(n: int) -> list[ActionSequence]:
+    """All normalized sequences for n, in lexicographic order: the mediant closure, each mediant a toric blow-up."""
+    return [ActionSequence(n=n, vectors=ch) for ch, _ in _mediant_closure(n, lambda ch: None, lambda data, i, last: None)]

@@ -264,9 +264,44 @@ MUTANTS = [
     Mutant(
         "listing-m-without-ray-k",
         "report.py",
-        '"m": [_multiplicity(row + (-row[0],)) for row in surface.pairing]',
-        '"m": [_multiplicity(row) for row in surface.pairing]',
-        ("tests/test_divisors.py::test_the_listing_reads_m_off_each_row", "tests/test_golden.py::test_json_outputs_match_golden_digests"),
+        "[_multiplicity(row + (-row[0],)) for row in rows]",
+        "[_multiplicity(row) for row in rows]",
+        ("tests/test_report.py::test_run_enumerate_listing", "tests/test_divisors.py::test_each_blow_up_step_matches_the_surface_of_deep_chains", "tests/test_golden.py::test_json_outputs_match_golden_digests"),
+    ),
+    Mutant(
+        "blow-up-new-m-without-the-base-case",
+        "report.py",
+        "m[i] + m[i + 1] if len(m) > 2 else 1",
+        "m[i] + m[i + 1]",
+        ("tests/test_report.py::test_run_enumerate_listing", "tests/test_divisors.py::test_the_listing_reads_m_off_each_row"),
+    ),
+    Mutant(
+        "blow-up-new-m-from-one-neighbour",
+        "report.py",
+        "m[i] + m[i + 1] if len(m) > 2 else 1",
+        "2 * m[i] if len(m) > 2 else 1",
+        ("tests/test_divisors.py::test_the_listing_reads_m_off_each_row", "tests/test_divisors.py::test_each_blow_up_step_matches_the_surface_of_deep_chains"),
+    ),
+    Mutant(
+        "blow-up-raises-m-on-opposite-signs-only",
+        "report.py",
+        "abs(a) + abs(b) - abs(a - b)",
+        "abs(a) + abs(b) - abs(a + b)",
+        ("tests/test_divisors.py::test_the_listing_reads_m_off_each_row", "tests/test_divisors.py::test_each_blow_up_step_matches_the_surface_of_deep_chains"),
+    ),
+    Mutant(
+        "blow-up-lowers-one-neighbour",
+        "report.py",
+        "(s[i] - 1, -1, s[i + 1] - 1)",
+        "(s[i] - 1, -1, s[i + 1])",
+        ("tests/test_report.py::test_run_enumerate_listing", "tests/test_divisors.py::test_each_blow_up_step_matches_the_surface_of_deep_chains"),
+    ),
+    Mutant(
+        "blow-up-drops-a-new-pair",
+        "report.py",
+        "    pairs.insert(bisect_left(pairs, [j + 1]), [j, j + 1])\n",
+        "",
+        ("tests/test_report.py::test_run_enumerate_listing", "tests/test_divisors.py::test_each_blow_up_step_matches_the_surface_of_deep_chains"),
     ),
     Mutant(
         "from-factors-floors-fractions",

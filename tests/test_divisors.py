@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from unittest import mock
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -191,22 +189,35 @@ def assert_listing_reads_each_row(s, listed_m):
 
 
 def test_the_listing_reads_m_off_each_row():
-    """run_enumerate writes m off the k stored entries of each pairing row, on every chain with n <= 6."""
-    for n in range(7):
+    """run_enumerate's m, self-intersections and bimeromorphic pairs are those of each chain's surface, on every
+    chain with n <= 8, the cap: the listing grows them from the base chain's by one blow-up step per mediant."""
+    for n in range(9):
         for seq, entry in zip(enumerate_sequences(n), run_enumerate(n)["sequences"], strict=True):
+            s = build_surface(seq)
             assert entry["vectors"] == [list(v) for v in seq.vectors]
-            assert_listing_reads_each_row(build_surface(seq), entry["m"])
+            assert entry["selfInt"] == list(s.self_int)
+            assert entry["bimeromorphicPairs"] == [list(p) for p in bimeromorphic_pairs(degree_matrix(s))]
+            assert_listing_reads_each_row(s, entry["m"])
 
 
 @settings(deadline=None)
 @given(st.lists(st.integers(0, 10**6), max_size=28))
-def test_the_listing_reads_m_off_each_row_of_deep_chains(picks):
-    """The listing's own code, given one chain grown by random mediant insertion in place of the enumeration, k up to 30."""
-    seq = validate(grow_by_mediants(picks))
-    with mock.patch.object(report, "enumerate_sequences", lambda n: [seq]):
-        (entry,) = run_enumerate(0)["sequences"]
-    assert entry["vectors"] == [list(v) for v in seq.vectors]
-    assert_listing_reads_each_row(build_surface(seq), entry["m"])
+def test_each_blow_up_step_matches_the_surface_of_deep_chains(picks):
+    """The listing's blow-up step, driven along one chain grown by random mediant insertion, k up to 30: after
+    every step its rows, self-intersections, m and pairs are the built surface's, and the last-level step differs
+    only in building no rows."""
+    data = report._seed(((0, 1), (1, 0)))
+    for t in range(len(picks) + 1):
+        s = surf(grow_by_mediants(picks[:t]))
+        rows, self_int, m, pairs = data
+        assert tuple(rows) == s.pairing
+        assert self_int * 2 == s.self_int
+        assert m == [solve_divisor_data(s, a).m for a in range(1, s.k + 1)]
+        assert pairs == [list(p) for p in bimeromorphic_pairs(degree_matrix(s))]
+        if t < len(picks):
+            i = picks[t] % (s.k - 1)
+            data = report._blow_up(data, i, False)
+            assert report._blow_up((rows, self_int, m, pairs), i, True) == (rows, *data[1:])
 
 
 def test_conjugation_swaps_the_halves():

@@ -570,8 +570,8 @@ def counted(name: str, monkeypatch: pytest.MonkeyPatch, source=ratpoly) -> list:
 def test_each_pencil_product_is_expanded_once(picks, monkeypatch):
     """A k-chain's report expands k label products and a single model two: neither reads back a model, whose reader expands too.
 
-    classify expands nothing, and the report and the listing read their divisor data off the pairing rows,
-    not through the checked solver for free fibers.
+    classify expands nothing.  The report reads its divisor data off the pairing rows, and the listing grows
+    its m from the base chain's rows; neither goes through the checked solver for free fibers.
     """
     seq = validate(grow_by_mediants(picks))
     expanded = counted("from_factors", monkeypatch)
