@@ -10,6 +10,7 @@ and negative parts of row[b] - row[b + 1], b < k, and m = row[0] + sum(l_minus).
 The positions past k hold exactly when row[s] + row[k + s] is one value for all
 s < k (InconsistentSystem), and m >= 1 (NegativeMultiplicity).  The half-cycles
 themselves live in the test oracles, the independent reference for the sum.
+The enumeration listing reads m here on the base chain only (report grows it).
 """
 
 from __future__ import annotations
@@ -72,16 +73,11 @@ def _parse_divisor_data(data: dict) -> TwistorDivisorData:
     return TwistorDivisorData(alpha=int(data["alpha"]), m=m, l_plus=l_plus, l_minus=l_minus)
 
 
-def _multiplicity(row: Divisor) -> int:
-    """m = row[0] + sum(l_minus): row[0] plus the rises of row, which holds the k + 1 values at positions 0 .. k."""
-    return row[0] + sum([b - a for a, b in zip(row, row[1:]) if b > a])
-
-
 def _from_row(row: Divisor, alpha: int) -> TwistorDivisorData:
     """The divisor data whose m * C - f + fbar has f - fbar = row, read off the first difference of its k + 1 values."""
     steps = [row[b] - row[b + 1] for b in range(len(row) - 1)]
     l_plus, l_minus = tuple([d if d > 0 else 0 for d in steps]), tuple([-d if d < 0 else 0 for d in steps])
-    m = _multiplicity(row)
+    m = row[0] + sum(l_minus)
     if m < 1:
         raise NegativeMultiplicity(f"pencil multiplicity m = {m} for index {alpha}")
     return TwistorDivisorData(alpha=alpha, m=m, l_plus=l_plus, l_minus=l_minus)
@@ -94,8 +90,8 @@ def solve_from_fibers(f: Divisor, fbar: Divisor, alpha: int) -> TwistorDivisorDa
     row, k = [x - y for x, y in zip(f, fbar)], len(f) // 2
     sums = [row[s] + row[k + s] for s in range(k)]
     if len(set(sums)) != 1:
-        # position k + s misses m by sums[s] - sums[0]
-        m = _multiplicity(row[: k + 1])
+        # position k + s misses m by sums[s] - sums[0]; m is row[0] plus the rises of row over positions 0 .. k
+        m = row[0] + sum([b - a for a, b in zip(row, row[1 : k + 1]) if b > a])
         raise InconsistentSystem(f"component equations disagree for index {alpha}: {sorted({m + t - sums[0] for t in sums})}")
     return _from_row(row[: k + 1], alpha)  # row[k] = sums[0] - row[0], which is -row[0] only for a surface row
 

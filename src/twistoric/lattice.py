@@ -12,7 +12,7 @@ Any sequence satisfying only the determinant chain can be brought to this
 form by a unimodular change of lattice coordinates when one exists
 (normalize); the normalized representatives for fixed n form a finite set,
 which enumerate_sequences builds valid, by mediant insertion (a toric blow-up),
-and does not check again.
+and does not check again; its closure hands a step each parent and mediant position.
 """
 
 from __future__ import annotations
@@ -215,8 +215,8 @@ def _mediant_closure(n: int, seed, step) -> list:
     entries, n times.  Inserting a mediant preserves the determinant chain, and every valid chain
     arises this way: a vector of maximal coordinate sum in the interior always equals the sum of
     its neighbours, so chains blow down step by step to the base chain.  The base chain's data is
-    seed(chain), and a chain's data is step(data, i, last) on the data of the first parent to reach
-    it, the mediant going in after position i and last true on the nth insertion.
+    seed(chain), and a chain's data is step(data, parent, i) of the first parent to reach it, the
+    mediant going in after position i.
     """
     if type(n) is not int:  # range() would take a bool as 0 or 1 and refuse a float with a TypeError
         raise ValueError(f"'n' must be an int, got {n!r}")
@@ -224,18 +224,18 @@ def _mediant_closure(n: int, seed, step) -> list:
         raise ValueError("n must be >= 0")
     base = ((0, 1), (1, 0))
     chains = {base: seed(base)}
-    for left in range(n, 0, -1):
+    for _ in range(n):
         grown = {}
         for ch, data in chains.items():
             for i in range(len(ch) - 1):
                 med = (ch[i][0] + ch[i + 1][0], ch[i][1] + ch[i + 1][1])
                 child = ch[: i + 1] + (med,) + ch[i + 1 :]
                 if child not in grown:
-                    grown[child] = step(data, i, left == 1)
+                    grown[child] = step(data, ch, i)
         chains = grown
     return sorted(chains.items())
 
 
 def enumerate_sequences(n: int) -> list[ActionSequence]:
     """All normalized sequences for n, in lexicographic order: the mediant closure, each mediant a toric blow-up."""
-    return [ActionSequence(n=n, vectors=ch) for ch, _ in _mediant_closure(n, lambda ch: None, lambda data, i, last: None)]
+    return [ActionSequence(n=n, vectors=ch) for ch, _ in _mediant_closure(n, lambda ch: None, lambda data, parent, i: None)]

@@ -10,7 +10,8 @@ Each reader accepts exactly what its writer emits; a report is read from its
 input, roots and first constants, then analyzed again.  The model record
 (model_record, parse_model_record) lives in models and is re-exported here.
 The enumeration listing reads only the base chain's surface, and grows each chain's
-summary from its parent's by one toric blow-up per mediant along lattice's closure.
+summary from its parent's by one toric blow-up per mediant along lattice's closure,
+each m off the parent chain's determinants with the two vectors the mediant joins.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .divisors import _multiplicity, solve_divisor_data
+from .divisors import solve_divisor_data
 from .errors import CapExceeded
 from .fibers import bimeromorphic_pairs, degree_matrix, invariant_fibers, model_degree
 from .lattice import ActionSequence, _fraction, _mediant_closure, _read, enumerate_sequences, validate
@@ -136,39 +137,34 @@ def run_analyze(
 
 
 def _seed(chain: tuple) -> tuple:
-    """The base chain's pairing rows, self-intersections, m per label and bimeromorphic pairs, off its surface."""
-    surface = build_surface(ActionSequence(n=0, vectors=chain))
-    rows = surface.pairing
-    # ray k pairs to -row[0]; a normalized chain's rows are positive above the diagonal, the degrees there
-    return rows, surface.self_int[: surface.k], [_multiplicity(row + (-row[0],)) for row in rows], [list(p) for p in bimeromorphic_pairs(rows)]
+    """The base chain's self-intersections, m per label and bimeromorphic pairs, off its surface."""
+    s = build_surface(ActionSequence(n=0, vectors=chain))
+    return s.self_int[: s.k], [solve_divisor_data(s, a).m for a in range(1, s.k + 1)], [list(p) for p in bimeromorphic_pairs(degree_matrix(s))]
 
 
-def _blow_up(parent: tuple, i: int, last: bool) -> tuple:
-    """_seed's data after the mediant of labels i + 1 and i + 2 goes in between them: the toric blow-up of the
-    fixed point where their curves meet, in O(k).  No rows when last, since nothing grows from them.
+def _blow_up(data: tuple, parent: tuple, i: int) -> tuple:
+    """_seed's data after the mediant of parent's labels i + 1 and i + 2 goes in between them: the toric blow-up of
+    the fixed point where their curves meet, in O(k).
 
-    The new curve has self-intersection -1, and its neighbours lose 1.  det is linear: row a gains x + y between
-    x, y = row[i], row[i + 1], and the new row is the sum of its neighbours' rows.  m is half the variation of a
-    row over the rays 0 .. k, so m_a grows by (|x| + |y| - |x - y|) / 2, and the new m is the sum of its
-    neighbours' m but on the base chain, where it is 1.  Their rows step from ray r to r + 1 by det(u, v_(i+1))
-    and det(u, v_(i+2)), u the difference of the two rays, and these have opposite signs only for u strictly
-    inside +-cone(v_(i+1), v_(i+2)).  But u is +-v_s for r < k - 1 (of two neighbours, one is the mediant of the
-    other and a third), and (-1, -1), inside only on the base chain, for r = k - 1.  Any other label r has
-    det(v_r, v_(i+1)), det(v_r, v_(i+2)) nonzero and of one sign: the new degree-1 pairs are (i + 1, i + 2), (i + 2, i + 3).
+    The new curve has self-intersection -1, and its neighbours lose 1.  m_a is half the variation of label a's row
+    det(v_r, v_a) over the rays r = 0 .. k, and det is linear: the row gains x + y between x, y = det(v_(i+1), v_a),
+    det(v_(i+2), v_a), so m_a grows by (|x| + |y| - |x - y|) / 2, and the new m is the sum of its neighbours' m but
+    on the base chain, where it is 1.  Their rows step from ray r to r + 1 by det(u, v_(i+1)) and det(u, v_(i+2)),
+    u the difference of the two rays, and these have opposite signs only for u strictly inside +-cone(v_(i+1),
+    v_(i+2)).  But u is +-v_s for r < k - 1 (of two neighbours, one is the mediant of the other and a third), and
+    (-1, -1), inside only on the base chain, for r = k - 1.  Any other label r has det(v_r, v_(i+1)),
+    det(v_r, v_(i+2)) nonzero and of one sign: the new degree-1 pairs are (i + 1, i + 2), (i + 2, i + 3).
     """
-    rows, s, m, pairs = parent
-    # column i is -rows[i], the pairing being antisymmetric, and the signs of x, y do not move the variation
-    m = [ma + (abs(a) + abs(b) - abs(a - b)) // 2 for ma, a, b in zip(m, rows[i], rows[i + 1])]
+    s, m, pairs = data
+    (a, b), (c, d) = parent[i], parent[i + 1]
+    m = [ma + (abs(x := a * q - b * p) + abs(y := c * q - d * p) - abs(x - y)) // 2 for ma, (p, q) in zip(m, parent)]
     m.insert(i + 1, m[i] + m[i + 1] if len(m) > 2 else 1)
     s = s[:i] + (s[i] - 1, -1, s[i + 1] - 1) + s[i + 2 :]
     j = i + 2  # the new label
     pairs = [[p + (p >= j), q + (q >= j)] for p, q in pairs]
     pairs.insert(bisect_left(pairs, [j - 1]), [j - 1, j])
     pairs.insert(bisect_left(pairs, [j + 1]), [j, j + 1])
-    if not last:
-        rows = [r[: i + 1] + (r[i] + r[i + 1],) + r[i + 1 :] for r in rows]
-        rows.insert(i + 1, tuple([a + b for a, b in zip(rows[i], rows[i + 1])]))
-    return rows, s, m, pairs
+    return s, m, pairs
 
 
 def run_enumerate(n: int, count_only: bool = False, cap: int = DEFAULT_CAP) -> dict:
@@ -178,7 +174,7 @@ def run_enumerate(n: int, count_only: bool = False, cap: int = DEFAULT_CAP) -> d
     if count_only:
         return {"n": n, "count": len(enumerate_sequences(n))}
     chains = _mediant_closure(n, _seed, _blow_up)
-    summaries = [{"vectors": [list(v) for v in ch], "selfInt": list(s) * 2, "m": m, "bimeromorphicPairs": pairs} for ch, (_, s, m, pairs) in chains]
+    summaries = [{"vectors": [list(v) for v in ch], "selfInt": list(s) * 2, "m": m, "bimeromorphicPairs": pairs} for ch, (s, m, pairs) in chains]
     return {"n": n, "count": len(chains), "sequences": summaries}
 
 

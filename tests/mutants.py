@@ -257,15 +257,15 @@ MUTANTS = [
     Mutant(
         "inconsistent-m-from-l-plus",
         "divisors.py",
-        "sum([b - a for a, b in zip(row, row[1:]) if b > a])",
-        "sum([a - b for a, b in zip(row, row[1:]) if a > b])",
+        "sum([b - a for a, b in zip(row, row[1 : k + 1]) if b > a])",
+        "sum([a - b for a, b in zip(row, row[1 : k + 1]) if a > b])",
         ("tests/test_divisors.py::test_solve_from_arbitrary_fibers_is_checked",),
     ),
     Mutant(
         "listing-m-without-ray-k",
-        "report.py",
-        "[_multiplicity(row + (-row[0],)) for row in rows]",
-        "[_multiplicity(row) for row in rows]",
+        "divisors.py",
+        "_from_row((row := surface.row(alpha)) + (-row[0],), alpha)",
+        "_from_row(surface.row(alpha), alpha)",
         ("tests/test_report.py::test_run_enumerate_listing", "tests/test_divisors.py::test_each_blow_up_step_matches_the_surface_of_deep_chains", "tests/test_golden.py::test_json_outputs_match_golden_digests"),
     ),
     Mutant(
@@ -282,11 +282,13 @@ MUTANTS = [
         "2 * m[i] if len(m) > 2 else 1",
         ("tests/test_divisors.py::test_the_listing_reads_m_off_each_row", "tests/test_divisors.py::test_each_blow_up_step_matches_the_surface_of_deep_chains"),
     ),
+    # |x - y| -> ||x| - |y|| is equivalent: x and y never have opposite signs on a normalized chain, whose
+    # vectors turn clockwise through one quadrant, so that plant is left out
     Mutant(
         "blow-up-raises-m-on-opposite-signs-only",
         "report.py",
-        "abs(a) + abs(b) - abs(a - b)",
-        "abs(a) + abs(b) - abs(a + b)",
+        "abs(y := c * q - d * p) - abs(x - y)",
+        "abs(y := c * q - d * p) - abs(x + y)",
         ("tests/test_divisors.py::test_the_listing_reads_m_off_each_row", "tests/test_divisors.py::test_each_blow_up_step_matches_the_surface_of_deep_chains"),
     ),
     Mutant(

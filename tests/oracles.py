@@ -3,7 +3,8 @@
 Everything here recomputes expected values by a different route than the
 package: enumeration by bounded brute-force search instead of mediant
 closure, half-cycle decomposition by exhaustive search over bounded
-complementary multiplicity vectors instead of the difference solve, the
+complementary multiplicity vectors, met in the middle over two halves of the
+labels in pure Python, instead of the difference solve, the
 weighted half-cycle sum position by position over explicit half-cycles
 instead of the running sum, exact vanishing orders by repeated synthetic
 division of Fractions instead of Newton's identities and a rebuild of the
@@ -16,9 +17,8 @@ set of integer roots instead of a scan of the ordered tail.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import gcd
-
-import numpy as np
 
 from twistoric.errors import RootCollision, RootOrderViolation
 from twistoric.ratpoly import Poly, evaluate, normalized
@@ -106,49 +106,51 @@ def half_cycle_sum(l_plus: tuple[int, ...], l_minus: tuple[int, ...]) -> list[in
     return built
 
 
-def half_cycle_indicators(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indicator matrices (k x 2k) of the plus and minus half-cycles."""
-    plus = np.zeros((k, 2 * k), dtype=np.int64)
-    minus = np.zeros((k, 2 * k), dtype=np.int64)
-    for b in range(k):
-        p, q = half_cycles(k, b + 1)
-        plus[b, list(p)] = 1
-        minus[b, list(q)] = 1
-    return plus, minus
-
-
 def exhaustive_divisor_solutions(
     f: tuple[int, ...], fbar: tuple[int, ...], entry_cap: int = 8
 ) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
     """All (m, l_plus, l_minus) with complementary entries <= entry_cap that
     satisfy the component equations, found by exhaustive search.
 
-    The half-cycle sums of all combinations of the other labels are one
-    broadcast sum, taken once per option of the first label, so the
-    solutions come in itertools.product order.
+    Meet in the middle: the labels split into two halves, and each half lists
+    the half-cycle sums of all its option combinations.  A left and a right
+    combination solve the system when left + right - (fbar - f) is one
+    constant m >= 1, so the right side is keyed by its component differences
+    and joined to the left's.  The left side outer and the right side inner,
+    each in itertools.product order, give the solutions in that order.
     """
     k = len(f) // 2
-    plus_ind, minus_ind = half_cycle_indicators(k)
-    g = np.array([fbar[r] - f[r] for r in range(2 * k)], dtype=np.int64)
+    g = [y - x for x, y in zip(f, fbar)]
     # complementary options per label: (0,0), (p,0), (0,q)
     options = [(0, 0)] + [(p, 0) for p in range(1, entry_cap + 1)] + [
         (0, q) for q in range(1, entry_cap + 1)
     ]
-    opts = np.array(options, dtype=np.int64)
-    # parts[b, o] is the half-cycle sum of option o at label b + 1
-    parts = opts[None, :, 0, None] * plus_ind[:, None, :] + opts[None, :, 1, None] * minus_ind[:, None, :]
-    rest = np.zeros((len(options),) * (k - 1) + (2 * k,), dtype=np.int64)
-    for b in range(1, k):
-        rest = rest + parts[b].reshape((1,) * (b - 1) + (len(options),) + (1,) * (k - 1 - b) + (2 * k,))
+    cycles = [half_cycles(k, b + 1) for b in range(k)]
+
+    def side(labels: range):
+        """Each option combination on labels, in itertools.product order, with its half-cycle sum."""
+        for combo in product(options, repeat=len(labels)):
+            total = [0] * (2 * k)
+            for b, (p, q) in zip(labels, combo):
+                plus, minus = cycles[b]
+                for r in plus:
+                    total[r] += p
+                for r in minus:
+                    total[r] += q
+            yield combo, total
+
+    # a right sum s joins a left sum t when t - g + s is constant: keyed by s[0] - s[r]
+    right: dict[tuple[int, ...], list] = {}
+    for combo, total in side(range(k // 2, k)):
+        right.setdefault(tuple([total[0] - s for s in total]), []).append((combo, total[0]))
     solutions = []
-    for first, part in zip(options, parts[0]):
-        diff = rest + (part - g)
-        hits = np.argwhere(np.all(diff == diff[..., :1], axis=-1) & (diff[..., 0] >= 1))
-        for idx in hits:
-            combo = [first] + [options[i] for i in idx]
-            lp = tuple(p for p, _ in combo)
-            lm = tuple(q for _, q in combo)
-            solutions.append((int(diff[tuple(idx)][0]), lp, lm))
+    for combo, total in side(range(k // 2)):
+        rest = [t - d for t, d in zip(total, g)]
+        for tail, first in right.get(tuple([t - rest[0] for t in rest]), ()):
+            m = rest[0] + first
+            if m >= 1:
+                both = combo + tail
+                solutions.append((m, tuple([p for p, _ in both]), tuple([q for _, q in both])))
     return solutions
 
 
