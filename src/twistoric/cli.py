@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 from collections.abc import Sequence
+from contextlib import nullcontext
 from fractions import Fraction
 
 from .errors import (
@@ -80,11 +81,8 @@ def _load_vectors(path: str) -> list[list[int]]:
 
 def _emit(payload: dict | list, output: str | None) -> None:
     text = json.dumps(payload, indent=2) + "\n"
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with open(output, "w", encoding="utf-8") if output else nullcontext(sys.stdout) as fh:
+        fh.write(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,33 +91,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Toric surfaces and projective twistor-space models from torus-action data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the shared flags, each declared once: every command writes, all but enumerate read, three take a pencil
+    writes = argparse.ArgumentParser(add_help=False)
+    writes.add_argument("--output", help="write the result here instead of stdout")
+    reads = argparse.ArgumentParser(add_help=False, parents=[writes])
+    reads.add_argument("--input", required=True, help="path to the input JSON file")
+    pencil = argparse.ArgumentParser(add_help=False, parents=[reads])
+    pencil.add_argument("--roots", help="comma-separated pencil roots for labels 3..k")
+    pencil.add_argument("--constants", help="comma-separated scale constants")
 
-    p_validate = sub.add_parser("validate", help="validate an input sequence")
-    p_validate.add_argument("--input", required=True, help="path to the input JSON file")
-    p_validate.add_argument("--output", help="write the verdict here instead of stdout")
-
-    p_enum = sub.add_parser("enumerate", help="enumerate all sequences for n")
+    sub.add_parser("validate", parents=[reads], help="validate an input sequence")
+    p_enum = sub.add_parser("enumerate", parents=[writes], help="enumerate all sequences for n")
     p_enum.add_argument("--n", type=int, required=True, help="number of projective-plane summands")
     p_enum.add_argument("--count-only", action="store_true", help="emit only the count")
     p_enum.add_argument("--cap", type=int, default=DEFAULT_CAP, help="largest allowed n")
-    p_enum.add_argument("--output", help="write the listing here instead of stdout")
-
-    p_analyze = sub.add_parser("analyze", help="full report for one sequence")
-    p_analyze.add_argument("--input", required=True, help="path to the input JSON file")
-    p_analyze.add_argument("--roots", help="comma-separated pencil roots for labels 3..k")
-    p_analyze.add_argument("--constants", help="comma-separated scale constants c1,c2")
-    p_analyze.add_argument("--output", help="write the report here instead of stdout")
-
+    sub.add_parser("analyze", parents=[pencil], help="full report for one sequence")
     for name in ("model", "classify"):
-        p = sub.add_parser(name, help=f"emit the {name} output for one index pair")
-        p.add_argument("--input", required=True, help="path to the input JSON file")
+        p = sub.add_parser(name, parents=[pencil], help=f"emit the {name} output for one index pair")
         p.add_argument("--i", type=int, required=True, help="first pencil index (1-based)")
         p.add_argument("--j", type=int, required=True, help="second pencil index (1-based)")
-        p.add_argument("--roots", help="comma-separated pencil roots for labels 3..k")
-        p.add_argument("--constants", help="comma-separated scale constants")
         if name == "model":
             p.add_argument("--full", action="store_true", help="emit the full model chain")
-        p.add_argument("--output", help="write the result here instead of stdout")
     return parser
 
 

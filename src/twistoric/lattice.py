@@ -208,6 +208,14 @@ def reversal_dual(seq: ActionSequence) -> ActionSequence:
     return validate([(b, a) for (a, b) in reversed(seq.vectors)])
 
 
+def _check_n(n: object) -> None:
+    """Refuse an n that is not an int >= 0, naming it, before the closure's range() or run_enumerate's count sees it."""
+    if type(n) is not int:  # range() would take a bool as 0 or 1 and refuse a float with a TypeError
+        raise ValueError(f"'n' must be an int, got {n!r}")
+    if n < 0:
+        raise ValueError("n must be >= 0")
+
+
 def _mediant_closure(n: int, seed, step) -> list:
     """(chain, data) for every normalized chain of n, in lexicographic order; valid as built and so not checked again.
 
@@ -218,10 +226,7 @@ def _mediant_closure(n: int, seed, step) -> list:
     seed(chain), and a chain's data is step(data, parent, i) of the first parent to reach it, the
     mediant going in after position i.
     """
-    if type(n) is not int:  # range() would take a bool as 0 or 1 and refuse a float with a TypeError
-        raise ValueError(f"'n' must be an int, got {n!r}")
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_n(n)
     base = ((0, 1), (1, 0))
     chains = {base: seed(base)}
     for _ in range(n):

@@ -20,11 +20,12 @@ from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
+from math import comb
 
 from .divisors import solve_divisor_data
 from .errors import CapExceeded
 from .fibers import bimeromorphic_pairs, degree_matrix, invariant_fibers, model_degree
-from .lattice import ActionSequence, _fraction, _mediant_closure, _read, enumerate_sequences, validate
+from .lattice import ActionSequence, _check_n, _fraction, _mediant_closure, _read, validate
 from .models import (
     ConformalRoots,
     _check_constants,
@@ -168,11 +169,14 @@ def _blow_up(data: tuple, parent: tuple, i: int) -> tuple:
 
 
 def run_enumerate(n: int, count_only: bool = False, cap: int = DEFAULT_CAP) -> dict:
-    """Enumerate all sequences for n and summarize each one, grown from its parent's summary by _blow_up."""
-    if type(n) is int and n > cap:  # the closure refuses any other n, naming it
+    """Enumerate all sequences for n and summarize each one, grown from its parent's summary by _blow_up.
+
+    With count_only, only the count: the Catalan number C(2n, n) / (n + 1), in constant time for any cap."""
+    _check_n(n)
+    if n > cap:
         raise CapExceeded(f"n = {n} exceeds the enumeration cap {cap}")
     if count_only:
-        return {"n": n, "count": len(enumerate_sequences(n))}
+        return {"n": n, "count": comb(2 * n, n) // (n + 1)}
     chains = _mediant_closure(n, _seed, _blow_up)
     summaries = [{"vectors": [list(v) for v in ch], "selfInt": list(s) * 2, "m": m, "bimeromorphicPairs": pairs} for ch, (s, m, pairs) in chains]
     return {"n": n, "count": len(chains), "sequences": summaries}

@@ -303,7 +303,21 @@ MUTANTS = [
         "report.py",
         "    pairs.insert(bisect_left(pairs, [j + 1]), [j, j + 1])\n",
         "",
-        ("tests/test_report.py::test_run_enumerate_listing", "tests/test_divisors.py::test_each_blow_up_step_matches_the_surface_of_deep_chains"),
+        ("tests/test_report.py::test_run_enumerate_listing", "tests/test_divisors.py::test_each_blow_up_step_matches_the_surface_of_deep_chains", "tests/test_fibers.py::test_the_listing_pairs_triangulate_each_polygon"),
+    ),
+    Mutant(
+        "count-only-catalan-off-by-one",
+        "report.py",
+        "// (n + 1)",
+        "// (n + 2)",
+        ("tests/test_report.py::test_count_only_is_the_catalan_number_without_building_the_listing", "tests/test_cli.py::test_enumerate_count_only"),
+    ),
+    Mutant(
+        "enumerate-loses-output",
+        "cli.py",
+        'sub.add_parser("enumerate", parents=[writes], ',
+        'sub.add_parser("enumerate", ',
+        ("tests/test_cli.py::test_each_command_takes_the_options_of_its_table", "tests/test_cli.py::test_enumerate_count_only"),
     ),
     Mutant(
         "from-factors-floors-fractions",

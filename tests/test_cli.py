@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
@@ -16,7 +17,7 @@ import pytest
 
 import twistoric
 from twistoric import enumerate_sequences, models, run_model
-from twistoric.cli import InputDataError, main
+from twistoric.cli import InputDataError, build_parser, main
 
 from oracles import grow_by_mediants
 
@@ -349,6 +350,35 @@ def test_other_errors_are_not_caught(monkeypatch):
     monkeypatch.setattr(twistoric.cli, "_dispatch", fail)
     with pytest.raises(TypeError):
         main(["enumerate", "--n", "1"])
+
+
+HELP = {("-h", "--help"): (False, None, argparse.SUPPRESS)}
+OUTPUT = {("--output",): (False, None, None)}
+INPUT = {("--input",): (True, None, None)}
+PENCIL = {("--roots",): (False, None, None), ("--constants",): (False, None, None)}
+PAIR = {("--i",): (True, int, None), ("--j",): (True, int, None)}
+# each command's options as (required, type, default), keyed by their option strings
+PARSER_TABLE = {
+    "validate": {**HELP, **OUTPUT, **INPUT},
+    "enumerate": {**HELP, **OUTPUT, ("--n",): (True, int, None), ("--count-only",): (False, None, False), ("--cap",): (False, int, 8)},
+    "analyze": {**HELP, **OUTPUT, **INPUT, **PENCIL},
+    "model": {**HELP, **OUTPUT, **INPUT, **PENCIL, **PAIR, ("--full",): (False, None, False)},
+    "classify": {**HELP, **OUTPUT, **INPUT, **PENCIL, **PAIR},
+}
+
+
+def test_each_command_takes_the_options_of_its_table():
+    (commands,) = [action.choices for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction)]
+    got = {name: {tuple(a.option_strings): (a.required, a.type, a.default) for a in p._actions} for name, p in commands.items()}
+    assert got == PARSER_TABLE
+
+
+@pytest.mark.parametrize("command", list(PARSER_TABLE))
+def test_help_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--help"])
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: twistoric {command}")
 
 
 def test_missing_subcommand_exits_via_argparse(capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twistoric import (
     BadIndices,
@@ -15,11 +16,14 @@ from twistoric import (
     invariant_fibers,
     model_degree,
     run_classify,
+    run_enumerate,
     run_model,
     solve_divisor_data,
     validate,
 )
 from twistoric.lattice import det2
+
+from oracles import grow_by_mediants
 
 
 def surf(vectors):
@@ -124,6 +128,29 @@ def test_bimeromorphic_pairs_n2():
     assert (1, 3) not in pairs
     for i in range(1, 4):
         assert (i, i + 1) in pairs
+
+
+def assert_triangulation(pairs, k):
+    """The pairs are the sides and non-crossing diagonals of a triangulated k-gon, labels in cyclic order."""
+    pairs = [tuple(p) for p in pairs]
+    assert len(pairs) == len(set(pairs)) == 2 * k - 3
+    assert {(i, i + 1) for i in range(1, k)} | {(1, k)} <= set(pairs)
+    for a, b in pairs:
+        assert 1 <= a < b <= k
+        assert not [(c, d) for c, d in pairs if a < c < b < d]
+
+
+def test_the_listing_pairs_triangulate_each_polygon():
+    for n in range(9):
+        for entry in run_enumerate(n)["sequences"]:
+            assert_triangulation(entry["bimeromorphicPairs"], n + 2)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(st.integers(0, 10**6), max_size=38))
+def test_bimeromorphic_pairs_triangulate_deep_chains(picks):
+    s = surf(grow_by_mediants(picks))
+    assert_triangulation(bimeromorphic_pairs(degree_matrix(s)), s.k)
 
 
 def test_bad_indices_rejected():

@@ -422,6 +422,14 @@ def test_run_enumerate_cap():
     assert run_enumerate(3, count_only=True, cap=3) == {"n": 3, "count": 5}
 
 
+def test_count_only_is_the_catalan_number_without_building_the_listing():
+    for n in range(9):
+        assert run_enumerate(n, count_only=True) == {"n": n, "count": len(run_enumerate(n)["sequences"])}
+    start = time.perf_counter()
+    assert run_enumerate(30, count_only=True, cap=30) == {"n": 30, "count": 3814986502092304}
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize("n, message", [(True, "'n' must be an int, got True"), (2.0, "'n' must be an int, got 2.0"), (9.0, "'n' must be an int, got 9.0"), ("3", "'n' must be an int, got '3'"), (-1, "n must be >= 0")])
 def test_run_enumerate_refuses_a_bad_n(n, message):
     # range() would count a bool as n = 1 and refuse a float with a bare TypeError; the cap check would compare a str
