@@ -30,6 +30,7 @@ from collections import namedtuple
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 from math import log2
+from operator import le, sub
 
 from .divisors import TwistorDivisorData
 from .errors import CapExceeded, DegenerateConstants, RootCollision, RootOrderViolation
@@ -187,8 +188,9 @@ def _models(data: Sequence[TwistorDivisorData], roots: ConformalRoots, constants
     """The model of each adjacent pair in data: P_1, P_2 and two constants, or all mu + 2 for a full model's one pair.
 
     The constants (None for ones) are checked once, and each label's monic product of (lambda - r_b)^{l_b}, over its
-    l_total, is expanded once; each model rescales it to lead c_1 or c_2.  Before any expansion, a polynomial that
-    model_size puts over the bit budget is CapExceeded.
+    l_total, is expanded once, in order of degree over the tail: from the larger of its neighbours' products in data
+    that divide it, if any, times the factors left over.  Each model rescales it to lead c_1 or c_2.  Before any
+    expansion, a polynomial that model_size puts over the bit budget is CapExceeded.
     """
     pairs = [_ordered(d_i, d_j) for d_i, d_j in zip(data, data[1:])]
     if roots.k != data[0].k:
@@ -199,8 +201,18 @@ def _models(data: Sequence[TwistorDivisorData], roots: ConformalRoots, constants
     widest, totals = max(cs, key=_bits), [d.l_total for d in data]
     for l_total in totals:
         _budgeted(l_total, roots, widest, CapExceeded, "a model polynomial")
-    # label 2's root is zero, so its factor lambda^{l_2} only shifts the product over the tail
-    products = {d.alpha: (0,) * l[1] + from_factors(zip(roots.tail, l[2:])) for d, l in zip(data, totals)}
+    # label 2's root is zero, so its factor lambda^{l_2} only shifts the product over the tail.  The tails are expanded
+    # by degree, each from its larger expanded neighbour whose orders it has at least, times the factors left over
+    tails = [l[2:] for l in totals]
+    degrees = list(map(sum, tails))
+    grown = {}
+    for t in sorted(range(len(data)), key=degrees.__getitem__):
+        start, rest = (1,), tails[t]
+        for u in (t - 1, t + 1):
+            if u in grown and len(grown[u]) > len(start) and all(map(le, tails[u], tails[t])):
+                start, rest = grown[u], map(sub, tails[t], tails[u])
+        grown[t] = from_factors(zip(roots.tail, rest), start)
+    products = {d.alpha: (0,) * l[1] + grown[t] for t, (d, l) in enumerate(zip(data, totals))}
     return [ModelEquations(i=di.alpha, j=dj.alpha, m_i=di.m, m_j=dj.m, constants=cs, p1=_rescaled(products[di.alpha], cs[0]), p2=_rescaled(products[dj.alpha], cs[1])) for di, dj in pairs]
 
 
@@ -214,10 +226,14 @@ def model_size(l_total: Sequence[int], roots: ConformalRoots, constant: Fraction
     return sum(l_total[1:]), _bits(constant) + sum([l * (abs(r.numerator) + r.denominator).bit_length() for l, r in zip(l_total[1:], roots.finite_roots)])
 
 
+def _bit_budget() -> int:
+    """sys.get_int_max_str_digits() in bits, the most any written number can have; 0 where Python has no limit."""
+    return int(getattr(sys, "get_int_max_str_digits", lambda: 0)() * log2(10))
+
+
 def _budgeted(l_total: Sequence[int], roots: ConformalRoots, constant: Fraction | int, error: type[Exception], what: str) -> None:
-    """The one bit-budget gate: error, naming what, when model_size puts the polynomial over sys.get_int_max_str_digits()
-    in bits, the most any written number can have; there is no budget where Python has no limit."""
-    budget = int(getattr(sys, "get_int_max_str_digits", lambda: 0)() * log2(10))
+    """The one bit-budget gate for polynomials: error, naming what, when model_size puts the polynomial over _bit_budget()."""
+    budget = _bit_budget()
     deg, bits = model_size(l_total, roots, constant)
     if budget and bits > budget:
         raise error(f"{what} of degree {deg} may need {bits} bits per coefficient, over the budget of {budget} bits that sys.get_int_max_str_digits() lets the writer print")

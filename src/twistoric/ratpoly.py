@@ -3,9 +3,10 @@
 Polynomials are tuples in ascending degree order with no trailing zeros, the zero polynomial the
 empty tuple, of ints or Fractions; equal values compare and hash alike.  Only what the model emitter
 and the model-record reader need lives here.  from_factors, the one expander, runs on ints: it
-multiplies one list in place by each linear factor (q lambda - a), with the denominators cleared, and
-returns ints when every coefficient is integral, Fractions otherwise.  The writer expands each label's
-product with it, and the model-record reader rebuilds P with it and compares.  normalized, and so the
+multiplies one list in place by two linear factors (q lambda - a) per pass, with the denominators
+cleared, and returns ints when every coefficient is integral, Fractions otherwise.  It can start from a
+product it returned, so the writer grows each label's product from a neighbour's that divides it, and
+the model-record reader rebuilds P with it and compares.  normalized, and so the
 reader, makes Fractions; evaluate is exact, and stays on ints for int input.  The tests check from_factors
 against sympy and keep the expander it replaced, and synthetic division, as oracles.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from fractions import Fraction
+from math import lcm
 
 from .lattice import _fraction, _read
 
@@ -43,23 +45,40 @@ def degree(p: Poly) -> int:
     return len(p) - 1
 
 
-def from_factors(factors: Iterable[tuple[Fraction, int]]) -> Poly:
-    """The monic product of (x - root)^mult over the given factors.
+def from_factors(factors: Iterable[tuple[Fraction | int, int]], start: Poly = (1,)) -> Poly:
+    """start times the product of (x - root)^mult over the given factors; start, one unless given, is a product it returned.
 
-    Expands on ints, in place: root a/q multiplies the list by (q x - a), from the bottom up, and the common denominator
-    by q.  The coefficients stay ints when all are integral and become Fractions otherwise; equal values compare and hash alike.
+    Expands on ints, in place: from start's coefficients, Fractions taken over their common denominator, two linear
+    factors per pass, (q1 x - a1)(q2 x - a2) for roots a1/q1 and a2/q2, from the bottom up, and one more pass when their
+    count is odd; the denominator gains each q.  The coefficients stay ints when all are integral and become Fractions
+    otherwise; equal values compare and hash alike.
     """
-    p, den = [1], 1
+    # a product from_factors returned holds ints throughout, or Fractions throughout
+    den = lcm(*[c.denominator for c in start]) if isinstance(start[0], Fraction) else 1
+    p = list(start) if den == 1 else [c.numerator * (den // c.denominator) for c in start]
+    line = []
     for root, mult in factors:
-        a, q = root.numerator, root.denominator
-        for _ in range(mult):
-            # times (q x - a): p[t] becomes q * p[t-1] - a * p[t], carrying the old p[t-1]; q = 1 copies no big int
-            prev = 0
-            for t, c in enumerate(p):
-                p[t] = (prev if q == 1 else q * prev) - a * c
-                prev = c
-            p.append(q * prev)
-        den *= q**mult
+        line += (root,) * mult
+        den *= root.denominator**mult
+    pairs = iter(line)
+    for r1, r2 in zip(pairs, pairs):
+        # times (qq x^2 + b x + c): p[t] becomes qq * p[t-2] + b * p[t-1] + c * p[t], carrying the old p[t-2] and
+        # p[t-1]; qq = 1 copies no big int
+        a1, q1, a2, q2 = r1.numerator, r1.denominator, r2.numerator, r2.denominator
+        qq, b, c = q1 * q2, -(q1 * a2 + q2 * a1), a1 * a2
+        before = prev = 0
+        for t, x in enumerate(p):
+            p[t] = (before if qq == 1 else qq * before) + b * prev + c * x
+            before, prev = prev, x
+        p += ((before if qq == 1 else qq * before) + b * prev, prev if qq == 1 else qq * prev)
+    if len(line) % 2:
+        # times (q x - a), carrying the old p[t-1]
+        a, q = line[-1].numerator, line[-1].denominator
+        prev = 0
+        for t, x in enumerate(p):
+            p[t] = (prev if q == 1 else q * prev) - a * x
+            prev = x
+        p.append(q * prev)
     return tuple(p if den == 1 else [Fraction(c, den) for c in p])
 
 

@@ -28,6 +28,7 @@ from .fibers import bimeromorphic_pairs, degree_matrix, invariant_fibers, model_
 from .lattice import ActionSequence, _check_n, _fraction, _mediant_closure, _read, validate
 from .models import (
     ConformalRoots,
+    _bit_budget,
     _check_constants,
     _models,
     _ordered,
@@ -171,11 +172,14 @@ def _blow_up(data: tuple, parent: tuple, i: int) -> tuple:
 def run_enumerate(n: int, count_only: bool = False, cap: int = DEFAULT_CAP) -> dict:
     """Enumerate all sequences for n and summarize each one, grown from its parent's summary by _blow_up.
 
-    With count_only, only the count: the Catalan number C(2n, n) / (n + 1), in constant time for any cap."""
+    With count_only, only the count: the Catalan number C(2n, n) / (n + 1), in constant time for any cap.  It is below
+    4^n, so a count of 2n bits past the writer's bit budget is CapExceeded before it is computed."""
     _check_n(n)
     if n > cap:
         raise CapExceeded(f"n = {n} exceeds the enumeration cap {cap}")
     if count_only:
+        if (budget := _bit_budget()) and 2 * n > budget:
+            raise CapExceeded(f"--n {n}: the count may need {2 * n} bits, over the budget of {budget} bits that sys.get_int_max_str_digits() lets the writer print, whatever --cap allows")
         return {"n": n, "count": comb(2 * n, n) // (n + 1)}
     chains = _mediant_closure(n, _seed, _blow_up)
     summaries = [{"vectors": [list(v) for v in ch], "selfInt": list(s) * 2, "m": m, "bimeromorphicPairs": pairs} for ch, (s, m, pairs) in chains]

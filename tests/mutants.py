@@ -171,17 +171,31 @@ MUTANTS = [
     Mutant(
         "models-expand-each-label-per-model",
         "models.py",
-        "    products = {d.alpha: (0,) * l[1] + from_factors(zip(roots.tail, l[2:])) for d, l in zip(data, totals)}\n",
+        "    products = {d.alpha: (0,) * l[1] + grown[t] for t, (d, l) in enumerate(zip(data, totals))}\n",
         "    totals = {d.alpha: l for d, l in zip(data, totals)}\n"
         "    expand = lambda _, a: (0,) * totals[a][1] + from_factors(zip(roots.tail, totals[a][2:]))\n"
         "    products = type('ExpandedPerLookup', (), {'__getitem__': expand})()\n",
         ("tests/test_models.py::test_each_pencil_product_is_expanded_once",),
     ),
     Mutant(
+        "models-grow-from-a-neighbour-that-does-not-divide",
+        "models.py",
+        " and all(map(le, tails[u], tails[t]))",
+        "",
+        ("tests/test_models.py::test_each_label_product_grown_from_a_neighbour_is_its_product_from_scratch",),
+    ),
+    Mutant(
+        "from-factors-drops-the-start-denominator",
+        "ratpoly.py",
+        "    p = list(start) if den == 1 else [c.numerator * (den // c.denominator) for c in start]\n",
+        "    p, den = list(start) if den == 1 else [c.numerator * (den // c.denominator) for c in start], 1\n",
+        ("tests/test_ratpoly.py::test_an_extended_product_is_the_product_from_scratch",),
+    ),
+    Mutant(
         "models-shift-by-fraction-zeros",
         "models.py",
-        "(0,) * l[1] + from_factors(",
-        "(Fraction(0),) * l[1] + from_factors(",
+        "(0,) * l[1] + grown[t]",
+        "(Fraction(0),) * l[1] + grown[t]",
         ("tests/test_models.py::test_default_models_hold_ints",),
     ),
     Mutant(
@@ -313,11 +327,32 @@ MUTANTS = [
         ("tests/test_report.py::test_count_only_is_the_catalan_number_without_building_the_listing", "tests/test_cli.py::test_enumerate_count_only"),
     ),
     Mutant(
+        "count-only-past-the-bit-budget",
+        "report.py",
+        "        if (budget := _bit_budget()) and 2 * n > budget:\n",
+        "        if False:\n",
+        ("tests/test_cli.py::test_a_count_past_the_bit_budget_is_refused_before_it_is_computed",),
+    ),
+    Mutant(
+        "count-only-option-renamed",
+        "cli.py",
+        '"--count-only"',
+        '"--count"',
+        ("tests/test_readme.py::test_each_readme_command_exits_0[twistoric enumerate --n 4 --count-only]",),
+    ),
+    Mutant(
         "enumerate-loses-output",
         "cli.py",
         'sub.add_parser("enumerate", parents=[writes], ',
         'sub.add_parser("enumerate", ',
         ("tests/test_cli.py::test_each_command_takes_the_options_of_its_table", "tests/test_cli.py::test_enumerate_count_only"),
+    ),
+    Mutant(
+        "from-factors-skips-the-odd-factor",
+        "ratpoly.py",
+        "    if len(line) % 2:\n",
+        "    if False:\n",
+        ("tests/test_ratpoly.py::test_from_factors_matches_sympy_expansion", "tests/test_ratpoly.py::test_an_extended_product_is_the_product_from_scratch"),
     ),
     Mutant(
         "from-factors-floors-fractions",

@@ -133,6 +133,24 @@ def test_enumerate_count_only(capsys):
     assert json.loads(out) == {"n": 2, "count": 2}
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int-to-str digit limit, so no bit budget")
+def test_a_count_past_the_bit_budget_is_refused_before_it_is_computed(capsys, monkeypatch):
+    """The Catalan number is below 4^n, so a count of 2n bits past the writer's budget exits 2 at once, naming --n and
+    --cap, where the writer would fail on the digit limit after computing it; at the budget it is written."""
+    budget = int(sys.get_int_max_str_digits() * math.log2(10))
+    monkeypatch.setattr("twistoric.report.comb", lambda *args: pytest.fail("the count was computed"))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["enumerate", "--n", "8000", "--cap", "8000", "--count-only"])
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: --n 8000: the count may need 16000 bits, over the budget of {budget} bits") and "--cap" in err
+    monkeypatch.undo()
+    n = budget // 2
+    assert run(capsys, ["enumerate", "--n", str(n), "--cap", str(n), "--count-only"])[0] == 0
+    code, out, _ = run(capsys, ["enumerate", "--n", "20", "--cap", "20", "--count-only"])
+    assert code == 0 and json.loads(out) == {"n": 20, "count": 6564120420}
+
+
 def test_enumerate_cap_is_a_usage_error(capsys):
     code, _, err = run(capsys, ["enumerate", "--n", "9"])
     assert code == 2 and "error:" in err

@@ -37,7 +37,7 @@ from twistoric.models import FOUR_PLANES, GENERIC_FOUR_NODAL, TWO_QUADRIC_CONES,
 from twistoric.ratpoly import degree, evaluate
 from twistoric.report import AnalysisReport, analyze_sequence, default_roots, model_record, parse_model_record, run_classify, run_enumerate, run_model
 
-from oracles import check_root_tail, generic_sample, grow_by_mediants, root_multiplicity
+from oracles import check_root_tail, generic_sample, grow_by_mediants, root_multiplicity, shift_and_subtract_product
 
 
 def divisor_pair(vectors, i, j):
@@ -478,6 +478,22 @@ def test_deep_chain_models_follow_divisor_data(picks, rng):
         # infinity, then labels 2 .. k: the same order as l_total
         for c, li, lj in zip(classes[:-1], di.l_total, dj.l_total):
             assert (c.kind, c.non_reduced) == expected_class(li, lj)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(st.integers(0, 10**6), max_size=10), st.booleans(), st.randoms(use_true_random=False))
+@example([], False, random.Random(0))  # k = 2: both tails are empty
+@example([0, 1, 1, 2, 2, 3], True, random.Random(1))  # a zig-zag chain, whose neighbours' orders seldom nest
+def test_each_label_product_grown_from_a_neighbour_is_its_product_from_scratch(picks, default, rng):
+    """A report's models, whose label products grow from a neighbour's that divides them, against each label's product
+    expanded on its own by the oracle: the default roots, or a rational tail of either sign, on chains up to k = 12."""
+    seq = validate(grow_by_mediants(picks))
+    roots = default_roots(seq.k) if default else ConformalRoots(k=seq.k, tail=rational_tail(rng, seq.k))
+    report = analyze_sequence(seq, roots=roots)
+    for eqs, _ in report.models:
+        for label, p in ((eqs.i, eqs.p1), (eqs.j, eqs.p2)):
+            l = report.divisors[label - 1].l_total
+            assert p == (0,) * l[1] + shift_and_subtract_product(zip(roots.tail, l[2:]))
 
 
 @settings(deadline=None, max_examples=30)

@@ -75,6 +75,32 @@ def test_from_factors_matches_the_shift_and_subtract_oracle(factors):
     assert all(type(c) is (int if integral else Fraction) for c in p) and p[-1] == 1
 
 
+signed_roots = st.one_of(st.integers(-9, 9), st.fractions(min_value=-9, max_value=9, max_denominator=8))
+
+
+@given(st.lists(st.tuples(signed_roots, st.integers(0, 5), st.integers(0, 5)), max_size=4))
+@example([(Fraction(1, 2), 3, 0), (3, 0, 2)])  # a Fraction start extended by an int root
+@example([(2, 1, 1), (Fraction(-5, 3), 0, 3)])  # an int start extended by a Fraction root
+@example([(0, 2, 1), (-1, 0, 0)])
+def test_an_extended_product_is_the_product_from_scratch(factors):
+    """from_factors of the extra factors, from a product it returned, is the product of all the factors at once.
+
+    Roots of both signs and zero, ints and Fractions, in the start, the extension or both, with odd and even counts of
+    extra linear factors; the coefficients are ints exactly when the whole product's are, and sympy agrees.
+    """
+    start = from_factors([(root, base) for root, base, _ in factors])
+    extended = from_factors([(root, more) for root, _, more in factors], start)
+    whole = [(root, base + more) for root, base, more in factors]
+    assert extended == from_factors(whole) == shift_and_subtract_product(whole)
+    integral = all(Fraction(root).denominator == 1 for root, mult in whole if mult)
+    assert all(type(c) is (int if integral else Fraction) for c in extended)
+    x = sympy.Symbol("x")
+    expected = sympy.Integer(1)
+    for root, mult in whole:
+        expected *= (x - sympy.Rational(root.numerator, root.denominator)) ** mult
+    assert sympy.expand(_to_sympy(extended) - expected) == 0
+
+
 @given(small_fracs, st.lists(st.tuples(small_fracs, st.integers(0, 3)), min_size=1, max_size=3))
 def test_root_multiplicity_agrees_with_construction(probe, factors):
     p = scaled(Fraction(2, 3), factors)
