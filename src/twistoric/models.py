@@ -12,7 +12,10 @@ P_2 likewise with the l_jb.  The full chain adds one equation per step from m_j
 to m_i, member a being c_a lambda^{2(a-2)} P_2 / c_2.  A model stores P_1, P_2
 and its constants.  Every member past the first is P_2 rescaled to lead its
 constant, so the writer formats P_1 once and P_2 once per distinct constant,
-behind the zeros of its power of lambda.
+behind the zeros of its power of lambda.  The models keep the monic label
+products of their last call, keyed by the tail orders under that call's root
+tail, and the next call with equal roots takes each one it needs instead of
+expanding it again; each call replaces them, so they never outlast one call.
 
 Roots are labelled 2 .. k; label 1 sits at infinity, label 2 at zero.  P_1
 vanishes at label b to order l_ib, so classify_fibers reads a fiber's kind from
@@ -184,14 +187,22 @@ def _check_constants(constants: Sequence[Fraction | int] | None, count: int) -> 
     return out
 
 
+# (roots.tail, {tail orders l[2:]: monic product over the tail}) of the last call of _models that got through its expansions
+_previous: tuple[tuple[Fraction | int, ...], dict[tuple[int, ...], Poly]] = ((), {})
+
+
 def _models(data: Sequence[TwistorDivisorData], roots: ConformalRoots, constants: Sequence[Fraction | int] | None, full: bool) -> list[ModelEquations]:
     """The model of each adjacent pair in data: P_1, P_2 and two constants, or all mu + 2 for a full model's one pair.
 
     The constants (None for ones) are checked once, and each label's monic product of (lambda - r_b)^{l_b}, over its
     l_total, is expanded once, in order of degree over the tail: from the larger of its neighbours' products in data
-    that divide it, if any, times the factors left over.  Each model rescales it to lead c_1 or c_2.  Before any
-    expansion, a polynomial that model_size puts over the bit budget is CapExceeded.
+    that divide it, if any, times the factors left over.  A label whose tail orders l[2:] the previous call expanded,
+    under an equal roots.tail, takes that product instead, so a walk over a chain's adjacent pairs expands each label
+    once; the products are the same either way, so no output depends on what ran before.  The call then replaces
+    that table with its own products.  Each model rescales its products to lead c_1 or c_2.  Before any lookup or
+    expansion, a polynomial that model_size puts over the bit budget is CapExceeded, and the table is left as it was.
     """
+    global _previous
     pairs = [_ordered(d_i, d_j) for d_i, d_j in zip(data, data[1:])]
     if roots.k != data[0].k:
         raise ValueError(f"roots are for k = {roots.k}, divisor data for k = {data[0].k}")
@@ -205,14 +216,21 @@ def _models(data: Sequence[TwistorDivisorData], roots: ConformalRoots, constants
     # by degree, each from its larger expanded neighbour whose orders it has at least, times the factors left over
     tails = [l[2:] for l in totals]
     degrees = list(map(sum, tails))
-    grown = {}
+    # the previous call's products, read once, serve each label whose tail orders they hold under equal roots
+    previous_tail, previous = _previous
+    kept = previous if previous_tail == roots.tail else {}
+    grown = {t: kept[tail] for t, tail in enumerate(tails) if tail in kept}
     for t in sorted(range(len(data)), key=degrees.__getitem__):
+        if t in grown:
+            continue
         start, rest = (1,), tails[t]
         for u in (t - 1, t + 1):
             if u in grown and len(grown[u]) > len(start) and all(map(le, tails[u], tails[t])):
                 start, rest = grown[u], map(sub, tails[t], tails[u])
         grown[t] = from_factors(zip(roots.tail, rest), start)
     products = {d.alpha: (0,) * l[1] + grown[t] for t, (d, l) in enumerate(zip(data, totals))}
+    # replaced whole, never merged or changed in place: it holds this call's products only
+    _previous = roots.tail, {tails[t]: p for t, p in grown.items()}
     return [ModelEquations(i=di.alpha, j=dj.alpha, m_i=di.m, m_j=dj.m, constants=cs, p1=_rescaled(products[di.alpha], cs[0]), p2=_rescaled(products[dj.alpha], cs[1])) for di, dj in pairs]
 
 

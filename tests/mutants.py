@@ -182,7 +182,36 @@ MUTANTS = [
         "models.py",
         " and all(map(le, tails[u], tails[t]))",
         "",
-        ("tests/test_models.py::test_each_label_product_grown_from_a_neighbour_is_its_product_from_scratch",),
+        ("tests/test_models.py::test_each_label_product_grown_from_a_neighbour_is_its_product_from_scratch", "tests/test_bench_checker.py::test_deep_chains_pass_the_bench_checker"),
+    ),
+    Mutant(
+        "previous-products-ignore-the-roots",
+        "models.py",
+        "    kept = previous if previous_tail == roots.tail else {}\n",
+        "    kept = previous\n",
+        ("tests/test_models.py::test_the_kept_products_follow_the_roots",),
+    ),
+    Mutant(
+        "previous-products-skip-the-budget-gate",
+        "models.py",
+        "    for l_total in totals:\n",
+        "    for l_total in [l for l in totals if l[2:] not in (_previous[1] if _previous[0] == roots.tail else {})]:\n",
+        ("tests/test_models.py::test_the_bit_budget_is_checked_before_the_kept_products_are_read",),
+    ),
+    Mutant(
+        "previous-products-merged",
+        "models.py",
+        "    _previous = roots.tail, {tails[t]: p for t, p in grown.items()}\n",
+        "    _previous = roots.tail, {**kept, **{tails[t]: p for t, p in grown.items()}}\n",
+        ("tests/test_models.py::test_the_kept_products_are_replaced_not_merged",),
+    ),
+    # l[2:6] is l[2:] up to k = 6, so the golden digests (n <= 4) pass; the deep chains of the bench checker do not
+    Mutant(
+        "models-tails-cut-after-label-6",
+        "models.py",
+        "tails = [l[2:] for l in totals]",
+        "tails = [l[2:6] for l in totals]",
+        ("tests/test_bench_checker.py::test_deep_chains_pass_the_bench_checker", "tests/test_models.py::test_a_walk_over_adjacent_pairs_expands_each_label_once"),
     ),
     Mutant(
         "from-factors-drops-the-start-denominator",
@@ -259,7 +288,7 @@ MUTANTS = [
         "divisors.py",
         "alpha=alpha, m=m, l_plus=l_plus, l_minus=l_minus",
         "alpha=alpha, m=m, l_plus=l_minus, l_minus=l_plus",
-        ("tests/test_divisors.py::test_hexagon_divisor_data", "tests/test_divisors.py::test_reconstruction_identity_everywhere"),
+        ("tests/test_divisors.py::test_hexagon_divisor_data", "tests/test_divisors.py::test_reconstruction_identity_everywhere", "tests/test_bench_checker.py::test_deep_chains_pass_the_bench_checker"),
     ),
     Mutant(
         "steps-reversed",

@@ -5,8 +5,11 @@ from __future__ import annotations
 import ast
 import importlib
 import json
+import math
 import pkgutil
 import random
+import sys
+import threading
 import time
 from fractions import Fraction
 from itertools import accumulate
@@ -18,6 +21,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import twistoric
 from twistoric import (
+    CapExceeded,
     ConformalRoots,
     DegenerateConstants,
     RootCollision,
@@ -492,8 +496,7 @@ def test_each_label_product_grown_from_a_neighbour_is_its_product_from_scratch(p
     report = analyze_sequence(seq, roots=roots)
     for eqs, _ in report.models:
         for label, p in ((eqs.i, eqs.p1), (eqs.j, eqs.p2)):
-            l = report.divisors[label - 1].l_total
-            assert p == (0,) * l[1] + shift_and_subtract_product(zip(roots.tail, l[2:]))
+            assert p == label_product(report.divisors[label - 1].l_total, roots)
 
 
 @settings(deadline=None, max_examples=30)
@@ -582,24 +585,38 @@ def counted(name: str, monkeypatch: pytest.MonkeyPatch, source=ratpoly) -> list:
     return calls
 
 
+def another_call(k: int) -> None:
+    """A model of a chain of k + 1 vectors: the products the models keep are then under roots that no k-chain takes."""
+    run_model(grow_by_mediants([0] * (k - 1)), 1, 2)
+
+
+def label_product(l_total, roots: ConformalRoots):
+    """The oracle's monic product of one label, lambda^{l_2} prod (lambda - r_b)^{l_b} over the tail roots."""
+    return (0,) * l_total[1] + shift_and_subtract_product(zip(roots.tail, l_total[2:]))
+
+
 @pytest.mark.parametrize("picks", [[], [0], [0, 1, 1, 2], [3, 1, 4, 1, 5, 9, 2, 6], [0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6]])
 def test_each_pencil_product_is_expanded_once(picks, monkeypatch):
     """A k-chain's report expands k label products and a single model two: neither reads back a model, whose reader expands too.
 
-    classify expands nothing.  The report reads its divisor data off the pairing rows, and the listing grows
-    its m from the base chain's rows; neither goes through the checked solver for free fibers.
+    Each count starts after a call on a chain of another k, whatever ran before; a second report under the same roots
+    takes the k products the first one kept, and expands none.  classify expands nothing.  The report reads its divisor
+    data off the pairing rows, and the listing grows its m from the base chain's rows; neither goes through the checked
+    solver for free fibers.
     """
     seq = validate(grow_by_mediants(picks))
     expanded = counted("from_factors", monkeypatch)
     checked = counted("solve_from_fibers", monkeypatch, divisors)
-    for constants in (None, (Fraction(3, 2), -5)):
-        del expanded[:]
-        analyze_sequence(seq, constants=constants)
-        assert len(expanded) == seq.k
     for full in (False, True):
+        another_call(seq.k)
         del expanded[:]
         run_model(seq.vectors, 1, seq.k, full=full)
         assert len(expanded) == 2
+    another_call(seq.k)
+    for constants, count in ((None, seq.k), ((Fraction(3, 2), -5), 0)):
+        del expanded[:]
+        analyze_sequence(seq, constants=constants)
+        assert len(expanded) == count
     del expanded[:]
     for constants in (None, (Fraction(3, 2), -5)):
         run_classify(seq.vectors, 1, seq.k, constants=constants)
@@ -607,6 +624,112 @@ def test_each_pencil_product_is_expanded_once(picks, monkeypatch):
     split = counted("invariant_fibers", monkeypatch, fibers)
     run_enumerate(4)
     assert checked == [] and split == []
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.lists(st.integers(0, 10**6), max_size=12))
+@example([])  # k = 2: one pair
+@example([0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6])  # k = 14 with m up to 233
+def test_a_walk_over_adjacent_pairs_expands_each_label_once(picks):
+    """The full models of pairs (1, 2), (2, 3), ..., (k - 1, k) expand each label once, k products and not 2(k - 1).
+
+    Each call after the first takes its first label from the call before, and its second label too when that one's tail
+    orders equal one of its two predecessors'.  Every row of every record is its labels' product from the oracle.
+    """
+    vs = grow_by_mediants(picks)
+    s = build_surface(validate(vs))
+    totals = [solve_divisor_data(s, a).l_total for a in range(1, s.k + 1)]
+    tails, roots = [l[2:] for l in totals], default_roots(s.k)
+    with pytest.MonkeyPatch.context() as patch:
+        expanded = counted("from_factors", patch)
+        another_call(s.k)
+        del expanded[:]
+        records = [run_model(vs, i, i + 1, full=True) for i in range(1, s.k)]
+    assert len(expanded) == 2 + sum([tails[a] not in tails[a - 2 : a] for a in range(2, s.k)]) <= s.k
+    for record in records:
+        p1, p2 = (ratpoly.poly_to_strings(label_product(totals[record[label] - 1], roots)) for label in ("i", "j"))
+        assert record["P"] == [p1] + [["0"] * (2 * a) + p2 for a in range(record["mu"] + 1)]
+
+
+@pytest.mark.parametrize("picks", [[0, 1, 1, 2], [3, 1, 4, 1, 5, 9, 2, 6]])
+def test_the_kept_products_follow_the_roots(picks, monkeypatch):
+    """One chain's reports under the default roots, then a rational tail, a negative one, the default ints again and
+    equal Fractions: each report's models hold their labels' products, and only the last takes the kept ones, which
+    stay ints."""
+    seq = validate(grow_by_mediants(picks))
+    k, ints = seq.k, default_roots(seq.k).tail
+    tails = [ints, tuple([Fraction(2 * b - 1, 2) for b in ints]), tuple([Fraction(-3 * b, 2) for b in ints]), ints, tuple(map(Fraction, ints))]
+    expanded = counted("from_factors", monkeypatch)
+    another_call(k)
+    for tail, count in zip(tails, (k, k, k, k, 0)):
+        roots = ConformalRoots(k=k, tail=tail)
+        del expanded[:]
+        report = analyze_sequence(seq, roots=roots)
+        assert len(expanded) == count
+        for eqs, _ in report.models:
+            for label, p in ((eqs.i, eqs.p1), (eqs.j, eqs.p2)):
+                assert p == label_product(report.divisors[label - 1].l_total, roots)
+                assert tail != ints or all(type(c) is int for c in p)  # equal Fractions too
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int-to-str digit limit, so no bit budget")
+def test_the_bit_budget_is_checked_before_the_kept_products_are_read(monkeypatch):
+    """A model within the budget, then the same labels with a constant past it: CapExceeded before any expansion,
+    though both products are kept, and the refused call leaves the kept products as they were."""
+    vs = grow_by_mediants([0, 1, 1, 2])
+    budget = int(sys.get_int_max_str_digits() * math.log2(10))
+    another_call(len(vs))
+    run_model(vs, 2, 3)
+    expanded = counted("from_factors", monkeypatch)
+    with pytest.raises(CapExceeded, match=f"over the budget of {budget} bits"):
+        run_model(vs, 2, 3, constants=(2**budget, 1))
+    run_model(vs, 2, 3)
+    assert expanded == []
+
+
+def test_the_kept_products_are_replaced_not_merged(monkeypatch):
+    """Reports of chains A, B, then A again, all k = 8 with no label's tail orders in common: the second report of A
+    expands all k labels again, since B's report replaced A's products."""
+    a, b = validate(grow_by_mediants([0] * 6)), validate(grow_by_mediants([0, 1, 1, 2, 2, 3]))
+    expanded = counted("from_factors", monkeypatch)
+    another_call(8)
+    counts = []
+    for seq in (a, b, a):
+        del expanded[:]
+        analyze_sequence(seq)
+        counts.append(len(expanded))
+    assert counts == [8, 8, 8]
+
+
+def test_concurrent_calls_see_whole_tables():
+    """Threads walking the adjacent pairs of chains under their own roots, switching every microsecond: every record
+    is the one a lone walk writes, since each call reads the kept products once and publishes a new table whole."""
+    chains = [grow_by_mediants(picks) for picks in ([0] * 4, [0, 1, 1, 2], [3, 1, 4, 1])]
+    tails = [None, [Fraction(1, 2), Fraction(3, 2), Fraction(5, 2), Fraction(7, 2)], [-1, -2, -3, -4]]
+    jobs = [(vs, tail) for vs in chains for tail in tails]
+    expected = {n: [run_model(vs, i, i + 1, tail, full=True) for i in range(1, len(vs))] for n, (vs, tail) in enumerate(jobs)}
+    wrong = []
+
+    def walk(n):
+        vs, tail = jobs[n]
+        try:
+            for _ in range(20):
+                if [run_model(vs, i, i + 1, tail, full=True) for i in range(1, len(vs))] != expected[n]:
+                    wrong.append(n)
+        except Exception as error:  # a thread's exception would only be printed
+            wrong.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=walk, args=(n,)) for n in range(len(jobs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and wrong == []
 
 
 @pytest.mark.parametrize("distinct", [1, 2, 3, 5, 9])
