@@ -208,12 +208,12 @@ def reversal_dual(seq: ActionSequence) -> ActionSequence:
     return validate([(b, a) for (a, b) in reversed(seq.vectors)])
 
 
-def _check_n(n: object) -> None:
-    """Refuse an n that is not an int >= 0, naming it, before the closure's range() or run_enumerate's count sees it."""
+def _check_n(n: object, name: str = "n") -> None:
+    """Refuse an n, or under its own name run_enumerate's cap, that is not an int >= 0, before range() or n > cap sees it."""
     if type(n) is not int:  # range() would take a bool as 0 or 1 and refuse a float with a TypeError
-        raise ValueError(f"'n' must be an int, got {n!r}")
+        raise ValueError(f"'{name}' must be an int, got {n!r}")
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise ValueError(f"{name} must be >= 0")
 
 
 def _mediant_closure(n: int, seed, step) -> list:

@@ -16,6 +16,7 @@ each m off the parent chain's determinants with the two vectors the mediant join
 
 from __future__ import annotations
 
+import gc
 from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Sequence
@@ -175,15 +176,24 @@ def run_enumerate(n: int, count_only: bool = False, cap: int = DEFAULT_CAP) -> d
     With count_only, only the count: the Catalan number C(2n, n) / (n + 1), in constant time for any cap.  It is below
     4^n, so a count of 2n bits past the writer's bit budget is CapExceeded before it is computed."""
     _check_n(n)
+    _check_n(cap, "cap")
     if n > cap:
         raise CapExceeded(f"n = {n} exceeds the enumeration cap {cap}")
     if count_only:
         if (budget := _bit_budget()) and 2 * n > budget:
             raise CapExceeded(f"--n {n}: the count may need {2 * n} bits, over the budget of {budget} bits that sys.get_int_max_str_digits() lets the writer print, whatever --cap allows")
         return {"n": n, "count": comb(2 * n, n) // (n + 1)}
-    chains = _mediant_closure(n, _seed, _blow_up)
-    summaries = [{"vectors": [list(v) for v in ch], "selfInt": list(s) * 2, "m": m, "bimeromorphicPairs": pairs} for ch, (s, m, pairs) in chains]
-    return {"n": n, "count": len(chains), "sequences": summaries}
+    # the listing is lists and dicts of ints, acyclic, so a cyclic collection over it frees nothing: at n = 10 those
+    # collections took most of the listing's time.  A collector the caller had switched off stays off
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        chains = _mediant_closure(n, _seed, _blow_up)
+        summaries = [{"vectors": [list(v) for v in ch], "selfInt": list(s) * 2, "m": m, "bimeromorphicPairs": pairs} for ch, (s, m, pairs) in chains]
+        return {"n": n, "count": len(chains), "sequences": summaries}
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _pair(pairs: Sequence[Sequence[int]], i: int, j: int, roots_tail: Sequence[Fraction] | None) -> tuple:

@@ -363,6 +363,27 @@ MUTANTS = [
         ("tests/test_cli.py::test_a_count_past_the_bit_budget_is_refused_before_it_is_computed",),
     ),
     Mutant(
+        "listing-leaves-collector-paused",
+        "report.py",
+        "    finally:\n        if enabled:\n            gc.enable()\n",
+        "    finally:\n        pass\n",
+        ("tests/test_report.py::test_the_listing_runs_no_cyclic_collection_and_restores_the_collector",),
+    ),
+    Mutant(
+        "listing-enables-collector-it-found-off",
+        "report.py",
+        "        if enabled:\n            gc.enable()\n",
+        "        gc.enable()\n",
+        ("tests/test_report.py::test_the_listing_runs_no_cyclic_collection_and_restores_the_collector",),
+    ),
+    Mutant(
+        "enumeration-cap-unchecked",
+        "report.py",
+        '    _check_n(cap, "cap")\n',
+        "",
+        ("tests/test_report.py::test_run_enumerate_refuses_a_bad_n[1-True-'cap' must be an int, got True]", "tests/test_report.py::test_run_enumerate_refuses_a_bad_n[2-2.5-'cap' must be an int, got 2.5]"),
+    ),
+    Mutant(
         "count-only-option-renamed",
         "cli.py",
         '"--count-only"',

@@ -154,6 +154,8 @@ def test_a_count_past_the_bit_budget_is_refused_before_it_is_computed(capsys, mo
 def test_enumerate_cap_is_a_usage_error(capsys):
     code, _, err = run(capsys, ["enumerate", "--n", "9"])
     assert code == 2 and "error:" in err
+    for argv in (["--n", "0", "--cap", "-5"], ["--n", "0", "--cap", "-5", "--count-only"]):
+        assert run(capsys, ["enumerate", *argv]) == (2, "", "error: cap must be >= 0\n")
 
 
 def test_model_record_exact(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import sys
@@ -33,7 +34,7 @@ from twistoric import (
     solve_divisor_data,
     validate,
 )
-from twistoric import models
+from twistoric import models, report
 from twistoric.models import FOUR_PLANES, GENERIC_FOUR_NODAL, TWO_QUADRIC_CONES, ModelEquations
 from twistoric.ratpoly import from_factors
 from twistoric.report import model_record, parse_model_record
@@ -430,11 +431,64 @@ def test_count_only_is_the_catalan_number_without_building_the_listing():
     assert time.perf_counter() - start < 1
 
 
-@pytest.mark.parametrize("n, message", [(True, "'n' must be an int, got True"), (2.0, "'n' must be an int, got 2.0"), (9.0, "'n' must be an int, got 9.0"), ("3", "'n' must be an int, got '3'"), (-1, "n must be >= 0")])
-def test_run_enumerate_refuses_a_bad_n(n, message):
-    # range() would count a bool as n = 1 and refuse a float with a bare TypeError; the cap check would compare a str
+BAD_N_OR_CAP = [
+    ({"n": True}, "'n' must be an int, got True"),
+    ({"n": 2.0}, "'n' must be an int, got 2.0"),
+    ({"n": 9.0}, "'n' must be an int, got 9.0"),
+    ({"n": "3"}, "'n' must be an int, got '3'"),
+    ({"n": -1}, "n must be >= 0"),
+    ({"n": 3, "cap": "8"}, "'cap' must be an int, got '8'"),
+    ({"n": 3, "cap": None}, "'cap' must be an int, got None"),
+    ({"n": 1, "cap": True}, "'cap' must be an int, got True"),
+    ({"n": 2, "cap": 2.5}, "'cap' must be an int, got 2.5"),
+    ({"n": 0, "cap": -5}, "cap must be >= 0"),
+    ({"n": 0, "cap": -5, "count_only": True}, "cap must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("kwargs, message", BAD_N_OR_CAP, ids=lambda v: "-".join(map(str, v.values())) if isinstance(v, dict) else None)
+def test_run_enumerate_refuses_a_bad_n(kwargs, message):
+    # range() would count a bool as n = 1 and refuse a float with a bare TypeError; n > cap would refuse a str or None
+    # with a bare TypeError, and take a bool cap as 0 or 1 and a float cap as a bound
     with pytest.raises(ValueError, match=message):
-        run_enumerate(n)
+        run_enumerate(**kwargs)
+
+
+def test_the_listing_runs_no_cyclic_collection_and_restores_the_collector(monkeypatch):
+    """The listing is built with the cyclic collector paused, which is then left as the caller had it, also when the
+    listing raises."""
+    starts = []
+
+    def count_starts(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    was_enabled = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(count_starts)
+    try:
+        listing = run_enumerate(8)
+        assert starts == []  # with the collector running, the n = 8 listing starts dozens of collections
+        assert gc.isenabled()
+        gc.disable()
+        assert run_enumerate(8) == listing
+        assert not gc.isenabled()
+        gc.enable()
+        blow_up, calls = report._blow_up, []
+
+        def blow_up_then_raise(*args):
+            calls.append(args)
+            if len(calls) > 20:
+                raise RuntimeError("mid-listing")
+            return blow_up(*args)
+
+        monkeypatch.setattr(report, "_blow_up", blow_up_then_raise)
+        with pytest.raises(RuntimeError, match="mid-listing"):
+            run_enumerate(5)
+        assert gc.isenabled()
+    finally:
+        gc.callbacks.remove(count_starts)
+        (gc.enable if was_enabled else gc.disable)()
 
 
 SCALED = (Fraction(3, 2), Fraction(-5))
