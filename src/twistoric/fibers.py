@@ -18,8 +18,7 @@ reads the pairs of degree 1 off that matrix.  The intersection-form sum
 
 from __future__ import annotations
 
-from .errors import BadIndices
-from .surface import Divisor, ToricSurface
+from .surface import Divisor, ToricSurface, _check_indices
 
 __all__ = [
     "bimeromorphic_pairs",
@@ -46,10 +45,8 @@ def model_degree(surface: ToricSurface, i: int, j: int) -> int:
     This is the degree of the rational map attached to the pair (i, j);
     the map is bimeromorphic exactly when the degree is 1.
     """
-    if type(i) is type(j) is int and not 1 <= i < j <= surface.k:
-        raise BadIndices(f"need 1 <= i < j <= {surface.k}, got ({i}, {j})")
-    surface.row(i)  # refuses a bool or non-int i; row j refuses j
-    return abs(surface.row(j)[i - 1])
+    _check_indices(surface.k, i, j)
+    return abs(surface.pairing[j - 1][i - 1])
 
 
 def degree_matrix(surface: ToricSurface) -> tuple[tuple[int, ...], ...]:

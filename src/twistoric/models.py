@@ -207,9 +207,10 @@ def _models(data: Sequence[TwistorDivisorData], roots: ConformalRoots, constants
     if roots.k != data[0].k:
         raise ValueError(f"roots are for k = {roots.k}, divisor data for k = {data[0].k}")
     cs = _check_constants(constants, pairs[0][0].m - pairs[0][1].m + 2 if full else 2)
-    # every model takes the same constants, so the widest one bounds each label's polynomials; l_total is derived
-    # on every read, so each label's is taken once
-    widest, totals = max(cs, key=_bits), [d.l_total for d in data]
+    # every model takes the same constants, so the widest one bounds each label's polynomials, and it is sized over
+    # the distinct values (a full model's mu + 2 default ones are one); l_total is derived on every read, so each
+    # label's is taken once
+    widest, totals = max(set(cs), key=_bits), [d.l_total for d in data]
     for l_total in totals:
         _budgeted(l_total, roots, widest, CapExceeded, "a model polynomial")
     # label 2's root is zero, so its factor lambda^{l_2} only shifts the product over the tail.  The tails are expanded

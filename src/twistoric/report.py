@@ -23,9 +23,9 @@ from collections.abc import Sequence
 from fractions import Fraction
 from math import comb
 
-from .divisors import solve_divisor_data
+from .divisors import _from_row, solve_divisor_data
 from .errors import CapExceeded
-from .fibers import bimeromorphic_pairs, degree_matrix, invariant_fibers, model_degree
+from .fibers import bimeromorphic_pairs, degree_matrix, invariant_fibers
 from .lattice import ActionSequence, _check_n, _fraction, _mediant_closure, _read, validate
 from .models import (
     ConformalRoots,
@@ -39,7 +39,7 @@ from .models import (
     model_record,
     parse_model_record,
 )
-from .surface import build_surface
+from .surface import _check_indices, _row, build_surface
 
 DEFAULT_CAP = 8
 
@@ -197,11 +197,15 @@ def run_enumerate(n: int, count_only: bool = False, cap: int = DEFAULT_CAP) -> d
 
 
 def _pair(pairs: Sequence[Sequence[int]], i: int, j: int, roots_tail: Sequence[Fraction] | None) -> tuple:
-    """The roots, then the divisor data of i and j with the larger m first: run_model's and run_classify's prologue."""
-    surface = build_surface(validate(pairs))
-    model_degree(surface, i, j)  # validates the index pair
-    roots = default_roots(surface.k) if roots_tail is None else ConformalRoots(k=surface.k, tail=tuple(roots_tail))
-    return (roots, *_ordered(solve_divisor_data(surface, i), solve_divisor_data(surface, j)))
+    """The roots, then the divisor data of i and j with the larger m first: run_model's and run_classify's prologue.
+
+    It reads only the pairing rows of v_i and v_j, in O(k), each with its wrap entry -row[0] for ray k as
+    solve_divisor_data reads it off the surface; validate has already checked the fan that build_surface would."""
+    seq = validate(pairs)
+    _check_indices(seq.k, i, j)
+    roots = default_roots(seq.k) if roots_tail is None else ConformalRoots(k=seq.k, tail=tuple(roots_tail))
+    vs = seq.vectors
+    return (roots, *_ordered(*[_from_row((row := _row(vs, vs[a - 1])) + (-row[0],), a) for a in (i, j)]))
 
 
 def run_model(

@@ -7,8 +7,10 @@ the invariant curves C_1 .. C_k and indices k .. 2k-1 their conjugates
 curves are plain integer coefficient tuples of length 2k.
 
 All of the fan's combinatorics comes from one k x k table, ToricSurface.pairing (ray k + r pairs as
-the negated ray r): the fan check and the self-intersections read it here, the fibers, divisors and report the rest.
-ToricSurface.row reads the row of one pencil index, and is where that index is checked.
+the negated ray r): the fan check and the self-intersections read it here, the fibers, divisors and the report's
+analysis the rest.  Each of its rows is _row of one vector; a model or classification of one index pair reads
+only its two rows, straight off the vectors.  _check_indices is the one check of pencil indices, and
+ToricSurface.row reads the row of one checked index.
 """
 
 from __future__ import annotations
@@ -44,11 +46,8 @@ class ToricSurface(namedtuple("ToricSurface", "rays self_int pairing")):
         return len(self.rays) // 2
 
     def row(self, alpha: int) -> Divisor:
-        """Pairing row alpha - 1, phi_alpha on the first k rays: the one check of a pencil index."""
-        if type(alpha) is not int:  # a bool would pass for 0 or 1, a float would fail at the lookup
-            raise BadIndices(f"index must be an int, got {alpha!r}")
-        if not 1 <= alpha <= self.k:
-            raise BadIndices(f"index {alpha} out of range 1..{self.k}")
+        """Pairing row alpha - 1, phi_alpha on the first k rays, for a checked index alpha."""
+        _check_indices(self.k, alpha)
         return self.pairing[alpha - 1]
 
     def to_json(self) -> dict:
@@ -57,6 +56,23 @@ class ToricSurface(namedtuple("ToricSurface", "rays self_int pairing")):
             "rays": [list(v) for v in self.rays],
             "selfInt": list(self.self_int),
         }
+
+
+def _check_indices(k: int, *alphas: int) -> None:
+    """The one check of pencil indices: each an int in 1 .. k, and two of them, when both are ints, with i < j."""
+    if len(alphas) == 2 and type(alphas[0]) is type(alphas[1]) is int and not 1 <= alphas[0] < alphas[1] <= k:
+        raise BadIndices(f"need 1 <= i < j <= {k}, got {alphas}")
+    for alpha in alphas:
+        if type(alpha) is not int:  # a bool would pass for 0 or 1, a float would fail at the lookup
+            raise BadIndices(f"index must be an int, got {alpha!r}")
+        if not 1 <= alpha <= k:
+            raise BadIndices(f"index {alpha} out of range 1..{k}")
+
+
+def _row(vectors: Sequence[tuple[int, int]], v: tuple[int, int]) -> Divisor:
+    """det(u, v) for each u in vectors: phi_v on the first k rays, the pairing row of v."""
+    x, y = v
+    return tuple([p * y - q * x for p, q in vectors])
 
 
 def build_surface(seq: ActionSequence) -> ToricSurface:
@@ -72,7 +88,7 @@ def build_surface(seq: ActionSequence) -> ToricSurface:
     """
     k = len(seq.vectors)
     rays = tuple(seq.vectors) + tuple([(-a, -b) for (a, b) in seq.vectors])
-    pairing = tuple([tuple([p * y - q * x for p, q in seq.vectors]) for x, y in seq.vectors])
+    pairing = tuple([_row(seq.vectors, v) for v in seq.vectors])
     for r in range(k):  # the pair (r, r + 1) lies in row r + 1, the wrap pair (k - 1, k) in row 0, where ray k is -v_1
         a = (r + 1) % k
         if pairing[a][a - 1] != (-1 if a else 1):

@@ -454,11 +454,39 @@ MUTANTS = [
         ("tests/test_fibers.py::test_bimeromorphic_pairs_n2",),
     ),
     Mutant(
-        "model-degree-skips-row-i",
-        "fibers.py",
-        "    surface.row(i)  # refuses a bool or non-int i; row j refuses j\n",
+        "index-pair-check-skips-i",
+        "surface.py",
+        "    for alpha in alphas:\n",
+        "    for alpha in alphas[-1:]:\n",
+        ("tests/test_fibers.py::test_bad_indices_rejected", "tests/test_report.py::test_model_and_classify_refuse_as_the_surface_path_does"),
+    ),
+    Mutant(
+        "pair-rows-swapped",
+        "report.py",
+        "_row(vs, vs[a - 1])",
+        "_row(vs, vs[i + j - a - 1])",
+        ("tests/test_report.py::test_model_and_classify_match_the_surface_path_on_every_pair_of_the_sweep", "tests/test_report.py::test_model_and_classify_build_no_surface"),
+    ),
+    Mutant(
+        "pair-row-drops-the-wrap-entry",
+        "report.py",
+        "(row := _row(vs, vs[a - 1])) + (-row[0],)",
+        "_row(vs, vs[a - 1])",
+        ("tests/test_report.py::test_model_and_classify_match_the_surface_path_on_every_pair_of_the_sweep", "tests/test_report.py::test_model_and_classify_build_no_surface"),
+    ),
+    Mutant(
+        "pair-range-check-skipped",
+        "report.py",
+        "    _check_indices(seq.k, i, j)\n",
         "",
-        ("tests/test_fibers.py::test_bad_indices_rejected",),
+        ("tests/test_report.py::test_model_and_classify_refuse_as_the_surface_path_does",),
+    ),
+    Mutant(
+        "constants-sized-by-the-first-two",
+        "models.py",
+        "max(set(cs), key=_bits)",
+        "max(set(cs[:2]), key=_bits)",
+        ("tests/test_report.py::test_a_full_model_is_sized_by_its_widest_constant",),
     ),
     Mutant(
         "reader-compares-with-eq",

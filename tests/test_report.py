@@ -22,25 +22,29 @@ from twistoric import (
     TwistorDivisorData,
     analyze_sequence,
     bimeromorphic_pairs,
+    build_surface,
     classify_fibers,
     default_roots,
     degree_matrix,
     emit_full_model,
+    emit_reduced_model,
     enumerate_sequences,
     invariant_fibers,
+    model_degree,
     run_analyze,
+    run_classify,
     run_enumerate,
     run_model,
     solve_divisor_data,
     validate,
 )
 from twistoric import models, report
-from twistoric.models import FOUR_PLANES, GENERIC_FOUR_NODAL, TWO_QUADRIC_CONES, ModelEquations
+from twistoric.models import FOUR_PLANES, GENERIC_FOUR_NODAL, TWO_QUADRIC_CONES, ModelEquations, _check_constants, _ordered
 from twistoric.ratpoly import from_factors
 from twistoric.report import model_record, parse_model_record
 
 from oracles import grow_by_mediants
-from test_models import counted
+from test_models import another_call, counted
 
 HEXAGON = [(0, 1), (1, 1), (1, 0)]
 
@@ -542,6 +546,120 @@ def test_run_model_reduced_and_full():
     assert len(full["P"]) == 3
     assert full["P"][:2] == reduced["P"]
     assert full["mu"] == 1
+
+
+def surface_path(vs, i: int, j: int, roots_tail=None, constants=None, kind: str = "reduced") -> dict:
+    """What run_model (kind "reduced" or "full") or run_classify ("classify") writes, through the whole surface: the
+    divisor data of i and j read off build_surface's k x k table, ordered, emitted and written as model_record does."""
+    surface = build_surface(validate(vs))
+    model_degree(surface, i, j)
+    roots = default_roots(surface.k) if roots_tail is None else ConformalRoots(k=surface.k, tail=tuple(roots_tail))
+    d_i, d_j = _ordered(solve_divisor_data(surface, i), solve_divisor_data(surface, j))
+    if kind == "classify":
+        _check_constants(constants, 2)
+        return {"i": d_i.alpha, "j": d_j.alpha, "fibers": [fc.to_json() for fc in classify_fibers(d_i.l_total, d_j.l_total, roots)]}
+    eqs = (emit_full_model if kind == "full" else emit_reduced_model)(d_i, d_j, roots, constants)
+    return model_record(eqs, classify_fibers(d_i.l_total, d_j.l_total, roots))
+
+
+def entry_point(vs, i: int, j: int, roots_tail=None, constants=None, kind: str = "reduced") -> dict:
+    """The same output through run_model or run_classify."""
+    if kind == "classify":
+        return run_classify(vs, i, j, roots_tail, constants)
+    return run_model(vs, i, j, roots_tail, constants, full=kind == "full")
+
+
+def outcome(path, *args) -> object:
+    """path's output, or the type and message of what it raised."""
+    try:
+        return path(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def assert_every_pair_matches_the_surface_path(vs, signs=(1, -1)) -> None:
+    """Every pair i < j, reduced, full and classified, with the default roots and ones, and with a rational tail
+    (2t + 1)/3 of each of the signs and the constants 3/2, -5, repeated for a full model's mu + 2."""
+    surface = build_surface(validate(vs))
+    tail = [Fraction(2 * t + 1, 3) for t in range(1, surface.k - 1)]
+    for i in range(1, surface.k + 1):
+        for j in range(i + 1, surface.k + 1):
+            mu = abs(solve_divisor_data(surface, i).m - solve_divisor_data(surface, j).m)
+            for roots_tail, constants in [(None, None)] + [([sign * r for r in tail], SCALED) for sign in signs]:
+                for kind in ("reduced", "full", "classify"):
+                    cs = constants if constants is None or kind != "full" else [SCALED[t % 2] for t in range(mu + 2)]
+                    args = (vs, i, j, roots_tail, cs, kind)
+                    assert outcome(entry_point, *args) == outcome(surface_path, *args), args
+
+
+def test_model_and_classify_match_the_surface_path_on_every_pair_of_the_sweep():
+    """run_model and run_classify read only the two pairing rows they use; on every pair of every chain with n <= 5
+    they write what the path through the whole surface writes."""
+    for n in range(6):
+        for seq in enumerate_sequences(n):
+            assert_every_pair_matches_the_surface_path([list(v) for v in seq.vectors])
+
+
+@settings(deadline=None, max_examples=6)
+@given(st.lists(st.integers(0, 10**6), min_size=9, max_size=18), st.sampled_from((1, -1)))
+def test_model_and_classify_match_the_surface_path_on_deep_chains(picks, sign):
+    """The same on every pair of chains grown to k = 11 .. 20, with the tail of one drawn sign, where a refusal by the
+    bit budget must match too."""
+    assert_every_pair_matches_the_surface_path([list(v) for v in grow_by_mediants(picks)], (sign,))
+
+
+K5 = [list(v) for v in grow_by_mediants([0, 1, 1])]
+
+
+@pytest.mark.parametrize("vs, i, j, roots_tail, error", [
+    (K5, 0, 2, None, "need 1 <= i < j <= 5, got (0, 2)"),
+    (K5, 2, 2, None, "need 1 <= i < j <= 5, got (2, 2)"),
+    (K5, 3, 1, None, "need 1 <= i < j <= 5, got (3, 1)"),
+    (K5, 1, 6, None, "need 1 <= i < j <= 5, got (1, 6)"),
+    (K5, True, 2, None, "index must be an int, got True"),
+    (K5, 1, 2.0, None, "index must be an int, got 2.0"),
+    (K5, "1", 2, None, "index must be an int, got '1'"),
+    (K5, 0, 2.0, None, "index 0 out of range 1..5"),  # i is checked before j
+    (K5, 1, 2, [1], "expected 3 roots for labels 3..5, got 1"),  # the roots after the indices
+    (K5, 0, 2, [1], "need 1 <= i < j <= 5, got (0, 2)"),
+    ([(0, 1), (1, 2), (1, 0)], 0, 2, [1], "det(v_2, v_3) = -2, expected -1"),  # validation before the indices
+])
+def test_model_and_classify_refuse_as_the_surface_path_does(vs, i, j, roots_tail, error):
+    """Bad index pairs, bad roots and an invalid chain: the same error type and message, in the same order, as the path
+    through the whole surface."""
+    for kind in ("reduced", "full", "classify"):
+        args = (vs, i, j, roots_tail, None, kind)
+        got = outcome(entry_point, *args)
+        assert got == outcome(surface_path, *args)
+        assert isinstance(got, tuple) and issubclass(got[0], TwistoricError) and error in got[1]
+
+
+DEEP = [grow_by_mediants(picks) for picks in ([0] * 9, [0, 1] * 5, [3, 1, 4, 1, 5, 9, 2, 6, 5, 3], [0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5])]
+
+
+def test_model_and_classify_build_no_surface(monkeypatch):
+    """A model or classification of one pair reads its two pairing rows off the vectors, in O(k): with build_surface
+    refused, the full models and the classifications of adjacent pairs of chains of k = 11 .. 13 are as before."""
+    expected = [(surface_path(vs, i, i + 1, kind="full"), surface_path(vs, i, i + 1, kind="classify")) for vs in DEEP for i in range(1, len(vs))]
+
+    def refused(seq):
+        raise AssertionError("a single pair built the whole surface")
+
+    monkeypatch.setattr(report, "build_surface", refused)
+    assert [(run_model(vs, i, i + 1, full=True), run_classify(vs, i, i + 1)) for vs in DEEP for i in range(1, len(vs))] == expected
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int-to-str digit limit, so no bit budget")
+def test_a_full_model_is_sized_by_its_widest_constant(monkeypatch):
+    """The bit budget takes the widest of all mu + 2 constants, here the last one of a pair with mu = 1: CapExceeded
+    before any expansion."""
+    vs = [(0, 1), (1, 1), (2, 1), (1, 0)]
+    budget = int(sys.get_int_max_str_digits() * math.log2(10))
+    another_call(len(vs))
+    expanded = counted("from_factors", monkeypatch)
+    with pytest.raises(CapExceeded, match=f"over the budget of {budget} bits"):
+        run_model(vs, 1, 2, constants=(1, 1, 2**budget), full=True)
+    assert expanded == []
 
 
 def sweep_records() -> list[tuple]:
