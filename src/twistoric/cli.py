@@ -97,8 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
     reads = argparse.ArgumentParser(add_help=False, parents=[writes])
     reads.add_argument("--input", required=True, help="path to the input JSON file")
     pencil = argparse.ArgumentParser(add_help=False, parents=[reads])
-    pencil.add_argument("--roots", help="comma-separated pencil roots for labels 3..k")
-    pencil.add_argument("--constants", help="comma-separated scale constants")
+    pencil.add_argument("--roots", help="comma-separated pencil roots for labels 3..k; join a value starting with - by =, as --roots=-1/2")
+    pencil.add_argument("--constants", help="comma-separated scale constants; join a value starting with - by =, as --constants=-2,1")
 
     sub.add_parser("validate", parents=[reads], help="validate an input sequence")
     p_enum = sub.add_parser("enumerate", parents=[writes], help="enumerate all sequences for n")

@@ -3,12 +3,13 @@
 Polynomials are tuples in ascending degree order with no trailing zeros, the zero polynomial the
 empty tuple, of ints or Fractions; equal values compare and hash alike.  Only what the model emitter
 and the model-record reader need lives here.  from_factors, the one expander, runs on ints: it
-multiplies one list in place by two linear factors (q lambda - a) per pass, with the denominators
-cleared, and returns ints when every coefficient is integral, Fractions otherwise.  It can start from a
-product it returned, so the writer grows each label's product from a neighbour's that divides it, and
-the model-record reader rebuilds P with it and compares.  normalized, and so the
-reader, makes Fractions; evaluate is exact, and stays on ints for int input.  The tests check from_factors
-against sympy and keep the expander it replaced, and synthetic division, as oracles.
+multiplies one list in place by two linear factors (q lambda - a) per pass, an odd count's last one
+paired with lambda, with the denominators cleared, and returns ints when every coefficient is
+integral, Fractions otherwise.  It can start from a product it returned, so the writer grows each
+label's product from a neighbour's that divides it, and the model-record reader rebuilds P with it
+and compares.  normalized, and so the reader, makes Fractions; evaluate is exact, and stays on ints
+for int input.  The tests check from_factors against sympy and keep the expander it replaced, and
+synthetic division, as oracles.
 """
 
 from __future__ import annotations
@@ -49,8 +50,9 @@ def from_factors(factors: Iterable[tuple[Fraction | int, int]], start: Poly = (1
     """start times the product of (x - root)^mult over the given factors; start, one unless given, is a product it returned.
 
     Expands on ints, in place: from start's coefficients, Fractions taken over their common denominator, two linear
-    factors per pass, (q1 x - a1)(q2 x - a2) for roots a1/q1 and a2/q2, from the bottom up, and one more pass when their
-    count is odd; the denominator gains each q.  The coefficients stay ints when all are integral and become Fractions
+    factors per pass, (q1 x - a1)(q2 x - a2) for roots a1/q1 and a2/q2, from the bottom up; an odd count pairs its last
+    root with 0, so the one kernel also multiplies by x, and drops the product's zero constant term at the end.  The
+    denominator gains each q.  The coefficients stay ints when all are integral and become Fractions
     otherwise; equal values compare and hash alike.
     """
     # a product from_factors returned holds ints throughout, or Fractions throughout
@@ -60,7 +62,8 @@ def from_factors(factors: Iterable[tuple[Fraction | int, int]], start: Poly = (1
     for root, mult in factors:
         line += (root,) * mult
         den *= root.denominator**mult
-    pairs = iter(line)
+    odd = len(line) % 2
+    pairs = iter(line + [0] * odd)
     for r1, r2 in zip(pairs, pairs):
         # times (qq x^2 + b x + c): p[t] becomes qq * p[t-2] + b * p[t-1] + c * p[t], carrying the old p[t-2] and
         # p[t-1]; qq = 1 copies no big int
@@ -71,14 +74,7 @@ def from_factors(factors: Iterable[tuple[Fraction | int, int]], start: Poly = (1
             p[t] = (before if qq == 1 else qq * before) + b * prev + c * x
             before, prev = prev, x
         p += ((before if qq == 1 else qq * before) + b * prev, prev if qq == 1 else qq * prev)
-    if len(line) % 2:
-        # times (q x - a), carrying the old p[t-1]
-        a, q = line[-1].numerator, line[-1].denominator
-        prev = 0
-        for t, x in enumerate(p):
-            p[t] = (prev if q == 1 else q * prev) - a * x
-            prev = x
-        p.append(q * prev)
+    del p[:odd]
     return tuple(p if den == 1 else [Fraction(c, den) for c in p])
 
 

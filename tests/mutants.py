@@ -400,8 +400,8 @@ MUTANTS = [
     Mutant(
         "from-factors-skips-the-odd-factor",
         "ratpoly.py",
-        "    if len(line) % 2:\n",
-        "    if False:\n",
+        "iter(line + [0] * odd)",
+        "iter(line)",
         ("tests/test_ratpoly.py::test_from_factors_matches_sympy_expansion", "tests/test_ratpoly.py::test_an_extended_product_is_the_product_from_scratch"),
     ),
     Mutant(

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import runpy
 import subprocess
 import sys
 import time
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import twistoric
-from twistoric import enumerate_sequences, models, run_model
+from twistoric import enumerate_sequences, models, run_analyze, run_model
 from twistoric.cli import InputDataError, build_parser, main
 
 from oracles import grow_by_mediants
@@ -233,6 +234,30 @@ def test_unparsable_roots_rejected(tmp_path, capsys):
         assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize(
+    "argv, record",
+    [
+        (["model", "--i", "1", "--j", "2", "--roots=-1/2", "--full"], lambda vs: run_model(vs, 1, 2, roots_tail=[Fraction(-1, 2)], full=True)),
+        (["analyze", "--constants=-2,1"], lambda vs: run_analyze(vs, constants=[-2, 1])),
+    ],
+    ids=["roots", "constants"],
+)
+def test_a_negative_value_joined_with_equals_is_the_library_record(tmp_path, capsys, argv, record):
+    code, out, err = run(capsys, argv + ["--input", write_input(tmp_path, HEXAGON)])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == record(HEXAGON["vectors"])
+
+
+@pytest.mark.parametrize("argv", [["model", "--i", "1", "--j", "2", "--roots", "-1/2"], ["analyze", "--constants", "-2,1"]], ids=["roots", "constants"])
+def test_a_negative_value_after_a_space_is_read_as_an_option(tmp_path, capsys, argv):
+    # argparse takes a leading "-1/2" or "-2,1" for an option, so the flag has no value: a usage error naming it
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + ["--input", write_input(tmp_path, HEXAGON)])
+    _, err = capsys.readouterr()
+    assert excinfo.value.code == 2
+    assert f"argument {argv[-2]}: expected one argument" in err
+
+
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int-to-str digit limit, so no bit budget")
 @pytest.mark.parametrize(
     "vectors, flags",
@@ -411,6 +436,19 @@ def test_unknown_flag_exits_via_argparse(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["enumerate", "--n", "2", "--frobnicate"])
     assert excinfo.value.code == 2
+
+
+def test_python_dash_m_exits_with_the_code_of_main(monkeypatch, capsys):
+    # runpy runs the module afresh as __main__, as `python -m twistoric.cli` does; with the imported module left in
+    # sys.modules it would warn that the two copies may differ
+    monkeypatch.delitem(sys.modules, "twistoric.cli")
+    for argv, code in [(["enumerate", "--n", "3", "--count-only"], 0), (["enumerate", "--n", "9"], 2)]:
+        monkeypatch.setattr(sys, "argv", ["twistoric", *argv])
+        with pytest.raises(SystemExit) as excinfo:
+            runpy.run_module("twistoric.cli", run_name="__main__")
+        assert excinfo.value.code == code
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"n": 3, "count": 5} and err.startswith("error: ")
 
 
 def test_cold_import_loads_no_dataclasses_inspect_or_typing():

@@ -28,7 +28,7 @@ FILES = dict(re.findall(r"`([\w.]+\.json)`,\s+which holds `(\{[^`]*\})`", README
 
 
 def test_the_readme_names_its_examples_and_their_files():
-    assert len(COMMANDS) == 7 and set(FILES) == {"chain.json", "chain4.json"}
+    assert len(COMMANDS) == 8 and set(FILES) == {"chain.json", "chain4.json"}
     assert all(json.loads(text)["vectors"] for text in FILES.values())
 
 
